@@ -9,6 +9,7 @@ byte for byte for identical arguments.
 import argparse
 import itertools
 import json
+import math
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -23,6 +24,8 @@ from .zeta import functional_equation_check, zeta_F_minus1
 
 DEFAULT_TOL = 1e-8
 DEFAULT_PRECISION_BITS = 128
+#: Largest accepted --working-precision.
+MAX_PRECISION_BITS = 4096
 
 GRID_FIELD_SPECS = ("Q", "Q(sqrt 2)", "Q(sqrt 3)", "Q(sqrt 5)", "Q(sqrt 13)")
 GRID_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -57,6 +60,31 @@ def _s_primes_arg(text: str):
             raise argparse.ArgumentTypeError(f"{p} is not prime")
         entries.append((p, selector))
     return entries
+
+
+def _tol_arg(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    # a non-finite tolerance, or one as large as zeta_F(2) > 1 itself, gives the check no teeth
+    if not (math.isfinite(tol) and 0 < tol < 1):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and in (0, 1), got {text!r}")
+    return tol
+
+
+def _int_in_range_arg(low: int, high: int | None = None):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low or (high is not None and value > high):
+            bounds = f"in [{low}, {high}]" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
 
 
 def _local_data_arg(text: str):
@@ -243,8 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta", help="exact zeta_F(-1) with a numeric functional-equation check")
     common(p, s_primes=False)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--working-precision", type=int, default=DEFAULT_PRECISION_BITS, metavar="BITS")
+    p.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL, help="absolute tolerance, finite and in (0, 1)")
+    p.add_argument(
+        "--working-precision",
+        type=_int_in_range_arg(1, MAX_PRECISION_BITS),
+        default=DEFAULT_PRECISION_BITS,
+        metavar="BITS",
+        help=f"minimum working precision in bits, 1 to {MAX_PRECISION_BITS}",
+    )
 
     p = sub.add_parser("steinberg-dim", help="von Neumann dimension of the Steinberg module")
     common(p)
@@ -263,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jl-ratio", help="dimension ratio across the quaternion correspondence")
     common(p)
     p.add_argument("--group", choices=("sl", "pgl"), default="sl")
-    p.add_argument("--pd-order", type=int, default=None, metavar="N")
+    p.add_argument("--pd-order", type=_int_in_range_arg(1), default=None, metavar="N")
 
     p = sub.add_parser("candidates", help="finite-subgroup candidates for PD*(O_S)")
     common(p, s_primes=False)

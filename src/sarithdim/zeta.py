@@ -6,10 +6,15 @@ discriminant D the divisor lattice sum
     zeta_F(-1) = (1/60) * sum over b^2 < D, b^2 = D (mod 4)
                  of sigma_1((D - b^2)/4),
 
-always an integer divided by 60.  zeta_F(2) is evaluated numerically by two
-independent routes (a residue-class regrouping good to any working
-precision, and a truncated Euler product used for cross-checks), and the
-functional equation
+always an integer divided by 60.  zeta_F(2) = zeta(2) * L(2, chi_D) is
+evaluated numerically by two independent routes: an elementary cosecant sum
+good to any working precision,
+
+    L(2, chi_D) = (pi^2 / D^2) * sum_{1 <= r < D/2} chi_D(r) * csc^2(pi r / D),
+
+which is the residue-class regrouping of the L-series folded in half by the
+trigamma reflection formula (DLMF 5.15.6), and a truncated Euler product
+used for cross-checks.  The functional equation
 
     zeta_F(2) = (2 pi)^(2n) / 2^n * d_F^(-3/2) * |zeta_F(-1)|
 
@@ -32,7 +37,6 @@ from .numberfield import FieldKind, NumberField
 class Method(Enum):
     CLASSICAL = "classical"
     SIEGEL_SUM = "siegel_sum"
-    FUNCTIONAL_EQUATION_ORACLE = "functional_equation_oracle"
 
 
 @dataclass(frozen=True)
@@ -130,42 +134,54 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def _working_prec_bits(tol: float, precision_bits: int | None) -> int:
+    if not math.isfinite(tol):
+        raise ToleranceTooTight(f"tolerance {tol} is not a finite number")
+    if tol < 1e-12:
+        raise ToleranceTooTight(f"tolerance {tol} below the supported floor of 1e-12")
     # at least twice the target digits, plus guard bits
     target_bits = max(-math.log2(tol), 1.0)
     return max(int(math.ceil(2 * target_bits)) + 16, precision_bits or 0, 64)
 
 
 def zeta_F_2_numeric(F: NumberField, tol: float, precision_bits: int | None = None) -> mpmath.mpf:
-    """zeta_F(2) to within tol (tol >= 1e-12).
+    """zeta_F(2) to within tol (finite, tol >= 1e-12).
 
     Over Q this is pi^2/6.  Over a quadratic field of discriminant D,
-    zeta_F(2) = zeta(2) * L(2, chi_D), and the L-value is obtained by
-    regrouping its absolutely convergent series into residue classes mod D:
+    zeta_F(2) = zeta(2) * L(2, chi_D).  Regrouping the L-series into
+    residue classes mod D gives D^-2 * sum_{r=1}^{D-1} chi(r) * psi'(r/D),
+    with psi' the trigamma function.  chi_D is even for real quadratic F,
+    so pairing r with D - r and applying the reflection formula
+    psi'(x) + psi'(1 - x) = pi^2 csc^2(pi x) (DLMF 5.15.6) leaves
 
-        L(2, chi) = D^-2 * sum_{r=1}^{D-1} chi(r) * zeta(2, r/D)
+        L(2, chi) = (pi^2 / D^2) * sum_{1 <= r < D/2} chi(r) * csc^2(pi r / D)
 
-    with zeta(.,.) the Hurwitz zeta function.  The regrouping is exact, so
-    the only error is evaluation error at the working precision, which is
-    at least twice the requested digits and therefore far below tol.  The
-    residue sum runs in fixed ascending order, so results are reproducible
-    bit for bit.
+    (the middle residue D/2 of an even D is not prime to D).  Both steps
+    are exact, so the only error is evaluation error.  The cost is one sine
+    per residue prime to D below D/2, fewer than ceil(D/2).  The sum runs
+    with D.bit_length() guard bits on top of the working precision, which
+    is at least twice the requested digits, to absorb the rounding of its
+    O(D) terms; the result is rounded back to the working precision.  The
+    residues are summed in fixed ascending order, so results are
+    reproducible bit for bit.
     """
-    if tol <= 0 or tol < 1e-12:
-        raise ToleranceTooTight(f"tolerance {tol} below the supported floor of 1e-12")
+    bits = _working_prec_bits(tol, precision_bits)
     # a cloned context keeps the precision local, so concurrent callers
     # never observe each other's settings
     ctx = mpmath.mp.clone()
-    ctx.prec = _working_prec_bits(tol, precision_bits)
-    base = ctx.pi**2 / 6
+    ctx.prec = bits
     if F.kind is FieldKind.RATIONALS:
-        return base
+        return ctx.pi**2 / 6
     D = F.discriminant
-    chi = quadratic_character_table(D)
+    ctx.prec = bits + D.bit_length()
+    angle = ctx.pi / D
     total = ctx.mpf(0)
-    for r in range(1, D):
-        if chi[r]:
-            total += chi[r] * ctx.zeta(2, ctx.mpf(r) / D)
-    return base * total / D**2
+    for r in range(1, (D + 1) // 2):
+        chi = _kronecker_any(D, r)
+        if chi:
+            total += chi / ctx.sin(angle * r) ** 2
+    value = ctx.pi**4 / 6 * total / D**2
+    ctx.prec = bits
+    return +value
 
 
 def zeta_F_2_euler_product(F: NumberField, prime_bound: int, primes: list[int] | None = None) -> float:

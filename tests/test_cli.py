@@ -185,6 +185,30 @@ class TestUsageErrors:
             cli.run(["check"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", v) for v in ("nan", "inf", "-inf", "1", "0", "-5")]
+        + [("--working-precision", v) for v in ("nan", "inf", "0", "-5", "4097")],
+    )
+    def test_zeta_numeric_flag_out_of_range(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            cli.run(["zeta", "--field", "Q(sqrt 5)", flag, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "Traceback" not in captured.err
+
+    def test_tolerance_below_floor_is_domain_error(self, capsys):
+        code, out, _ = invoke(capsys, ["zeta", "--field", "Q", "--tol", "1e-13"])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "TOLERANCE_TOO_TIGHT"
+
+    def test_pd_order_below_one(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.run(["jl-ratio", "--field", "Q", "--s-primes", "2", "--group", "pgl", "--pd-order", "0"])
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_malformed_field_is_domain_error(self, capsys):
         code, out, _ = invoke(capsys, ["zeta", "--field", "Q[sqrt 5]"])
         assert code == 1

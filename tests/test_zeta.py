@@ -32,6 +32,53 @@ def real_quadratic_fields_with_disc_up_to(limit):
     return sorted(fields, key=lambda F: F.discriminant)
 
 
+def kronecker_table(D):
+    """chi_D(a) for 0 <= a < D, extended completely multiplicatively from its
+    values at primes: Euler's criterion at odd p, the mod-8 rule at p = 2.
+    Independent of the reciprocity-based symbol in the library."""
+    smallest_factor = list(range(D))
+    for p in range(2, math.isqrt(D - 1) + 1):
+        if smallest_factor[p] == p:
+            for m in range(p * p, D, p):
+                if smallest_factor[m] == m:
+                    smallest_factor[m] = p
+    chi = [0, 1] + [0] * (D - 2)
+    at_prime = {}
+    for a in range(2, D):
+        p = smallest_factor[a]
+        if p not in at_prime:
+            if D % p == 0:
+                at_prime[p] = 0
+            elif p == 2:
+                at_prime[p] = 1 if D % 8 in (1, 7) else -1
+            else:
+                at_prime[p] = 1 if pow(D, (p - 1) // 2, p) == 1 else -1
+        chi[a] = at_prime[p] * chi[a // p]
+    return chi
+
+
+def bernoulli_route_zeta_minus1(D):
+    """zeta_F(-1) = B_{2,chi}/24 with B_{2,chi} = D * sum_{a=1}^{D} chi(a) B_2(a/D)
+    and B_2(x) = x^2 - x + 1/6 (Washington, Introduction to Cyclotomic Fields,
+    Thm 4.2).  With denominators cleared, D * B_2(a/D) = (6a^2 - 6aD + D^2) / (6D)."""
+    chi = kronecker_table(D)
+    total = sum(chi[a % D] * (6 * a * a - 6 * a * D + D * D) for a in range(1, D + 1))
+    return Fraction(total, 24 * 6 * D)
+
+
+def hurwitz_route_zeta_F_2(D, bits):
+    """zeta(2) * L(2, chi_D) by the residue-class regrouping
+    L(2, chi) = D^-2 * sum_{r=1}^{D-1} chi(r) * zeta(2, r/D) (Hurwitz zeta)."""
+    ctx = mpmath.mp.clone()
+    ctx.prec = bits
+    chi = kronecker_table(D)
+    total = ctx.mpf(0)
+    for r in range(1, D):
+        if chi[r]:
+            total += chi[r] * ctx.zeta(2, ctx.mpf(r) / D)
+    return ctx.pi**2 / 6 * total / D**2
+
+
 def naive_divisor_sum(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
@@ -70,6 +117,12 @@ class TestZetaMinusOne:
     def test_zeta_zero_constant(self):
         assert ZETA_Q_AT_ZERO == Fraction(-1, 2)
 
+    def test_matches_bernoulli_route(self):
+        fields = real_quadratic_fields_with_disc_up_to(500)
+        fields += [parse_field("Q(sqrt 1001)"), parse_field("Q(sqrt 10007)")]
+        for F in fields:
+            assert zeta_F_minus1(F).value == bernoulli_route_zeta_minus1(F.discriminant), F
+
 
 def test_sum_of_divisors_brute_force():
     for n in range(1, 200):
@@ -96,6 +149,22 @@ class TestZetaTwoNumeric:
             zeta_F_2_numeric(parse_field("Q"), 1e-13)
         with pytest.raises(ToleranceTooTight):
             zeta_F_2_numeric(parse_field("Q"), -1.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance(self, tol):
+        for spec in ("Q", "Q(sqrt 5)"):
+            with pytest.raises(ToleranceTooTight):
+                zeta_F_2_numeric(parse_field(spec), tol)
+            with pytest.raises(ToleranceTooTight):
+                functional_equation_check(parse_field(spec), tol)
+
+    def test_matches_hurwitz_route(self):
+        # the 128-bit reference is good to about D * 2^-128, far inside 2^-100
+        for F in real_quadratic_fields_with_disc_up_to(200):
+            reference = hurwitz_route_zeta_F_2(F.discriminant, 128)
+            for bits in (128, 192):
+                value = reference.context.mpf(zeta_F_2_numeric(F, 1e-8, precision_bits=bits))
+                assert abs(value - reference) <= mpmath.ldexp(reference, -100), (F, bits)
 
     def test_monotone_improving(self):
         F = parse_field("Q(sqrt 13)")
@@ -138,8 +207,11 @@ class TestFunctionalEquation:
         assert not report.ok
 
     def test_all_fundamental_discs(self):
-        for F in real_quadratic_fields_with_disc_up_to(120):
+        # zeta_F(-1) lies in (1/60)Z, so a value off by 1/60 is the nearest wrong one
+        for F in real_quadratic_fields_with_disc_up_to(500) + [parse_field("Q(sqrt 10007)")]:
+            exact = zeta_F_minus1(F).value
             assert functional_equation_check(F, 1e-8).ok, F
+            assert not functional_equation_check(F, 1e-8, zeta_minus1=exact + Fraction(1, 60)).ok, F
 
 
 class TestRationalize:
