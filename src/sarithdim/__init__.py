@@ -1,119 +1,37 @@
 """Exact-arithmetic calculator for covolumes, Steinberg formal degrees, and
 von Neumann dimensions of S-arithmetic subgroups of SL(2)/PGL(2) over
-totally real fields, with the quaternion-side zeta ratio they match."""
+totally real fields, with the quaternion-side zeta ratio they match.
+
+The names below are the library surface; everything else lives in its
+module (``numberfield``, ``zeta``, ``covolume``, ``formal_degree``,
+``vndim``, ``quaternion``).  The CLI module is not imported with the
+package: ``import sarithdim.cli``.
+"""
 
 from . import errors
-from .covolume import (
-    Covolume,
-    CovolumeGroup,
-    local_square_class_order,
-    pgl2_covolume,
-    pgl_psl_index,
-    sl2_covolume,
-)
-from .formal_degree import (
-    LocalRepDatum,
-    jl_degree_ratio,
-    steinberg_global_degree,
-    steinberg_local_degree,
-)
-from .numberfield import (
-    FieldKind,
-    NumberField,
-    Place,
-    PlaceKind,
-    SSet,
-    build_S,
-    decompose_prime,
-    delta_2,
-    kronecker_symbol,
-    parse_field,
-)
-from .quaternion import (
-    CandidateReport,
-    QuaternionData,
-    pdx_candidates,
-    validate_ramification,
-    zeta_D_leading_ratio_at_zero,
-)
-from .vndim import (
-    GroupVariant,
-    IdentityCheck,
-    IdentityReport,
-    Route,
-    VnDimension,
-    atiyah_schmid_dim,
-    check_identities,
-    jl_ratio_pgl,
-    jl_ratio_sl,
-    module_vn_dim,
-    steinberg_vn_dim,
-    vn_dim_finite_group,
-)
-from .zeta import (
-    FunctionalEquationReport,
-    Method,
-    SpecialValue,
-    ZETA_Q_AT_ZERO,
-    functional_equation_check,
-    quadratic_character_table,
-    rationalize,
-    sum_of_divisors,
-    zeta_F_2_euler_product,
-    zeta_F_2_numeric,
-    zeta_F_minus1,
-)
+from .covolume import pgl2_covolume, sl2_covolume
+from .formal_degree import LocalRepDatum
+from .numberfield import build_S, parse_field
+from .quaternion import zeta_D_leading_ratio_at_zero
+from .vndim import check_identities, jl_ratio_pgl, jl_ratio_sl, module_vn_dim, steinberg_vn_dim
+from .zeta import functional_equation_check, zeta_F_minus1
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateReport",
-    "Covolume",
-    "CovolumeGroup",
-    "FieldKind",
-    "FunctionalEquationReport",
-    "GroupVariant",
-    "IdentityCheck",
-    "IdentityReport",
     "LocalRepDatum",
-    "Method",
-    "NumberField",
-    "Place",
-    "PlaceKind",
-    "QuaternionData",
-    "Route",
-    "SSet",
-    "SpecialValue",
-    "VnDimension",
-    "ZETA_Q_AT_ZERO",
-    "atiyah_schmid_dim",
     "build_S",
     "check_identities",
-    "decompose_prime",
-    "delta_2",
+    "cli",
     "errors",
     "functional_equation_check",
-    "jl_degree_ratio",
     "jl_ratio_pgl",
     "jl_ratio_sl",
-    "kronecker_symbol",
-    "local_square_class_order",
     "module_vn_dim",
     "parse_field",
-    "pdx_candidates",
     "pgl2_covolume",
-    "pgl_psl_index",
-    "quadratic_character_table",
-    "rationalize",
     "sl2_covolume",
-    "steinberg_global_degree",
-    "steinberg_local_degree",
     "steinberg_vn_dim",
-    "sum_of_divisors",
-    "validate_ramification",
-    "vn_dim_finite_group",
     "zeta_D_leading_ratio_at_zero",
-    "zeta_F_2_euler_product",
-    "zeta_F_2_numeric",
     "zeta_F_minus1",
 ]

@@ -1,15 +1,18 @@
-"""Exact covolumes of SL(2, O_S) and PGL(2, O_S) in their S-adelic groups.
+"""Exact covolumes of SL(2, O_S) and PGL(2, O_S) in their S-adelic groups,
+and the invariants of (F, S) that every closed form is built from.
 
 Haar measures are frozen once and for all: at a real place the maximal
 compact SO(2) gets volume 1, at a finite place the Iwahori subgroup gets
 volume 1 (so SL(2, O_v) has volume q_v + 1).  Every constant downstream
 assumes exactly this normalization, which is why no measure parameter is
-exposed.  With n the field degree, the covolumes are
+exposed.  In the fields of :class:`Invariants` (z = |zeta_F(-1)|, n the
+field degree, delta_2 = delta_2(S), Q+ = prod (q_v + 1) over the finite
+places of S) the covolumes are the monomials
 
-    SL(2, O_S):   |zeta_F(-1)| / 2^n                      * prod (q_v + 1)
-    PGL(2, O_S):  2^(delta_2(S)+1) * |zeta_F(-1)| / 2^(2n) * prod (q_v + 1)
+    SL(2, O_S):   z * Q+ / 2^n
+    PGL(2, O_S):  2^(delta_2 + 1) * z * Q+ / 2^(2n)
 
-with the products over the finite places of S; both are exact rationals.
+both exact rationals.
 """
 
 import math
@@ -17,8 +20,32 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .numberfield import NumberField, Place, PlaceKind, SSet, delta_2
+from .numberfield import NumberField, SSet, delta_2
 from .zeta import zeta_F_minus1
+
+
+@dataclass(frozen=True)
+class Invariants:
+    """The invariants of (F, S) that the closed forms are monomials in."""
+
+    zeta: Fraction  # |zeta_F(-1)|
+    n: int  # degree of F, the number of real places
+    size: int  # |S|
+    delta_2: int  # delta_2(S), the e*f sum over the places of S above 2
+    prod_q_minus_1: int  # prod (q_v - 1) over the finite places of S
+    prod_q_plus_1: int  # prod (q_v + 1) over the finite places of S
+
+
+def invariants(F: NumberField, S: SSet) -> Invariants:
+    """The :class:`Invariants` record of (F, S)."""
+    return Invariants(
+        abs(zeta_F_minus1(F).value),
+        F.degree,
+        S.size,
+        delta_2(S),
+        math.prod(v.q - 1 for v in S.finite_places),
+        math.prod(v.q + 1 for v in S.finite_places),
+    )
 
 
 class CovolumeGroup(Enum):
@@ -34,38 +61,20 @@ class Covolume:
     value: Fraction
 
 
-def _finite_part(S: SSet) -> int:
-    return math.prod(v.q + 1 for v in S.finite_places)
-
-
 def sl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of SL(2, O_S), exactly."""
-    z = abs(zeta_F_minus1(F).value)
-    value = z / 2**F.degree * _finite_part(S)
+    inv = invariants(F, S)
+    value = inv.zeta * Fraction(inv.prod_q_plus_1, 2**inv.n)
     return Covolume(CovolumeGroup.SL2, F, S, value)
 
 
 def pgl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of PGL(2, O_S), exactly."""
-    z = abs(zeta_F_minus1(F).value)
-    value = Fraction(2 ** (delta_2(S) + 1), 2 ** (2 * F.degree)) * z * _finite_part(S)
+    inv = invariants(F, S)
+    value = inv.zeta * Fraction(2 ** (inv.delta_2 + 1) * inv.prod_q_plus_1, 2 ** (2 * inv.n))
     return Covolume(CovolumeGroup.PGL2, F, S, value)
 
 
 def pgl_psl_index(F: NumberField, S: SSet) -> int:
     """Index of PSL(2, O_S) in PGL(2, O_S): the square-class count 2^|S|."""
     return 2**S.size
-
-
-def local_square_class_order(v: Place) -> int:
-    """Order of the local square-class group F_v^* / (F_v^*)^2 as used by the
-    PGL/PSL index bookkeeping: 2 at a real place, 4 at an odd finite place,
-    2^(e*f) at a place of residue characteristic 2.
-
-    Audit-only: the covolume formulas above do not consume these values.
-    """
-    if v.kind is PlaceKind.REAL:
-        return 2
-    if v.p != 2:
-        return 4
-    return 2 ** (v.e * v.f)

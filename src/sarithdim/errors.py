@@ -39,6 +39,8 @@ class InvalidSelector(CalcError):
 
 
 class UnsupportedField(CalcError):
+    """Field outside the supported range: radicand above MAX_RADICAND."""
+
     code = "UNSUPPORTED_FIELD"
 
 

@@ -3,12 +3,14 @@
 Locally, d(St_v) = 2 at a real place and (q_v - 1)/(2 (q_v + 1)) at a
 finite place, with an extra factor 2^(-e*f) at places of residue
 characteristic 2 (the unique assignment consistent with the aggregate
-below).  Globally,
+below).  Globally, with n, |S|, delta_2, Q- = prod (q_v - 1) and
+Q+ = prod (q_v + 1) the fields of :class:`~sarithdim.covolume.Invariants`,
 
-    d(St_S) = 2^n * 2^(-delta_2(S)) * prod (q_v - 1) / (2 (q_v + 1))
+    d(St_S) = 2^n * Q- / (2^(delta_2 + |S| - n) * Q+),
 
-over the finite places of S.  The global degree is computed both as the
-product of local degrees and by this closed form, and is returned only
+since each of the |S| - n finite places contributes (q_v - 1)/(2 (q_v + 1)).
+The global degree is computed both as the product of local degrees, which
+never reads the invariants, and by this closed form, and is returned only
 when the two agree exactly.
 """
 
@@ -16,8 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .covolume import invariants
 from .errors import InternalInconsistency
-from .numberfield import NumberField, Place, PlaceKind, SSet, delta_2
+from .numberfield import NumberField, Place, PlaceKind, SSet
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,10 @@ def steinberg_global_degree(F: NumberField, S: SSet) -> Fraction:
     form; any disagreement is a bug, not recoverable input error.
     """
     product = math.prod((steinberg_local_degree(v) for v in S.places), start=Fraction(1))
-    closed = (
-        Fraction(2**F.degree, 2 ** delta_2(S))
-        * math.prod((Fraction(v.q - 1, 2 * (v.q + 1)) for v in S.finite_places), start=Fraction(1))
+    inv = invariants(F, S)
+    closed = Fraction(
+        2**inv.n * inv.prod_q_minus_1,
+        2 ** (inv.delta_2 + inv.size - inv.n) * inv.prod_q_plus_1,
     )
     if product != closed:
         raise InternalInconsistency(

@@ -1,5 +1,7 @@
-"""Quaternion-algebra side: ramification validity, the zeta-ratio value, and
-candidate orders for the finite S-unit groups of a totally definite algebra.
+"""Quaternion-algebra side: the even-|S| ramification rule, the zeta-ratio
+value, and candidate orders for the finite S-unit groups of a totally
+definite algebra.  The zeta ratio is factored place by place and never reads
+:class:`~sarithdim.covolume.Invariants`, so it stays an independent route.
 """
 
 from dataclasses import dataclass
@@ -12,13 +14,6 @@ from .zeta import zeta_F_minus1
 # radicand d -> extra m with 2 cos(2 pi / m) in Q(sqrt d); the rational
 # cases m in {1, 2, 3, 4, 6} hold in every field
 _EXTRA_COSINE_ORDERS = {2: (8,), 3: (12,), 5: (5, 10)}
-
-
-@dataclass(frozen=True)
-class QuaternionData:
-    field: NumberField
-    S: SSet
-    valid: bool
 
 
 @dataclass(frozen=True)
@@ -36,10 +31,11 @@ class CandidateReport:
     bound: int
 
 
-def validate_ramification(F: NumberField, S: SSet) -> QuaternionData:
-    """A quaternion algebra over F ramified exactly at S exists (with every
-    real place ramified, which SSet guarantees structurally) iff |S| is even."""
-    return QuaternionData(F, S, S.size % 2 == 0)
+def validate_ramification(F: NumberField, S: SSet) -> bool:
+    """Whether a quaternion algebra over F ramified exactly at S exists (with
+    every real place ramified, which SSet guarantees structurally): iff |S|
+    is even.  The single home of the even-|S| rule."""
+    return S.size % 2 == 0
 
 
 def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
@@ -51,7 +47,7 @@ def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
     zeta_F vanishes there) and the ratio is zeta_F(-1) prod (1 - q_v), taken
     in absolute value.
     """
-    if S.size % 2:
+    if not validate_ramification(F, S):
         raise OddCardinality(f"|S| = {S.size} is odd; no quaternion algebra ramifies exactly at S")
     ratio = zeta_F_minus1(F).value
     for v in S.finite_places:

@@ -7,31 +7,37 @@ subgroup PSL(2, O_S) multiplies the dimension by 2^|S|, and pushing down
 along SL -> SL/{+-1} = PSL halves it (every module in scope has trivial
 central character).  Headline values are computed by two routes and
 returned only on exact agreement.
+
+In the fields of :class:`~sarithdim.covolume.Invariants` (z = |zeta_F(-1)|,
+|S|, Q- = prod (q_v - 1) over the finite places of S) the closed forms are
+
+    Steinberg over PGL(2, O_S):   2 * z * Q- / 2^|S|
+    jl_ratio_pgl:                 2 * z * N * Q- / 2^|S|
+    jl_ratio_sl:                  z * Q-
+
+where N is the order of the finite quaternion S-unit group; the Steinberg
+PGL dimension is the jl_ratio_pgl monomial at N = 1, for every |S|.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .covolume import pgl2_covolume
+from .covolume import Invariants, invariants, pgl2_covolume, pgl_psl_index
 from .errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality
 from .formal_degree import LocalRepDatum, jl_degree_ratio, steinberg_global_degree
 from .numberfield import NumberField, SSet
-from .quaternion import zeta_D_leading_ratio_at_zero
-from .zeta import zeta_F_minus1
+from .quaternion import validate_ramification, zeta_D_leading_ratio_at_zero
 
 
 class GroupVariant(Enum):
     PGL = "pgl"
     PSL = "psl"
     SL = "sl"
-    FINITE_GROUP = "finite"
 
 
 class Route(Enum):
     CLOSED_FORM = "closed_form"
-    COVOLUME_TIMES_DEGREE = "covolume_times_degree"
     INDEX_TRANSFER = "index_transfer"
 
 
@@ -69,20 +75,20 @@ def vn_dim_finite_group(dim_C: int, group_order: int) -> Fraction:
     return Fraction(dim_C, group_order)
 
 
-def _steinberg_pgl_closed_form(F: NumberField, S: SSet) -> Fraction:
-    z = abs(zeta_F_minus1(F).value)
-    return 2 * z * Fraction(math.prod(v.q - 1 for v in S.finite_places), 2**S.size)
+def _pgl_monomial(inv: Invariants) -> Fraction:
+    """2 z Q- / 2^|S|, the PGL closed form at N = 1, defined for every |S|."""
+    return 2 * inv.zeta * Fraction(inv.prod_q_minus_1, 2**inv.size)
 
 
 def steinberg_vn_dim(F: NumberField, S: SSet, group) -> VnDimension:
     """Dimension of the Steinberg module over the chosen group's algebra.
 
-    The PGL value is the closed form 2 |zeta_F(-1)| 2^(-|S|) prod (q_v - 1),
-    independently recomputed as covolume * global formal degree; PSL and SL
-    are reached from it by index transfer.
+    The PGL value is the closed form 2 z Q- / 2^|S|, independently
+    recomputed as covolume * global formal degree; PSL and SL are reached
+    from it by index transfer.
     """
     group = _coerce_group(group)
-    closed = _steinberg_pgl_closed_form(F, S)
+    closed = _pgl_monomial(invariants(F, S))
     via_covolume = atiyah_schmid_dim(pgl2_covolume(F, S).value, steinberg_global_degree(F, S))
     if closed != via_covolume:
         raise InternalInconsistency(
@@ -90,12 +96,10 @@ def steinberg_vn_dim(F: NumberField, S: SSet, group) -> VnDimension:
         )
     if group is GroupVariant.PGL:
         return VnDimension(group, F, S, closed, Route.CLOSED_FORM)
-    psl = 2**S.size * closed
+    psl = pgl_psl_index(F, S) * closed
     if group is GroupVariant.PSL:
         return VnDimension(group, F, S, psl, Route.INDEX_TRANSFER)
-    if group is GroupVariant.SL:
-        return VnDimension(group, F, S, psl / 2, Route.INDEX_TRANSFER)
-    raise ValueError(f"no Steinberg module over {group}")
+    return VnDimension(group, F, S, psl / 2, Route.INDEX_TRANSFER)
 
 
 def module_vn_dim(F: NumberField, S: SSet, group, local: list[LocalRepDatum]) -> VnDimension:
@@ -117,32 +121,28 @@ def module_vn_dim(F: NumberField, S: SSet, group, local: list[LocalRepDatum]) ->
     return VnDimension(base.group_variant, F, S, base.value * scale, base.route)
 
 
-def _require_even(S: SSet) -> None:
-    if S.size % 2:
-        raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
-
-
 def jl_ratio_sl(F: NumberField, S: SSet) -> Fraction:
     """The SL-side dimension ratio |zeta_D(0)/zeta_F(0)| for the quaternion
-    algebra ramified exactly at S: |zeta_F(-1)| * prod (q_v - 1)."""
-    _require_even(S)
-    z = abs(zeta_F_minus1(F).value)
-    return z * math.prod(v.q - 1 for v in S.finite_places)
+    algebra ramified exactly at S: z * Q-."""
+    if not validate_ramification(F, S):
+        raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
+    inv = invariants(F, S)
+    return inv.zeta * inv.prod_q_minus_1
 
 
 def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int | None = None) -> Fraction:
-    """The PGL-side dimension ratio 2 |zeta_F(-1)| N 2^(-|S|) prod (q_v - 1),
-    where N is the order of the finite S-unit group on the quaternion side.
+    """The PGL-side dimension ratio 2 z N Q- / 2^|S|, where N is the order
+    of the finite S-unit group on the quaternion side.
 
     With ``pd_order`` omitted the coefficient (N = 1) is returned; callers
     multiply by the group order once they know it.
     """
-    _require_even(S)
+    if not validate_ramification(F, S):
+        raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
     if pd_order is not None and pd_order < 1:
         raise ValueError("pd_order must be >= 1")
-    z = abs(zeta_F_minus1(F).value)
     n_factor = pd_order if pd_order is not None else 1
-    return 2 * z * n_factor * Fraction(math.prod(v.q - 1 for v in S.finite_places), 2**S.size)
+    return n_factor * _pgl_monomial(invariants(F, S))
 
 
 @dataclass(frozen=True)
@@ -174,17 +174,16 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
     Odd-|S| points skip the quaternion-side checks instead of failing.
     """
     checks = []
-    closed = _steinberg_pgl_closed_form(F, S)
+    closed = _pgl_monomial(invariants(F, S))
     via_cov = atiyah_schmid_dim(pgl2_covolume(F, S).value, steinberg_global_degree(F, S))
     checks.append(_compare("pgl_two_routes", via_cov, closed, "covolume*degree vs closed form"))
 
-    pgl = VnDimension(GroupVariant.PGL, F, S, closed, Route.CLOSED_FORM)
     psl = steinberg_vn_dim(F, S, GroupVariant.PSL)
     sl = steinberg_vn_dim(F, S, GroupVariant.SL)
-    checks.append(_compare("psl_transfer", psl.value, 2**S.size * pgl.value, "PSL vs 2^|S| * PGL"))
+    checks.append(_compare("psl_transfer", psl.value, 2**S.size * closed, "PSL vs 2^|S| * PGL"))
     checks.append(_compare("sl_transfer", sl.value, psl.value / 2, "SL vs PSL/2"))
 
-    if S.size % 2 == 0:
+    if validate_ramification(F, S):
         ratio_sl = jl_ratio_sl(F, S)
         checks.append(
             _compare(

@@ -23,6 +23,7 @@ from numeric values through :func:`rationalize` with a denominator bound,
 never by trusting raw digits.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +32,12 @@ from fractions import Fraction
 import mpmath
 
 from .errors import Ambiguous, NoConvergent, ToleranceTooTight
-from .numberfield import FieldKind, NumberField
+from .numberfield import FieldKind, NumberField, kronecker_symbol
+
+#: Fields whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
+#: for the value of one field many times; a bounded memo keeps long runs over
+#: many distinct fields at constant memory.
+ZETA_MEMO_SIZE = 256
 
 
 class Method(Enum):
@@ -66,11 +72,13 @@ def sum_of_divisors(n: int) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=ZETA_MEMO_SIZE)
 def zeta_F_minus1(F: NumberField) -> SpecialValue:
-    """Exact zeta_F(-1).
+    """Exact zeta_F(-1), memoized per field.
 
     Over Q the classical value -1/12.  Over a real quadratic field the
-    divisor sum above; it is positive, and the denominator divides 60.
+    divisor sum above, the only place the O(D) sum runs; it is positive,
+    and the denominator divides 60.
     """
     if F.kind is FieldKind.RATIONALS:
         return SpecialValue(Fraction(-1, 12), F, -1, Method.CLASSICAL)
@@ -85,40 +93,10 @@ def zeta_F_minus1(F: NumberField) -> SpecialValue:
     return SpecialValue(Fraction(total, 60), F, -1, Method.SIEGEL_SUM)
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _kronecker_any(D: int, m: int) -> int:
-    """Kronecker symbol (D/m) for m >= 0 (D a fundamental discriminant)."""
-    if m == 0:
-        return 1 if abs(D) == 1 else 0
-    result = 1
-    while m % 2 == 0:
-        if D % 2 == 0:
-            return 0
-        m //= 2
-        if D % 8 in (3, 5):
-            result = -result
-    return result * _jacobi(D, m)
-
-
 def quadratic_character_table(D: int) -> list[int]:
     """chi_D(r) for 0 <= r < D: the quadratic character attached to the
     fundamental discriminant D, periodic mod D."""
-    return [_kronecker_any(D, r) for r in range(D)]
+    return [kronecker_symbol(D, r) for r in range(D)]
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -176,7 +154,7 @@ def zeta_F_2_numeric(F: NumberField, tol: float, precision_bits: int | None = No
     angle = ctx.pi / D
     total = ctx.mpf(0)
     for r in range(1, (D + 1) // 2):
-        chi = _kronecker_any(D, r)
+        chi = kronecker_symbol(D, r)
         if chi:
             total += chi / ctx.sin(angle * r) ** 2
     value = ctx.pi**4 / 6 * total / D**2

@@ -4,13 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Everything here is desk scale (< 1 minute total).
 """
 
-import itertools
 import json
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
+from sarithdim.cli import GRID_FIELD_SPECS, grid_points
 from sarithdim.numberfield import NumberField, build_S, decompose_prime, parse_field
 from sarithdim.covolume import pgl2_covolume
 from sarithdim.formal_degree import steinberg_global_degree
@@ -23,17 +23,7 @@ from sarithdim.zeta import (
     zeta_F_minus1,
 )
 
-GRID_FIELD_SPECS = ("Q", "Q(sqrt 2)", "Q(sqrt 3)", "Q(sqrt 5)", "Q(sqrt 13)")
-GRID_PRIMES = (2, 3, 5, 7, 11, 13)
 PRIMES_TO_100 = [p for p in range(2, 101) if all(p % k for k in range(2, p))]
-
-
-def grid_points():
-    for spec in GRID_FIELD_SPECS:
-        F = parse_field(spec)
-        for k in range(4):
-            for subset in itertools.combinations(GRID_PRIMES, k):
-                yield F, build_S(F, subset)
 
 
 def fundamental_discriminant_fields(limit):
@@ -71,7 +61,7 @@ def test_criterion_2_two_route_identity():
         assert via_covolume == closed_form, (F, S)
         assert steinberg_vn_dim(F, S, "pgl").value == closed_form, (F, S)
         count += 1
-    assert count > 200
+    assert count == 210
     report(f"2 two-route identity on {count} grid points", started)
 
 

@@ -1,0 +1,72 @@
+"""The benchmark's per-layer tracer (bench/spans.py) rebinds package
+functions by name; these tests fail when a rename or deletion in the package
+would break ``bench/run.py --trace 1`` or the names ``bench/run.py`` and
+``bench/selftest.py`` read from the package."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import sarithdim
+import sarithdim.cli  # noqa: F401  (the tracer wraps cli.run)
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+# names the benchmark harness reads from the top-level package
+BENCH_NAMES = (
+    "parse_field",
+    "build_S",
+    "sl2_covolume",
+    "pgl2_covolume",
+    "steinberg_vn_dim",
+    "module_vn_dim",
+    "LocalRepDatum",
+    "jl_ratio_sl",
+    "jl_ratio_pgl",
+    "zeta_D_leading_ratio_at_zero",
+    "check_identities",
+    "functional_equation_check",
+    "zeta_F_minus1",
+    "cli",
+)
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def package_bindings():
+    return {
+        (name, attr): value
+        for name, module in sys.modules.items()
+        if name == "sarithdim" or name.startswith("sarithdim.")
+        for attr, value in vars(module).items()
+    }
+
+
+def test_tracer_wraps_every_layer_function_and_restores_them():
+    spans = load_spans()
+    before = package_bindings()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for layer, functions in spans.LAYERS.items():
+            home = sys.modules[f"sarithdim.{layer}"]
+            for fname in functions:
+                wrapped = getattr(home, fname)
+                assert wrapped is not before[(f"sarithdim.{layer}", fname)], f"{layer}.{fname} not wrapped"
+                assert wrapped.__wrapped__ is before[(f"sarithdim.{layer}", fname)]
+    finally:
+        tracer.uninstall()
+    after = package_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
+def test_bench_names_resolve_at_top_level():
+    for name in BENCH_NAMES:
+        assert getattr(sarithdim, name, None) is not None, name
+        assert name in sarithdim.__all__, name

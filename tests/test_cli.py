@@ -219,6 +219,12 @@ class TestUsageErrors:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "NOT_TOTALLY_REAL"
 
+    def test_radicand_above_cap_is_domain_error(self, capsys):
+        # trial-division squarefree testing of this d would not finish
+        code, out, _ = invoke(capsys, ["zeta", "--field", "Q(sqrt 1000000000000000003)"])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "UNSUPPORTED_FIELD"
+
 
 def test_zero_decimal_rendering():
     assert cli.decimal_string(Fraction(0)) == "0.0000000000000000000"

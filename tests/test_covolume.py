@@ -1,23 +1,11 @@
-import itertools
 from fractions import Fraction
 
-from sarithdim.covolume import (
-    CovolumeGroup,
-    local_square_class_order,
-    pgl2_covolume,
-    pgl_psl_index,
-    sl2_covolume,
-)
-from sarithdim.numberfield import Place, build_S, delta_2, parse_field
+from sarithdim.cli import GRID_FIELD_SPECS, grid_points
+from sarithdim.covolume import CovolumeGroup, pgl2_covolume, pgl_psl_index, sl2_covolume
+from sarithdim.numberfield import build_S, delta_2, parse_field
 from sarithdim.zeta import zeta_F_2_numeric
 
-GRID_FIELDS = [parse_field(s) for s in ("Q", "Q(sqrt 2)", "Q(sqrt 3)", "Q(sqrt 5)", "Q(sqrt 13)")]
-
-
-def grid_ssets(F, max_finite=2, primes=(2, 3, 5, 7, 11, 13)):
-    for k in range(max_finite + 1):
-        for subset in itertools.combinations(primes, k):
-            yield build_S(F, subset)
+GRID_FIELDS = [parse_field(s) for s in GRID_FIELD_SPECS]
 
 
 class TestSL2:
@@ -63,19 +51,6 @@ class TestIndex:
         assert pgl_psl_index(F, build_S(F, [])) == 4
 
 
-class TestSquareClasses:
-    def test_real(self):
-        assert local_square_class_order(Place.real()) == 2
-
-    def test_odd(self):
-        assert local_square_class_order(Place.finite(3, 1, 1)) == 4
-
-    def test_over_two(self):
-        assert local_square_class_order(Place.finite(2, 1, 1)) == 2
-        assert local_square_class_order(Place.finite(2, 2, 1)) == 4
-        assert local_square_class_order(Place.finite(2, 1, 2)) == 4
-
-
 def test_finite_part_multiplicative():
     for F in GRID_FIELDS:
         base = build_S(F, [3])
@@ -95,30 +70,27 @@ def test_adding_place_over_two():
 
 
 def test_pgl_to_sl_ratio():
-    for F in GRID_FIELDS:
-        for S in grid_ssets(F):
-            ratio = pgl2_covolume(F, S).value / sl2_covolume(F, S).value
-            assert ratio == Fraction(2 ** (delta_2(S) + 1), 2**F.degree), (F, S)
+    for F, S in grid_points():
+        ratio = pgl2_covolume(F, S).value / sl2_covolume(F, S).value
+        assert ratio == Fraction(2 ** (delta_2(S) + 1), 2**F.degree), (F, S)
 
 
 def test_numeric_consistency_with_zeta_two():
     # second route: d^(3/2) (2 pi)^(-2n) zeta_F(2) prod (q_v + 1)
     import math
 
-    for F in GRID_FIELDS:
-        zf2 = float(zeta_F_2_numeric(F, 1e-10))
-        for S in grid_ssets(F, max_finite=1, primes=(2, 5)):
-            numeric = (
-                F.discriminant**1.5
-                / (2 * math.pi) ** (2 * F.degree)
-                * zf2
-                * math.prod(v.q + 1 for v in S.finite_places)
-            )
-            assert abs(numeric - float(sl2_covolume(F, S).value)) < 1e-8, (F, S)
+    zf2 = {F: float(zeta_F_2_numeric(F, 1e-10)) for F in GRID_FIELDS}
+    for F, S in grid_points():
+        numeric = (
+            F.discriminant**1.5
+            / (2 * math.pi) ** (2 * F.degree)
+            * zf2[F]
+            * math.prod(v.q + 1 for v in S.finite_places)
+        )
+        assert abs(numeric - float(sl2_covolume(F, S).value)) < 1e-8, (F, S)
 
 
 def test_value_positive():
-    for F in GRID_FIELDS:
-        for S in grid_ssets(F):
-            assert sl2_covolume(F, S).value > 0
-            assert pgl2_covolume(F, S).value > 0
+    for F, S in grid_points():
+        assert sl2_covolume(F, S).value > 0
+        assert pgl2_covolume(F, S).value > 0

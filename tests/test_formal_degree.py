@@ -1,8 +1,8 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 
+from sarithdim.cli import GRID_FIELD_SPECS, grid_points
 from sarithdim.formal_degree import (
     LocalRepDatum,
     jl_degree_ratio,
@@ -11,7 +11,7 @@ from sarithdim.formal_degree import (
 )
 from sarithdim.numberfield import Place, build_S, decompose_prime, parse_field
 
-GRID_FIELDS = [parse_field(s) for s in ("Q", "Q(sqrt 2)", "Q(sqrt 3)", "Q(sqrt 5)", "Q(sqrt 13)")]
+GRID_FIELDS = [parse_field(s) for s in GRID_FIELD_SPECS]
 PRIMES_TO_100 = [p for p in range(2, 101) if all(p % k for k in range(2, p))]
 
 
@@ -50,11 +50,8 @@ class TestGlobalDegree:
     def test_product_equals_closed_form_on_grid(self):
         # steinberg_global_degree raises InternalInconsistency if the two
         # routes ever disagree, so evaluating the grid is the assertion
-        for F in GRID_FIELDS:
-            for k in range(3):
-                for subset in itertools.combinations((2, 3, 5, 7, 11, 13), k):
-                    S = build_S(F, subset)
-                    assert steinberg_global_degree(F, S) > 0
+        for F, S in grid_points():
+            assert steinberg_global_degree(F, S) > 0
 
 
 class TestDegreeRatio:

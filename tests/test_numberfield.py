@@ -7,8 +7,10 @@ from sarithdim.errors import (
     MalformedSpec,
     NotSquarefree,
     NotTotallyReal,
+    UnsupportedField,
 )
 from sarithdim.numberfield import (
+    MAX_RADICAND,
     FieldKind,
     NumberField,
     Place,
@@ -68,6 +70,12 @@ class TestParseField:
         with pytest.raises(NotSquarefree):
             parse_field("Q(sqrt 12)")
 
+    def test_radicand_cap(self):
+        assert parse_field("Q(sqrt 999997)").d == 999997  # the largest squarefree d <= 10^6
+        for d in (MAX_RADICAND + 1, 10**18 + 3):
+            with pytest.raises(UnsupportedField):
+                parse_field(f"Q(sqrt {d})")
+
     @pytest.mark.parametrize("bad", ["", "Q(sqrt5)", "Q(sqrt )", "K", "Q(sqrt 5", "Q sqrt 5"])
     def test_malformed(self, bad):
         with pytest.raises(MalformedSpec):
@@ -94,9 +102,21 @@ class TestKronecker:
         assert kronecker_symbol(5, 2) == -1  # 5 mod 8
         assert kronecker_symbol(8, 2) == 0
 
-    def test_requires_prime(self):
+    def test_composite_modulus(self):
+        assert kronecker_symbol(5, 6) == 1  # (5/2)(5/3) = (-1)(-1)
+        assert kronecker_symbol(5, 1) == 1
+        assert kronecker_symbol(5, 0) == 0
+        assert kronecker_symbol(1, 0) == 1
+
+    def test_multiplicative_in_modulus(self):
+        for D in (5, 8, 12, 13, 21, 24):
+            for m in range(1, 60):
+                for k in range(1, 60):
+                    assert kronecker_symbol(D, m * k) == kronecker_symbol(D, m) * kronecker_symbol(D, k), (D, m, k)
+
+    def test_negative_modulus_rejected(self):
         with pytest.raises(ValueError):
-            kronecker_symbol(5, 6)
+            kronecker_symbol(5, -1)
 
 
 class TestDecompose:

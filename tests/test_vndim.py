@@ -1,13 +1,17 @@
-import itertools
+import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sarithdim.errors import DatumPlaceMismatch, MissingDatum, OddCardinality
+from sarithdim import covolume
+from sarithdim.cli import grid_points
+from sarithdim.errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality
 from sarithdim.formal_degree import LocalRepDatum
 from sarithdim.numberfield import build_S, parse_field
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
+from sarithdim.zeta import zeta_F_minus1
 from sarithdim.vndim import (
     GroupVariant,
     Route,
@@ -19,16 +23,6 @@ from sarithdim.vndim import (
     steinberg_vn_dim,
     vn_dim_finite_group,
 )
-
-GRID_FIELDS = [parse_field(s) for s in ("Q", "Q(sqrt 2)", "Q(sqrt 3)", "Q(sqrt 5)", "Q(sqrt 13)")]
-
-
-def grid_points(max_finite=3):
-    for F in GRID_FIELDS:
-        for k in range(max_finite + 1):
-            for subset in itertools.combinations((2, 3, 5, 7, 11, 13), k):
-                yield F, build_S(F, subset)
-
 
 def two_adic_valuation(x: Fraction) -> int:
     num, den = x.numerator, x.denominator
@@ -229,3 +223,40 @@ class TestIdentityReport:
         assert "ODD_CARDINALITY" in by_name["sl_quaternion_zeta_match"].detail
         assert by_name["pgl_sl_transfer"].status == "skipped"
         assert report.all_pass  # skips are not failures
+
+
+class TestRouteIndependence:
+    """Each field of the Invariants record feeds at least one closed form
+    that a route not reading the record cross-checks."""
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(covolume.Invariants)])
+    def test_skewed_invariant_is_caught(self, monkeypatch, name):
+        original = covolume.invariants
+
+        def skewed(F, S):
+            inv = original(F, S)
+            return dataclasses.replace(inv, **{name: getattr(inv, name) + 1})
+
+        patched = [
+            module
+            for module_name, module in sys.modules.items()
+            if module_name.startswith("sarithdim.") and getattr(module, "invariants", None) is original
+        ]
+        assert covolume in patched
+        for module in patched:
+            monkeypatch.setattr(module, "invariants", skewed)
+        points = [(F, S) for F, S in grid_points() if S.size % 2 == 0 and any(v.p == 2 for v in S.finite_places)]
+        assert points
+        for F, S in points:
+            try:
+                report = check_identities(F, S)
+            except InternalInconsistency:
+                continue
+            assert not report.all_pass, (name, F, S)
+
+    def test_siegel_sum_runs_once_per_fresh_point(self):
+        F = parse_field("Q(sqrt 13)")
+        zeta_F_minus1.cache_clear()
+        report = check_identities(F, build_S(F, [2, 3]))
+        assert report.all_pass
+        assert zeta_F_minus1.cache_info().misses == 1
