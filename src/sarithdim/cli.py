@@ -17,7 +17,7 @@ from fractions import Fraction
 from .covolume import pgl2_covolume, sl2_covolume
 from .errors import CalcError, DatumPlaceMismatch, MissingDatum
 from .formal_degree import LocalRepDatum
-from .numberfield import is_prime, parse_field, build_S
+from .numberfield import MAX_PRIME, is_prime, parse_field, build_S
 from .quaternion import pdx_candidates, zeta_D_leading_ratio_at_zero
 from .vndim import check_identities, jl_ratio_pgl, jl_ratio_sl, module_vn_dim, steinberg_vn_dim
 from .zeta import functional_equation_check, zeta_F_minus1
@@ -56,7 +56,8 @@ def _s_primes_arg(text: str):
             p = int(chunk)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{chunk!r} is not an integer prime") from None
-        if not is_prime(p):
+        # above the cap build_S raises UNSUPPORTED_PRIME, a domain error
+        if p <= MAX_PRIME and not is_prime(p):
             raise argparse.ArgumentTypeError(f"{p} is not prime")
         entries.append((p, selector))
     return entries

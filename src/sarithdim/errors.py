@@ -44,6 +44,12 @@ class UnsupportedField(CalcError):
     code = "UNSUPPORTED_FIELD"
 
 
+class UnsupportedPrime(CalcError):
+    """S-prime outside the supported range: above MAX_PRIME."""
+
+    code = "UNSUPPORTED_PRIME"
+
+
 class ToleranceTooTight(CalcError):
     code = "TOLERANCE_TOO_TIGHT"
 

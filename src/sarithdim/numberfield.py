@@ -7,6 +7,7 @@ An S-set is a finite set of places containing every real place; its finite
 part determines the ring of S-integers.
 """
 
+import bisect
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -18,13 +19,43 @@ from .errors import (
     NotSquarefree,
     NotTotallyReal,
     UnsupportedField,
+    UnsupportedPrime,
 )
 
 #: Largest accepted radicand d of Q(sqrt d).  Above it the trial-division
-#: squarefree test and the O(D) zeta layers stop being desk scale: at the
-#: cap (D up to 4 * 10^6) ``zeta --field`` takes about 20 s, nearly all of
-#: it in the numeric zeta_F(2) oracle.
+#: squarefree test, O(sqrt d), and the zeta layers stop being desk scale:
+#: the Siegel sum takes O(sqrt D) divisor sums, each by trial division up to
+#: sqrt(D/4), and the numeric zeta_F(2) oracle one sine per residue.  At the
+#: cap (D up to 4 * 10^6) ``zeta --field`` takes about 20 s, nearly all of it
+#: in the numeric oracle.
 MAX_RADICAND = 10**6
+
+#: Largest accepted rational prime below a finite place, under the bound
+#: 3.3 * 10^24 up to which :func:`is_prime` is exact.
+MAX_PRIME = 10**24
+
+#: The first 13 primes, the Miller-Rabin bases of :func:`is_prime`.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_k for k = 1..13, the least odd composite that is a strong probable
+#: prime to each of the first k prime bases (OEIS A014233; Jaeschke 1993,
+#: Sorenson and Webster 2015): below psi_k the first k bases decide
+#: primality exactly.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 _QUADRATIC_RE = re.compile(r"Q\(sqrt (-?\d+)\)")
 
@@ -40,24 +71,45 @@ class PlaceKind(Enum):
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24.
+
+    Trial division by the 13 bases settles every n < 43^2 and every n with a
+    base as a factor.  Any other n below psi_13 = 3317044064679887385961981
+    is prime exactly when it is a strong probable prime to the first k
+    bases, for the least k with n < psi_k; above psi_13 all 13 bases run
+    and the answer is only probable.
+    """
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES[: bisect.bisect_right(_PSI, n) + 1]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
+    if n < 1 or n % 4 == 0:
         return False
-    k = 2
+    # any other square factor has an odd prime p, and p^2 divides n
+    k = 3
     while k * k <= n:
         if n % (k * k) == 0:
             return False
-        k += 1
+        k += 2
     return True
 
 
@@ -123,6 +175,8 @@ class Place:
         else:
             if self.p is None or self.e is None or self.f is None:
                 raise ValueError("finite places need p, e, f")
+            if self.p > MAX_PRIME:
+                raise ValueError(f"prime {self.p} exceeds the supported maximum {MAX_PRIME}")
             if not is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
             if self.e < 1 or self.f < 1:
@@ -236,8 +290,11 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
     """The places of F above the rational prime p.
 
     The returned places always satisfy sum(e*f) = degree(F).  Over a split
-    prime the two places differ only by ``index``.
+    prime the two places differ only by ``index``.  A p above MAX_PRIME
+    raises UnsupportedPrime.
     """
+    if p > MAX_PRIME:
+        raise UnsupportedPrime(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if F.kind is FieldKind.RATIONALS:

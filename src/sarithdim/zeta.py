@@ -6,7 +6,8 @@ discriminant D the divisor lattice sum
     zeta_F(-1) = (1/60) * sum over b^2 < D, b^2 = D (mod 4)
                  of sigma_1((D - b^2)/4),
 
-always an integer divided by 60.  zeta_F(2) = zeta(2) * L(2, chi_D) is
+always an integer divided by 60, with sigma_1 computed from the
+factorization of its argument.  zeta_F(2) = zeta(2) * L(2, chi_D) is
 evaluated numerically by two independent routes: an elementary cosecant sum
 good to any working precision,
 
@@ -59,16 +60,25 @@ ZETA_Q_AT_ZERO = Fraction(-1, 2)
 
 
 def sum_of_divisors(n: int) -> int:
-    """sigma_1(n), the sum of the positive divisors of n >= 1."""
-    total = 0
-    a = 1
-    while a * a <= n:
-        if n % a == 0:
-            total += a
-            b = n // a
-            if b != a:
-                total += b
-        a += 1
+    """sigma_1(n), the sum of the positive divisors of n >= 1.
+
+    sigma_1 is multiplicative: trial division factors n, each prime power
+    p^a contributes 1 + p + ... + p^a, and the cofactor m > 1 left once the
+    trial divisor k passes sqrt(m) is prime and contributes m + 1.
+    """
+    total = 1
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            term = power = 1
+            while n % k == 0:
+                n //= k
+                power *= k
+                term += power
+            total *= term
+        k += 1 if k == 2 else 2
+    if n > 1:
+        total *= n + 1
     return total
 
 

@@ -1,4 +1,5 @@
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,32 @@ class TestUsageErrors:
         code, out, _ = invoke(capsys, ["zeta", "--field", "Q(sqrt 1000000000000000003)"])
         assert code == 1
         assert json.loads(out)["error"]["code"] == "UNSUPPORTED_FIELD"
+
+    def test_huge_s_prime_returns_promptly(self, capsys):
+        # trial-division primality testing of this p would not finish; the
+        # alarm turns a hang into a failure after 2 s of wall-clock time
+        def too_slow(signum, frame):
+            raise TimeoutError("covolume over an 18-digit prime took more than 2 s")
+
+        p = 10**18 + 3
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", str(p), "--group", "sl"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        value = Fraction(1, 12) * (p + 1) / 2  # |zeta_Q(-1)| * prod (q_v + 1) / 2^n
+        assert value == Fraction(p + 1, 24)
+        assert json.loads(out)["value"] == {"num": str(value.numerator), "den": str(value.denominator)}
+
+    @pytest.mark.parametrize("p", ["1000000000000000000000001", "1000000000000000000000007", str(2**127 - 1)])
+    def test_s_prime_above_cap_is_domain_error(self, capsys, p):
+        code, out, err = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", p, "--group", "sl"])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "UNSUPPORTED_PRIME"
+        assert err == ""
 
 
 def test_zero_decimal_rendering():

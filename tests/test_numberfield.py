@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,8 +10,10 @@ from sarithdim.errors import (
     NotSquarefree,
     NotTotallyReal,
     UnsupportedField,
+    UnsupportedPrime,
 )
 from sarithdim.numberfield import (
+    MAX_PRIME,
     MAX_RADICAND,
     FieldKind,
     NumberField,
@@ -18,6 +22,8 @@ from sarithdim.numberfield import (
     build_S,
     decompose_prime,
     delta_2,
+    is_prime,
+    is_squarefree,
     kronecker_symbol,
     parse_field,
 )
@@ -80,6 +86,88 @@ class TestParseField:
     def test_malformed(self, bad):
         with pytest.raises(MalformedSpec):
             parse_field(bad)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def is_strong_probable_prime(n, a):
+    """n odd passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        for n in range(-3, 10**5):
+            assert is_prime(n) == trial_division_is_prime(n), n
+
+    def test_carmichael_numbers(self):
+        assert not is_prime(561)  # 3 * 11 * 17
+        assert not is_prime(41041)  # 7 * 11 * 13 * 41
+
+    @pytest.mark.parametrize(
+        "n, factors, k",
+        [
+            # psi_k, the least strong pseudoprime to the first k prime bases
+            (2047, (23, 89), 1),
+            (1373653, (829, 1657), 2),
+            (25326001, (2251, 11251), 3),
+            (3215031751, (151, 751, 28351), 4),
+            (2152302898747, (6763, 10627, 29947), 5),
+            (3474749660383, (1303, 16927, 157543), 6),
+            (341550071728321, (10670053, 32010157), 8),
+            (3825123056546413051, (149491, 747451, 34233211), 11),
+            (318665857834031151167461, (399165290221, 798330580441), 12),
+        ],
+    )
+    def test_strong_pseudoprimes(self, n, factors, k):
+        assert math.prod(factors) == n
+        # n fools the first k bases, so base k + 1 must run
+        assert all(is_strong_probable_prime(n, a) for a in PRIMES_TO_100[:k])
+        assert not is_prime(n)
+
+    def test_matches_all_thirteen_bases_near_thresholds(self):
+        bases = PRIMES_TO_100[:13]
+        for psi in (2047, 1373653, 25326001, 3215031751, 2152302898747, 341550071728321, 10**18):
+            for n in range(psi - 500, psi + 500):
+                expected = n in bases or (
+                    all(n % a for a in bases) and all(is_strong_probable_prime(n, a) for a in bases)
+                )
+                assert is_prime(n) == expected, n
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(10**18 + 3)
+        assert not is_prime((2**61 - 1) * (10**18 + 3))
+
+    def test_squarefree_matches_brute_force(self):
+        for n in range(-3, 10**4 + 1):
+            brute = n >= 1 and all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
+            assert is_squarefree(n) == brute, n
+
+    def test_prime_cap(self):
+        assert MAX_PRIME == 10**24
+        (v,) = decompose_prime(parse_field("Q"), 10**18 + 3)
+        assert v.q == 10**18 + 3
+        # psi_13 = 3317044064679887385961981 fools all 13 bases; the cap keeps it out
+        for p in (MAX_PRIME + 1, 3317044064679887385961981, 2**127 - 1):
+            with pytest.raises(UnsupportedPrime):
+                decompose_prime(parse_field("Q(sqrt 5)"), p)
+            with pytest.raises(UnsupportedPrime):
+                build_S(parse_field("Q"), [p])
+            with pytest.raises(ValueError):
+                Place.finite(p, 1, 1)
 
 
 class TestKronecker:

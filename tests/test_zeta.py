@@ -119,14 +119,22 @@ class TestZetaMinusOne:
 
     def test_matches_bernoulli_route(self):
         fields = real_quadratic_fields_with_disc_up_to(500)
-        fields += [parse_field("Q(sqrt 1001)"), parse_field("Q(sqrt 10007)")]
+        # d = 100001 = 1 (mod 4) has D = d, and d = 100003 has D = 4d
+        fields += [parse_field(f"Q(sqrt {d})") for d in (1001, 10007, 100001, 100003)]
         for F in fields:
             assert zeta_F_minus1(F).value == bernoulli_route_zeta_minus1(F.discriminant), F
 
 
 def test_sum_of_divisors_brute_force():
-    for n in range(1, 200):
+    for n in range(1, 1000):
         assert sum_of_divisors(n) == naive_divisor_sum(n)
+    # prime powers: sigma_1(p^a) = (p^(a+1) - 1) / (p - 1)
+    for p, a in ((2, 40), (3, 25), (101, 4), (10007, 2), (999983, 1)):
+        assert sum_of_divisors(p**a) == (p ** (a + 1) - 1) // (p - 1), (p, a)
+    # products of two large primes: one found by trial division, one left as the cofactor
+    for p, q in ((10007, 999983), (999983, 1000003), (2, 1000003), (999983, 999983)):
+        expected = 1 + p + p * p if p == q else (1 + p) * (1 + q)
+        assert sum_of_divisors(p * q) == expected, (p, q)
 
 
 class TestZetaTwoNumeric:
