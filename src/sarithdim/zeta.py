@@ -15,7 +15,12 @@ good to any working precision,
 
 which is the residue-class regrouping of the L-series folded in half by the
 trigamma reflection formula (DLMF 5.15.6), and a truncated Euler product
-used for cross-checks.  The functional equation
+used for cross-checks.  The cosecant sum runs as a fixed-point integer
+kernel: exp(i pi r / D) is stepped by one complex multiply in Python ints
+per residue, with 2 * D.bit_length() + 8 guard bits, and only the total
+becomes an mpmath number, within one ulp of zeta_F(2) at the working
+precision.  Each working precision has one mpmath context, cloned once and
+never mutated.  The functional equation
 
     zeta_F(2) = (2 pi)^(2n) / 2^n * d_F^(-3/2) * |zeta_F(-1)|
 
@@ -31,6 +36,7 @@ from enum import Enum
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 from .errors import Ambiguous, NoConvergent, ToleranceTooTight
 from .numberfield import FieldKind, NumberField, kronecker_symbol
@@ -39,6 +45,11 @@ from .numberfield import FieldKind, NumberField, kronecker_symbol
 #: for the value of one field many times; a bounded memo keeps long runs over
 #: many distinct fields at constant memory.
 ZETA_MEMO_SIZE = 256
+
+#: Working precisions whose mpmath context is kept.  Callers use a handful:
+#: the CLI asks for one per process, and the default tolerance alone gives
+#: 70 bits.
+PRECISION_CONTEXTS = 8
 
 
 class Method(Enum):
@@ -131,6 +142,17 @@ def _working_prec_bits(tol: float, precision_bits: int | None) -> int:
     return max(int(math.ceil(2 * target_bits)) + 16, precision_bits or 0, 64)
 
 
+@functools.lru_cache(maxsize=PRECISION_CONTEXTS)
+def _context(bits: int) -> mpmath.ctx_mp.MPContext:
+    """The mpmath context at ``bits`` of precision, cloned once per precision
+    and never mutated afterwards, so concurrent callers share it safely.
+    It is the ``.context`` of every mpf this module returns; callers must
+    not change its precision."""
+    ctx = mpmath.mp.clone()
+    ctx.prec = bits
+    return ctx
+
+
 def zeta_F_2_numeric(F: NumberField, tol: float, precision_bits: int | None = None) -> mpmath.mpf:
     """zeta_F(2) to within tol (finite, tol >= 1e-12).
 
@@ -144,32 +166,47 @@ def zeta_F_2_numeric(F: NumberField, tol: float, precision_bits: int | None = No
         L(2, chi) = (pi^2 / D^2) * sum_{1 <= r < D/2} chi(r) * csc^2(pi r / D)
 
     (the middle residue D/2 of an even D is not prime to D).  Both steps
-    are exact, so the only error is evaluation error.  The cost is one sine
-    per residue prime to D below D/2, fewer than ceil(D/2).  The sum runs
-    with D.bit_length() guard bits on top of the working precision, which
-    is at least twice the requested digits, to absorb the rounding of its
-    O(D) terms; the result is rounded back to the working precision.  The
-    residues are summed in fixed ascending order, so results are
-    reproducible bit for bit.
+    are exact, so the only error is evaluation error.
+
+    The sum is a fixed-point integer kernel at wp = bits + g bits, with
+    g = 2 * D.bit_length() + 8 guard bits on top of the working precision
+    ``bits`` (at least twice the requested digits).  cos(pi/D) and
+    sin(pi/D) are computed once, as integers scaled by 2^wp; each step
+    rotates z_r = exp(i pi r / D) by one complex multiply in Python ints,
+    and chi(r) * floor(2^(3 wp) / (Im z_r)^2), which is csc^2(pi r / D)
+    scaled by 2^wp, goes into an integer total.  The residues are summed in
+    fixed ascending order, so results are reproducible bit for bit.
+
+    Error bound, with eps = 2^-wp: the truncated cos and sin and each
+    truncating step put z_r within 3 r eps of exp(i pi r / D).  Since
+    sin(pi r / D) >= 2r/D below D/2, every csc^2 term is off by a relative
+    3 D eps at most, and the half-range sum of csc^2 is below D^2/6, so the
+    total is off by at most D^3 eps / 2 (the floors add at most D eps / 2).
+    Scaled by pi^4 / (6 D^2), that is 8.2 D eps, below 2^-(bits + 4) times
+    2^-D.bit_length(); as zeta_F(2) > 1, the value rounded to ``bits`` is
+    within one ulp of zeta_F(2).
     """
     bits = _working_prec_bits(tol, precision_bits)
-    # a cloned context keeps the precision local, so concurrent callers
-    # never observe each other's settings
-    ctx = mpmath.mp.clone()
-    ctx.prec = bits
+    ctx = _context(bits)
     if F.kind is FieldKind.RATIONALS:
         return ctx.pi**2 / 6
     D = F.discriminant
-    ctx.prec = bits + D.bit_length()
-    angle = ctx.pi / D
-    total = ctx.mpf(0)
+    wp = bits + 2 * D.bit_length() + 8
+    cos, sin = libmp.mpf_cos_sin_pi(libmp.from_rational(1, D, wp + 8), wp + 8, libmp.round_nearest)
+    c, s = libmp.to_fixed(cos, wp), libmp.to_fixed(sin, wp)
+    one = 1 << (3 * wp)
+    x, y = c, s
+    total = 0
     for r in range(1, (D + 1) // 2):
         chi = kronecker_symbol(D, r)
-        if chi:
-            total += chi / ctx.sin(angle * r) ** 2
-    value = ctx.pi**4 / 6 * total / D**2
-    ctx.prec = bits
-    return +value
+        if chi > 0:
+            total += one // (y * y)
+        elif chi:
+            total -= one // (y * y)
+        x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
+    pi4 = libmp.mpf_pow_int(libmp.mpf_pi(wp), 4, wp)
+    value = libmp.mpf_mul(libmp.from_man_exp(total, -wp), pi4, wp)
+    return ctx.make_mpf(libmp.mpf_div(value, libmp.from_int(6 * D * D), bits, libmp.round_nearest))
 
 
 def zeta_F_2_euler_product(F: NumberField, prime_bound: int, primes: list[int] | None = None) -> float:
@@ -233,8 +270,7 @@ def functional_equation_check(
         zeta_minus1 = zeta_F_minus1(F).value
     n = F.degree
     bits = _working_prec_bits(tol, precision_bits)
-    ctx = mpmath.mp.clone()
-    ctx.prec = bits
+    ctx = _context(bits)
     numeric_side = zeta_F_2_numeric(F, tol, precision_bits=bits)
     z = abs(zeta_minus1)
     rational_side = (

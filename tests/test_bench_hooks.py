@@ -70,3 +70,19 @@ def test_bench_names_resolve_at_top_level():
     for name in BENCH_NAMES:
         assert getattr(sarithdim, name, None) is not None, name
         assert name in sarithdim.__all__, name
+
+
+def test_numeric_oracle_span_nests_in_fe_check():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sarithdim.zeta.functional_equation_check(sarithdim.parse_field("Q(sqrt 13)"), 1e-8)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[nid] for nid in tracer.name]
+    numeric = [i for i, name in enumerate(names) if name == "zeta.zeta_F_2_numeric"]
+    fe_check = [i for i, name in enumerate(names) if name == "zeta.functional_equation_check"]
+    assert len(numeric) == 1 and len(fe_check) == 1
+    assert tracer.parent[numeric[0]] == fe_check[0]
+    assert tracer.start[fe_check[0]] <= tracer.start[numeric[0]] <= tracer.end[numeric[0]] <= tracer.end[fe_check[0]]

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sarithdim import cli
 
@@ -226,20 +229,27 @@ class TestUsageErrors:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "UNSUPPORTED_FIELD"
 
-    def test_huge_s_prime_returns_promptly(self, capsys):
-        # trial-division primality testing of this p would not finish; the
-        # alarm turns a hang into a failure after 2 s of wall-clock time
-        def too_slow(signum, frame):
-            raise TimeoutError("covolume over an 18-digit prime took more than 2 s")
+    @pytest.mark.parametrize(
+        "radicand, code",
+        [("7" * 5000, "UNSUPPORTED_FIELD"), ("-" + "7" * 5000, "NOT_TOTALLY_REAL"), ("-" + "0" * 5000, "NOT_TOTALLY_REAL")],
+    )
+    def test_radicand_beyond_int_conversion_limit(self, capsys, radicand, code):
+        # int() refuses strings of more than 4300 digits
+        exit_code, out, err = invoke(capsys, ["zeta", "--field", f"Q(sqrt {radicand})"])
+        assert exit_code == 1
+        assert json.loads(out)["error"]["code"] == code
+        assert err == ""
 
+    def test_leading_zeros_beyond_int_conversion_limit(self, capsys):
+        code, out, _ = invoke(capsys, ["zeta", "--field", "Q(sqrt " + "0" * 5000 + "5)"])
+        assert code == 0
+        assert json.loads(out)["value"] == {"num": "1", "den": "30"}
+
+    def test_huge_s_prime_returns_promptly(self):
+        # trial-division primality testing of this p would not finish;
+        # run_bounded turns a hang into a failure after 2 s of wall-clock time
         p = 10**18 + 3
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
-            code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", str(p), "--group", "sl"])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        code, out, _ = run_bounded(["covolume", "--field", "Q", "--s-primes", str(p), "--group", "sl"])
         assert code == 0
         value = Fraction(1, 12) * (p + 1) / 2  # |zeta_Q(-1)| * prod (q_v + 1) / 2^n
         assert value == Fraction(p + 1, 24)
@@ -251,6 +261,141 @@ class TestUsageErrors:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "UNSUPPORTED_PRIME"
         assert err == ""
+
+
+# ---- fuzzing cli.run over argv ------------------------------------------------
+# Valid radicands stay small and valid primes fast to test, so that one call
+# takes milliseconds; the out-of-range values fail before any O(D) work.
+
+FUZZ_SECONDS = 2.0
+
+_junk = st.text(max_size=10).filter(lambda t: not t.startswith("-"))
+_valid_prime = st.sampled_from(["2", "3", "5", "7", "11", "13", "101", "10007", str(10**18 + 3), str(10**24 - 257)])
+_prime = st.one_of(
+    _valid_prime,
+    st.sampled_from([0, 1, -7, 4, 91, 10**18 + 1, 10**24 + 7, 2**127 - 1, 3317044064679887385961981]).map(str),
+    st.integers(-10, 200).map(str),
+    st.just("7" * 5000),
+)
+_datum = st.tuples(st.sampled_from(["weight", "dim", "wt", ""]), st.integers(-2, 12).map(str)).map(":".join)
+
+
+def _joined(entries, min_size=0):
+    return st.lists(entries, min_size=min_size, max_size=4).map(",".join)
+
+
+# flag -> (a valid value, any value); value None is a flag without one
+_FLAG_VALUES = {
+    "--field": (
+        st.one_of(st.just("Q"), st.integers(2, 300).map("Q(sqrt {})".format)),
+        st.one_of(
+            st.one_of(st.integers(-3, 1), st.integers(10**6 + 1, 10**40), st.integers(-(10**40), -(10**6))).map(
+                "Q(sqrt {})".format
+            ),
+            st.sampled_from(["Q(sqrt 5", "Q(sqrt  5)", "Q(sqrt 0005)", "Q(sqrt +5)", "Q(cbrt 5)", "q", " Q ", ""]),
+            st.sampled_from(["Q(sqrt " + "7" * 5000 + ")", "Q(sqrt -" + "7" * 5000 + ")"]),
+            _junk,
+        ),
+    ),
+    "--s-primes": (
+        _joined(st.tuples(_valid_prime, st.sampled_from(["", ":both"])).map("".join)),
+        _joined(st.one_of(_prime, st.tuples(_prime, st.sampled_from([":one", ":all", ":", " : both"])).map("".join), _junk)),
+    ),
+    "--group": (st.sampled_from(["sl", "pgl"]), st.sampled_from(["psl", "gl", "SL", ""])),
+    "--tol": (
+        st.sampled_from(["1e-8", "1e-10", "1e-12", "0.5"]),
+        st.sampled_from(["1e-13", "1e-300", "1", "0", "-1e-8", "nan", "inf", "x"]),
+    ),
+    "--working-precision": (
+        st.sampled_from(["1", "64", "128", "192", "1024"]),
+        st.sampled_from(["4097", "0", "-5", "3.5", "x"]),
+    ),
+    # real places take weights, then each finite place a dimension
+    "--local-data": (
+        st.tuples(_joined(st.integers(2, 6).map("weight:{}".format), 1), _joined(st.integers(1, 6).map("dim:{}".format))).map(
+            lambda parts: ",".join(filter(None, parts))
+        ),
+        _joined(st.one_of(_datum, _junk), 1),
+    ),
+    "--pd-order": (st.sampled_from(["1", "24", "120", str(10**30)]), st.sampled_from(["0", "-3", "x"])),
+    "--format": (st.sampled_from(["json", "table"]), st.just("xml")),
+    "--grid": (st.none(), st.none()),
+    "--frobnicate": (_junk, _junk),
+}
+# subcommand -> (required flags, optional flags)
+_COMMAND_FLAGS = {
+    "covolume": (("--field", "--group"), ("--s-primes", "--format")),
+    "zeta": (("--field",), ("--tol", "--working-precision", "--format")),
+    "steinberg-dim": (("--field", "--group"), ("--s-primes", "--format")),
+    "module-dim": (("--field", "--group", "--local-data"), ("--s-primes", "--format")),
+    "jl-ratio": (("--field",), ("--group", "--s-primes", "--pd-order", "--format")),
+    "candidates": (("--field",), ("--format",)),
+    "check": ((), ("--field", "--s-primes", "--grid", "--format")),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for cli.run, and the --format it asks for.
+
+    Each flag the subcommand takes is present or not; at most one present
+    flag gets an arbitrary value, the rest valid ones.  One draw in ten also
+    has a malformed subcommand, drops a required flag or adds a foreign one.
+    """
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    required, optional = _COMMAND_FLAGS[command]
+    present = list(required) + [flag for flag in optional if draw(st.booleans())]
+    mishap = draw(st.sampled_from([None] * 27 + ["command", "drop", "foreign"]))
+    if mishap == "command":
+        command = draw(st.sampled_from(["", "zeta2", "Check", "--field"]))
+    elif mishap == "drop" and required:
+        present.remove(draw(st.sampled_from(required)))
+    elif mishap == "foreign":
+        present.append(draw(st.sampled_from(sorted(set(_FLAG_VALUES) - set(present)))))
+    arbitrary = draw(st.sampled_from([None] * len(present) + present)) if present else None
+    flags = {flag: draw(_FLAG_VALUES[flag][flag == arbitrary]) for flag in present}
+    argv = [command]
+    for flag, value in draw(st.permutations(list(flags.items()))):
+        argv += [flag] if value is None else [flag, value]
+    return argv, flags.get("--format", "json")
+
+
+def run_bounded(argv):
+    """cli.run(argv) with stdout and stderr captured, under FUZZ_SECONDS of
+    wall-clock time; any exception other than SystemExit propagates."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"cli.run({argv!r}) took more than {FUZZ_SECONDS} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+def test_fuzz_argv_contract(case):
+    argv, output_format = case
+    code, out, err = run_bounded(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out + err, argv
+    if code == 2:
+        assert out == "" and "usage:" in err, argv
+    elif code == 0 and output_format == "table":
+        assert out.count("\n") == 1 and out.count(" | ") == 2, argv
+    else:
+        response = json.loads(out)
+        assert response["status"] == ("ok" if code == 0 else "error"), argv
 
 
 def test_zero_decimal_rendering():

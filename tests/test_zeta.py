@@ -1,8 +1,10 @@
 import math
+import signal
 from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 from hypothesis import given, strategies as st
 
 from sarithdim.errors import Ambiguous, NoConvergent, ToleranceTooTight
@@ -77,6 +79,33 @@ def hurwitz_route_zeta_F_2(D, bits):
         if chi[r]:
             total += chi[r] * ctx.zeta(2, ctx.mpf(r) / D)
     return ctx.pi**2 / 6 * total / D**2
+
+
+def sine_route_zeta_F_2(D, bits):
+    """zeta(2) * L(2, chi_D) by the half-range csc^2 sum
+    (pi^4 / 6D^2) * sum_{1 <= r < D/2} chi(r) * csc^2(pi r / D), one mpmath
+    sine per residue at D.bit_length() guard bits, rounded to ``bits``."""
+    ctx = mpmath.mp.clone()
+    ctx.prec = bits + D.bit_length()
+    chi = kronecker_table(D)
+    angle = ctx.pi / D
+    total = ctx.mpf(0)
+    for r in range(1, (D + 1) // 2):
+        if chi[r]:
+            total += chi[r] / ctx.sin(angle * r) ** 2
+    value = ctx.pi**4 / 6 * total / D**2
+    ctx.prec = bits
+    return +value
+
+
+def mpf_fraction(x):
+    return Fraction(*libmp.to_rational(x._mpf_))
+
+
+def ulps_apart(a, b, bits):
+    """|a - b| in units of the last place of b at ``bits`` of precision."""
+    _, _, exp, bc = b._mpf_
+    return abs(mpf_fraction(a) - mpf_fraction(b)) / Fraction(2) ** (exp + bc - bits)
 
 
 def naive_divisor_sum(n):
@@ -174,6 +203,44 @@ class TestZetaTwoNumeric:
                 value = reference.context.mpf(zeta_F_2_numeric(F, 1e-8, precision_bits=bits))
                 assert abs(value - reference) <= mpmath.ldexp(reference, -100), (F, bits)
 
+    @pytest.mark.parametrize("bits", [70, 128, 192])
+    def test_kernel_matches_sine_route(self, bits):
+        # D = 2993 is the largest fundamental discriminant <= 3000; 40028 = 4 * 10007
+        fields = real_quadratic_fields_with_disc_up_to(500)
+        fields += [parse_field("Q(sqrt 2993)"), parse_field("Q(sqrt 10007)")]
+        for F in fields:
+            value = zeta_F_2_numeric(F, 1e-8, precision_bits=bits)
+            reference = sine_route_zeta_F_2(F.discriminant, bits)
+            assert ulps_apart(value, reference, bits) <= 1, (F, bits)
+            assert float(value) == float(reference), (F, bits)
+
+    @pytest.mark.parametrize("bits", [70, 128, 192])
+    def test_kernel_error_bound(self, bits):
+        # before its final rounding the kernel is within 2^-(bits + 4 + D.bit_length())
+        # of zeta_F(2) relatively, so the result is within that plus half an ulp;
+        # the reference has 64 more bits than the result
+        for F in real_quadratic_fields_with_disc_up_to(500):
+            D = F.discriminant
+            value = zeta_F_2_numeric(F, 1e-8, precision_bits=bits)
+            reference = sine_route_zeta_F_2(D, bits + 64)
+            _, _, exp, bc = value._mpf_
+            exact = mpf_fraction(reference)
+            half_ulp = Fraction(2) ** (exp + bc - bits - 1)
+            bound = half_ulp + exact / 2 ** (bits + 4 + D.bit_length()) + exact / 2 ** (bits + 60)
+            assert abs(mpf_fraction(value) - exact) <= bound, (F, bits)
+
+    def test_shared_context_per_precision(self):
+        before = mpmath.mp.prec
+        values = [
+            zeta_F_2_numeric(parse_field(spec), 1e-8, precision_bits=bits)
+            for bits in (128, 192)
+            for spec in ("Q", "Q(sqrt 5)", "Q(sqrt 10007)")
+        ]
+        assert [v.context.prec for v in values] == [128] * 3 + [192] * 3
+        assert len({id(v.context) for v in values[:3]}) == 1
+        assert len({id(v.context) for v in values[3:]}) == 1
+        assert mpmath.mp.prec == before
+
     def test_monotone_improving(self):
         F = parse_field("Q(sqrt 13)")
         tol = 1e-6
@@ -221,6 +288,23 @@ class TestFunctionalEquation:
             assert functional_equation_check(F, 1e-8).ok, F
             assert not functional_equation_check(F, 1e-8, zeta_minus1=exact + Fraction(1, 60)).ok, F
 
+    def test_large_discriminant_within_two_seconds(self):
+        F = parse_field("Q(sqrt 100003)")  # D = 400012
+        zeta_F_minus1(F)  # the exact side is timed elsewhere
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the functional-equation check at D = 400012 took more than 2 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            report = functional_equation_check(F, 1e-8, precision_bits=128)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert report.ok
+        assert report.difference < 1e-30
+
 
 class TestRationalize:
     def test_one_twelfth(self):
@@ -241,7 +325,7 @@ class TestRationalize:
         assert rationalize(mpmath.mpf(1) / 12, 60, 1e-12) == Fraction(1, 12)
 
     def test_accepts_numeric_route_output(self):
-        # values from cloned mpmath contexts carry their own mpf class
+        # values from the per-precision mpmath contexts carry their own mpf class
         F = parse_field("Q(sqrt 5)")
         oracle = 4 * mpmath.mpf(5) ** 1.5 / (2 * mpmath.pi) ** 4 * zeta_F_2_numeric(F, 1e-10)
         assert rationalize(oracle, 60, 1e-6) == Fraction(1, 30)
