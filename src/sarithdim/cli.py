@@ -15,7 +15,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .covolume import pgl2_covolume, sl2_covolume
-from .errors import CalcError, DatumPlaceMismatch, MissingDatum
+from .errors import CalcError, DatumPlaceMismatch, MissingDatum, UnsupportedPrime
 from .formal_degree import LocalRepDatum
 from .numberfield import MAX_PRIME, is_prime, parse_field, build_S
 from .quaternion import pdx_candidates, zeta_D_leading_ratio_at_zero
@@ -52,8 +52,14 @@ def _s_primes_arg(text: str):
             chunk, selector = (part.strip() for part in chunk.split(":", 1))
         if selector not in ("one", "both"):
             raise argparse.ArgumentTypeError(f"selector must be 'one' or 'both', got {selector!r}")
+        # int() refuses more than 4300 digits, leading zeros included
+        digits = chunk.lstrip("0")
+        if digits.isdecimal() and len(digits) > len(str(MAX_PRIME)):
+            # above the cap by its length alone: kept as text, for _build_S to reject
+            entries.append((digits, selector))
+            continue
         try:
-            p = int(chunk)
+            p = int(digits if digits.isdecimal() else chunk)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{chunk!r} is not an integer prime") from None
         # above the cap build_S raises UNSUPPORTED_PRIME, a domain error
@@ -61,6 +67,17 @@ def _s_primes_arg(text: str):
             raise argparse.ArgumentTypeError(f"{p} is not prime")
         entries.append((p, selector))
     return entries
+
+
+def _build_S(F, entries):
+    """build_S over parsed --s-primes entries.  An entry kept as text is above
+    MAX_PRIME; it raises UnsupportedPrime after the errors of the entries
+    before it, as build_S does for an int above the cap."""
+    for i, (p, _) in enumerate(entries):
+        if isinstance(p, str):
+            build_S(F, entries[:i])
+            raise UnsupportedPrime(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
+    return build_S(F, entries)
 
 
 def _tol_arg(text: str) -> float:
@@ -129,7 +146,7 @@ def _build_local_data(S, entries):
 
 def _cmd_covolume(ns):
     F = parse_field(ns.field)
-    S = build_S(F, ns.s_primes)
+    S = _build_S(F, ns.s_primes)
     cov = sl2_covolume(F, S) if ns.group == "sl" else pgl2_covolume(F, S)
     return f"covolume_{ns.group}", cov.value, []
 
@@ -150,7 +167,7 @@ def _cmd_zeta(ns):
 
 def _cmd_steinberg_dim(ns):
     F = parse_field(ns.field)
-    S = build_S(F, ns.s_primes)
+    S = _build_S(F, ns.s_primes)
     dim = steinberg_vn_dim(F, S, ns.group)
     diagnostics = [_diag("pgl_two_routes", "pass", "closed form == covolume * formal degree")]
     return f"steinberg_dim_{ns.group}", dim.value, diagnostics
@@ -158,7 +175,7 @@ def _cmd_steinberg_dim(ns):
 
 def _cmd_module_dim(ns):
     F = parse_field(ns.field)
-    S = build_S(F, ns.s_primes)
+    S = _build_S(F, ns.s_primes)
     data = _build_local_data(S, ns.local_data)
     dim = module_vn_dim(F, S, ns.group, data)
     return f"module_dim_{ns.group}", dim.value, []
@@ -166,7 +183,7 @@ def _cmd_module_dim(ns):
 
 def _cmd_jl_ratio(ns):
     F = parse_field(ns.field)
-    S = build_S(F, ns.s_primes)
+    S = _build_S(F, ns.s_primes)
     if ns.group == "pgl":
         value = jl_ratio_pgl(F, S, ns.pd_order)
         diagnostics = []
@@ -227,7 +244,7 @@ def _cmd_check(ns):
         diagnostics.insert(0, _diag("grid", "pass" if passed == total else "fail", f"{passed}/{total} points pass"))
         return "identity_grid", Fraction(passed, total), diagnostics
     F = parse_field(ns.field)
-    S = build_S(F, ns.s_primes)
+    S = _build_S(F, ns.s_primes)
     report = check_identities(F, S)
     diagnostics = [_diag(c.name, c.status, c.detail) for c in report.checks]
     return "identity_checks", Fraction(1 if report.all_pass else 0), diagnostics

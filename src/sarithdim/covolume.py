@@ -17,7 +17,6 @@ both exact rationals.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .numberfield import NumberField, SSet, delta_2
@@ -48,14 +47,8 @@ def invariants(F: NumberField, S: SSet) -> Invariants:
     )
 
 
-class CovolumeGroup(Enum):
-    SL2 = "sl2"
-    PGL2 = "pgl2"
-
-
 @dataclass(frozen=True)
 class Covolume:
-    group: CovolumeGroup
     field: NumberField
     S: SSet
     value: Fraction
@@ -65,14 +58,14 @@ def sl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of SL(2, O_S), exactly."""
     inv = invariants(F, S)
     value = inv.zeta * Fraction(inv.prod_q_plus_1, 2**inv.n)
-    return Covolume(CovolumeGroup.SL2, F, S, value)
+    return Covolume(F, S, value)
 
 
 def pgl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of PGL(2, O_S), exactly."""
     inv = invariants(F, S)
     value = inv.zeta * Fraction(2 ** (inv.delta_2 + 1) * inv.prod_q_plus_1, 2 ** (2 * inv.n))
-    return Covolume(CovolumeGroup.PGL2, F, S, value)
+    return Covolume(F, S, value)
 
 
 def pgl_psl_index(F: NumberField, S: SSet) -> int:

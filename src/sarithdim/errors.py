@@ -54,18 +54,6 @@ class ToleranceTooTight(CalcError):
     code = "TOLERANCE_TOO_TIGHT"
 
 
-class NoConvergent(CalcError):
-    """No rational with the requested denominator bound lies within tol."""
-
-    code = "NO_CONVERGENT"
-
-
-class Ambiguous(CalcError):
-    """More than one rational with the denominator bound lies within tol."""
-
-    code = "AMBIGUOUS"
-
-
 class OddCardinality(CalcError):
     """The place set has odd size; quaternion ramification sets are even."""
 

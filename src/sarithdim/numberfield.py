@@ -298,12 +298,11 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
 
     The returned places always satisfy sum(e*f) = degree(F).  Over a split
     prime the two places differ only by ``index``.  A p above MAX_PRIME
-    raises UnsupportedPrime.
+    raises UnsupportedPrime; a composite p raises ValueError from the
+    primality check of :class:`Place`.
     """
     if p > MAX_PRIME:
         raise UnsupportedPrime(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if F.kind is FieldKind.RATIONALS:
         return [Place.finite(p, 1, 1)]
     sym = kronecker_symbol(F.discriminant, p)

@@ -24,21 +24,18 @@ never mutated.  The functional equation
 
     zeta_F(2) = (2 pi)^(2n) / 2^n * d_F^(-3/2) * |zeta_F(-1)|
 
-ties the exact layer to the numeric one.  Exactness is only ever recovered
-from numeric values through :func:`rationalize` with a denominator bound,
-never by trusting raw digits.
+ties the exact layer to the numeric one.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 import mpmath
 from mpmath import libmp
 
-from .errors import Ambiguous, NoConvergent, ToleranceTooTight
+from .errors import ToleranceTooTight
 from .numberfield import FieldKind, NumberField, kronecker_symbol
 
 #: Fields whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
@@ -52,22 +49,10 @@ ZETA_MEMO_SIZE = 256
 PRECISION_CONTEXTS = 8
 
 
-class Method(Enum):
-    CLASSICAL = "classical"
-    SIEGEL_SUM = "siegel_sum"
-
-
 @dataclass(frozen=True)
 class SpecialValue:
     value: Fraction
     field: NumberField
-    argument: int
-    method: Method
-
-
-#: zeta(0) over Q.  For degree >= 2 totally real fields zeta_F vanishes at 0
-#: (to order degree - 1), so only the rational constant is meaningful here.
-ZETA_Q_AT_ZERO = Fraction(-1, 2)
 
 
 def sum_of_divisors(n: int) -> int:
@@ -102,7 +87,7 @@ def zeta_F_minus1(F: NumberField) -> SpecialValue:
     and the denominator divides 60.
     """
     if F.kind is FieldKind.RATIONALS:
-        return SpecialValue(Fraction(-1, 12), F, -1, Method.CLASSICAL)
+        return SpecialValue(Fraction(-1, 12), F)
     D = F.discriminant
     total = 0
     b = 0
@@ -111,7 +96,7 @@ def zeta_F_minus1(F: NumberField) -> SpecialValue:
             # b and -b both contribute for b > 0
             total += (2 if b else 1) * sum_of_divisors((D - b * b) // 4)
         b += 1
-    return SpecialValue(Fraction(total, 60), F, -1, Method.SIEGEL_SUM)
+    return SpecialValue(Fraction(total, 60), F)
 
 
 def quadratic_character_table(D: int) -> list[int]:
@@ -283,49 +268,3 @@ def functional_equation_check(
     difference = abs(numeric_side - rational_side)
     ok = bool(difference < tol)
     return FunctionalEquationReport(F, ok, float(numeric_side), float(rational_side), float(difference), tol)
-
-
-def _exact_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    # mpf instances from any mpmath context (clones have their own classes)
-    mpf_tuple = getattr(x, "_mpf_", None)
-    if mpf_tuple is not None:
-        num, den = mpmath.libmp.to_rational(mpf_tuple)
-        return Fraction(int(num), int(den))
-    return Fraction(x)
-
-
-def _farey_neighbors(frac: Fraction, bound: int) -> tuple[Fraction, Fraction]:
-    """Left and right neighbors of frac in the Farey sequence of order bound."""
-    p, q = frac.numerator, frac.denominator
-    if q == 1:
-        return Fraction(p * bound - 1, bound), Fraction(p * bound + 1, bound)
-    inv = pow(p % q, -1, q)
-    s_left = inv + ((bound - inv) // q) * q
-    s_right = (q - inv) + ((bound - (q - inv)) // q) * q
-    return (
-        Fraction((p * s_left - 1) // q, s_left),
-        Fraction((p * s_right + 1) // q, s_right),
-    )
-
-
-def rationalize(x, max_denominator: int, tol: float) -> Fraction:
-    """The unique rational p/q with q <= max_denominator and |x - p/q| < tol.
-
-    The closest candidate comes from the continued-fraction expansion of x
-    (Fraction.limit_denominator); its Farey neighbors of the same order are
-    then inspected so that a second candidate within tol is reported as
-    ambiguous rather than silently dropped.
-    """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    exact = _exact_fraction(x)
-    tol_exact = Fraction(tol)
-    best = exact.limit_denominator(max_denominator)
-    if abs(best - exact) >= tol_exact:
-        raise NoConvergent(f"no rational with denominator <= {max_denominator} lies within {tol} of {x}")
-    for neighbor in _farey_neighbors(best, max_denominator):
-        if abs(neighbor - exact) < tol_exact:
-            raise Ambiguous(f"both {best} and {neighbor} lie within {tol} of {x}")
-    return best

@@ -18,7 +18,6 @@ from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
 from sarithdim.vndim import atiyah_schmid_dim, jl_ratio_pgl, jl_ratio_sl, steinberg_vn_dim
 from sarithdim.zeta import (
     primes_up_to,
-    rationalize,
     zeta_F_2_euler_product,
     zeta_F_minus1,
 )
@@ -79,7 +78,7 @@ def test_criterion_3_zeta_cross_validation():
         oracle = 2**2 * F.discriminant**1.5 / (2 * math.pi) ** 4 * zf2
         relative = abs(oracle - float(siegel)) / float(siegel)
         assert relative < 1e-8, (F, relative)
-        assert rationalize(oracle, 60, 1e-6) == siegel, F
+        assert Fraction(round(60 * oracle), 60) == siegel, F
     anchors = {5: Fraction(1, 30), 2: Fraction(1, 12)}
     for d, expected in anchors.items():
         assert zeta_F_minus1(NumberField.real_quadratic(d)).value == expected

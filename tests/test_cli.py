@@ -245,6 +245,13 @@ class TestUsageErrors:
         assert code == 0
         assert json.loads(out)["value"] == {"num": "1", "den": "30"}
 
+    def test_s_prime_leading_zeros_beyond_int_conversion_limit(self, capsys):
+        code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", "0" * 5000 + "7", "--group", "sl"])
+        assert code == 0
+        response = json.loads(out)
+        assert response["s_primes"] == ["7"]
+        assert response["value"] == {"num": "1", "den": "3"}  # (7 + 1) / 24
+
     def test_huge_s_prime_returns_promptly(self):
         # trial-division primality testing of this p would not finish;
         # run_bounded turns a hang into a failure after 2 s of wall-clock time
@@ -255,12 +262,26 @@ class TestUsageErrors:
         assert value == Fraction(p + 1, 24)
         assert json.loads(out)["value"] == {"num": str(value.numerator), "den": str(value.denominator)}
 
-    @pytest.mark.parametrize("p", ["1000000000000000000000001", "1000000000000000000000007", str(2**127 - 1)])
-    def test_s_prime_above_cap_is_domain_error(self, capsys, p):
-        code, out, err = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", p, "--group", "sl"])
+    @pytest.mark.parametrize(
+        "p",
+        ["1000000000000000000000001", "1000000000000000000000007", str(2**127 - 1), pytest.param("7" * 5000, id="7x5000")],
+    )
+    def test_s_prime_above_cap_is_domain_error(self, p):
+        # int() refuses strings of more than 4300 digits
+        code, out, err = run_bounded(["covolume", "--field", "Q", "--s-primes", p, "--group", "sl"])
         assert code == 1
-        assert json.loads(out)["error"]["code"] == "UNSUPPORTED_PRIME"
+        response = json.loads(out)
+        assert response["error"]["code"] == "UNSUPPORTED_PRIME"
+        assert response["s_primes"] == [p]
         assert err == ""
+
+    def test_s_prime_above_cap_after_earlier_errors(self, capsys):
+        # an over-long entry is rejected where build_S rejects an int above the cap
+        huge = "7" * 5000
+        code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", f"2,2,{huge}", "--group", "sl"])
+        assert (code, json.loads(out)["error"]["code"]) == (1, "DUPLICATE_PLACE")
+        code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", f"{huge},2,2", "--group", "sl"])
+        assert (code, json.loads(out)["error"]["code"]) == (1, "UNSUPPORTED_PRIME")
 
 
 # ---- fuzzing cli.run over argv ------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from sarithdim import numberfield
 from sarithdim.errors import (
     DuplicatePlace,
     InvalidSelector,
@@ -246,6 +247,12 @@ class TestDecompose:
         F = parse_field("Q(sqrt 13)")
         assert decompose_prime(F, 3) == decompose_prime(F, 3)
 
+    def test_composite_rejected(self):
+        for F in (parse_field("Q"), parse_field("Q(sqrt 5)")):
+            for n in (0, 1, 4, 15, 91, 10**18 + 1):
+                with pytest.raises(ValueError):
+                    decompose_prime(F, n)
+
 
 class TestBuildS:
     def test_rationals_one_prime(self):
@@ -284,6 +291,15 @@ class TestBuildS:
         S = build_S(parse_field("Q(sqrt 5)"), [11])
         assert len(S.places) == 3
         assert [v.kind for v in S.places] == [PlaceKind.REAL, PlaceKind.REAL, PlaceKind.FINITE]
+
+    def test_one_primality_test_per_place(self, monkeypatch):
+        calls = []
+        original = numberfield.is_prime
+        monkeypatch.setattr(numberfield, "is_prime", lambda n: calls.append(n) or original(n))
+        # over Q(sqrt 5): 2 is inert, 11 and 19 split (two places each, one
+        # of them kept for "one"), 5 ramifies
+        build_S(parse_field("Q(sqrt 5)"), [2, 11, (19, "both"), 5])
+        assert sorted(calls) == [2, 5, 11, 11, 19, 19]
 
 
 class TestDelta2:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sarithdim import covolume
+from sarithdim import covolume, vndim
 from sarithdim.cli import grid_points
 from sarithdim.errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality
 from sarithdim.formal_degree import LocalRepDatum
@@ -14,7 +14,6 @@ from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
 from sarithdim.zeta import zeta_F_minus1
 from sarithdim.vndim import (
     GroupVariant,
-    Route,
     atiyah_schmid_dim,
     check_identities,
     jl_ratio_pgl,
@@ -66,13 +65,11 @@ class TestSteinbergDim:
     def test_pgl_modular(self):
         dim = steinberg_vn_dim(parse_field("Q"), build_S(parse_field("Q"), []), GroupVariant.PGL)
         assert dim.value == Fraction(1, 12)
-        assert dim.route is Route.CLOSED_FORM
 
     def test_psl_modular(self):
         F = parse_field("Q")
         dim = steinberg_vn_dim(F, build_S(F, []), "psl")
         assert dim.value == Fraction(1, 6)
-        assert dim.route is Route.INDEX_TRANSFER
 
     def test_sl_with_prime_two(self):
         F = parse_field("Q")
@@ -223,6 +220,35 @@ class TestIdentityReport:
         assert "ODD_CARDINALITY" in by_name["sl_quaternion_zeta_match"].detail
         assert by_name["pgl_sl_transfer"].status == "skipped"
         assert report.all_pass  # skips are not failures
+
+    def test_each_route_runs_once(self, monkeypatch):
+        calls = {"steinberg_global_degree": 0, "pgl2_covolume": 0}
+        for name in calls:
+            original = getattr(vndim, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(vndim, name, counted)
+        F = parse_field("Q(sqrt 13)")
+        assert check_identities(F, build_S(F, [2, 3])).all_pass
+        assert calls == {"steinberg_global_degree": 1, "pgl2_covolume": 1}
+
+    def test_pgl_route_disagreement_is_reported(self, monkeypatch):
+        original = vndim.pgl2_covolume
+        monkeypatch.setattr(
+            vndim, "pgl2_covolume", lambda F, S: dataclasses.replace(original(F, S), value=2 * original(F, S).value)
+        )
+        F = parse_field("Q(sqrt 13)")
+        S = build_S(F, [2, 3])
+        report = check_identities(F, S)
+        by_name = {c.name: c.status for c in report.checks}
+        assert by_name["pgl_two_routes"] == "fail"
+        assert [status for name, status in by_name.items() if name != "pgl_two_routes"] == ["pass"] * 5
+        assert not report.all_pass
+        with pytest.raises(InternalInconsistency):
+            steinberg_vn_dim(F, S, "pgl")
 
 
 class TestRouteIndependence:

@@ -5,16 +5,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import libmp
-from hypothesis import given, strategies as st
 
-from sarithdim.errors import Ambiguous, NoConvergent, ToleranceTooTight
+from sarithdim.errors import ToleranceTooTight
 from sarithdim.numberfield import NumberField, parse_field
 from sarithdim.zeta import (
-    Method,
-    ZETA_Q_AT_ZERO,
     functional_equation_check,
     quadratic_character_table,
-    rationalize,
     sum_of_divisors,
     zeta_F_2_euler_product,
     zeta_F_2_numeric,
@@ -125,12 +121,10 @@ class TestZetaMinusOne:
     def test_rationals(self):
         sv = zeta_F_minus1(parse_field("Q"))
         assert sv.value == Fraction(-1, 12)
-        assert sv.method is Method.CLASSICAL
 
     def test_sqrt5(self):
         sv = zeta_F_minus1(parse_field("Q(sqrt 5)"))
         assert sv.value == Fraction(1, 30)
-        assert sv.method is Method.SIEGEL_SUM
 
     def test_sqrt2(self):
         assert zeta_F_minus1(parse_field("Q(sqrt 2)")).value == Fraction(1, 12)
@@ -142,9 +136,6 @@ class TestZetaMinusOne:
     def test_denominator_divides_60(self):
         for F in real_quadratic_fields_with_disc_up_to(200):
             assert 60 % zeta_F_minus1(F).value.denominator == 0, F
-
-    def test_zeta_zero_constant(self):
-        assert ZETA_Q_AT_ZERO == Fraction(-1, 2)
 
     def test_matches_bernoulli_route(self):
         fields = real_quadratic_fields_with_disc_up_to(500)
@@ -304,46 +295,3 @@ class TestFunctionalEquation:
             signal.signal(signal.SIGALRM, previous)
         assert report.ok
         assert report.difference < 1e-30
-
-
-class TestRationalize:
-    def test_one_twelfth(self):
-        assert rationalize(0.08333333333, 60, 1e-8) == Fraction(1, 12)
-
-    def test_one_thirtieth(self):
-        assert rationalize(0.03333333333, 60, 1e-8) == Fraction(1, 30)
-
-    def test_no_convergent(self):
-        with pytest.raises(NoConvergent):
-            rationalize(0.501, 10, 1e-6)
-
-    def test_ambiguous(self):
-        with pytest.raises(Ambiguous):
-            rationalize(0.5, 10, 0.3)
-
-    def test_accepts_mpf(self):
-        assert rationalize(mpmath.mpf(1) / 12, 60, 1e-12) == Fraction(1, 12)
-
-    def test_accepts_numeric_route_output(self):
-        # values from the per-precision mpmath contexts carry their own mpf class
-        F = parse_field("Q(sqrt 5)")
-        oracle = 4 * mpmath.mpf(5) ** 1.5 / (2 * mpmath.pi) ** 4 * zeta_F_2_numeric(F, 1e-10)
-        assert rationalize(oracle, 60, 1e-6) == Fraction(1, 30)
-
-    def test_negative(self):
-        assert rationalize(-1 / 12, 60, 1e-9) == Fraction(-1, 12)
-
-    def test_integer_value(self):
-        assert rationalize(2.0000000001, 10, 1e-6) == 2
-
-    def test_bad_bound(self):
-        with pytest.raises(ValueError):
-            rationalize(0.5, 0, 1e-6)
-
-    @given(
-        st.integers(min_value=-400, max_value=400),
-        st.integers(min_value=1, max_value=60),
-    )
-    def test_roundtrip(self, num, den):
-        value = Fraction(num, den)
-        assert rationalize(float(value), 60, 1e-9) == value
