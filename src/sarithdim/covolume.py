@@ -12,7 +12,9 @@ places of S) the covolumes are the monomials
     SL(2, O_S):   z * Q+ / 2^n
     PGL(2, O_S):  2^(delta_2 + 1) * z * Q+ / 2^(2n)
 
-both exact rationals.
+both exact rationals.  S must be an S-set of F: :func:`invariants`, the
+entry point of F's data into every closed form, raises ValueError
+otherwise.  A :class:`Covolume` carries the value only, not (F, S).
 """
 
 import math
@@ -36,7 +38,10 @@ class Invariants:
 
 
 def invariants(F: NumberField, S: SSet) -> Invariants:
-    """The :class:`Invariants` record of (F, S)."""
+    """The :class:`Invariants` record of (F, S); ValueError unless S is an
+    S-set of F."""
+    if S.field != F:
+        raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")
     return Invariants(
         abs(zeta_F_minus1(F).value),
         F.degree,
@@ -49,23 +54,19 @@ def invariants(F: NumberField, S: SSet) -> Invariants:
 
 @dataclass(frozen=True)
 class Covolume:
-    field: NumberField
-    S: SSet
     value: Fraction
 
 
 def sl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of SL(2, O_S), exactly."""
     inv = invariants(F, S)
-    value = inv.zeta * Fraction(inv.prod_q_plus_1, 2**inv.n)
-    return Covolume(F, S, value)
+    return Covolume(inv.zeta * Fraction(inv.prod_q_plus_1, 2**inv.n))
 
 
 def pgl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of PGL(2, O_S), exactly."""
     inv = invariants(F, S)
-    value = inv.zeta * Fraction(2 ** (inv.delta_2 + 1) * inv.prod_q_plus_1, 2 ** (2 * inv.n))
-    return Covolume(F, S, value)
+    return Covolume(inv.zeta * Fraction(2 ** (inv.delta_2 + 1) * inv.prod_q_plus_1, 2 ** (2 * inv.n)))
 
 
 def pgl_psl_index(F: NumberField, S: SSet) -> int:

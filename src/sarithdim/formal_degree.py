@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .covolume import invariants
 from .errors import InternalInconsistency
-from .numberfield import NumberField, Place, PlaceKind, SSet
+from .numberfield import NumberField, Place, SSet
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class LocalRepDatum:
     complex_dim: int | None = None
 
     def __post_init__(self):
-        if self.place.kind is PlaceKind.REAL:
+        if self.place.is_real:
             if self.weight is None or self.complex_dim is not None:
                 raise ValueError("a real place takes a weight and nothing else")
             if self.weight < 2:
@@ -59,7 +59,7 @@ class LocalRepDatum:
 
 def steinberg_local_degree(v: Place) -> Fraction:
     """Formal degree of the local Steinberg representation at v."""
-    if v.kind is PlaceKind.REAL:
+    if v.is_real:
         return Fraction(2)
     q = v.q
     degree = Fraction(q - 1, 2 * (q + 1))
@@ -94,6 +94,6 @@ def jl_degree_ratio(datum: LocalRepDatum) -> int:
     (n-1)-dimensional one, so the ratio is n - 1; at a finite place the
     supplied complex dimension passes through.
     """
-    if datum.place.kind is PlaceKind.REAL:
+    if datum.place.is_real:
         return datum.weight - 1
     return datum.complex_dim

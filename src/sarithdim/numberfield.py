@@ -5,12 +5,15 @@ embedding gives a real place, each prime ideal a finite place with
 ramification index e, inertia degree f and residue cardinality q = p^f.
 An S-set is a finite set of places containing every real place; its finite
 part determines the ring of S-integers.
+
+Each fact is stored once: a field is Q exactly when its radicand d is None,
+a place is real exactly when its prime p is None, and the real places of an
+S-set are the field's degree many.
 """
 
 import bisect
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import (
     DuplicatePlace,
@@ -61,16 +64,6 @@ _PSI = (
 _QUADRATIC_RE = re.compile(r"Q\(sqrt (-?)(\d+)\)")
 
 
-class FieldKind(Enum):
-    RATIONALS = "rationals"
-    REAL_QUADRATIC = "real_quadratic"
-
-
-class PlaceKind(Enum):
-    REAL = "real"
-    FINITE = "finite"
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24.
 
@@ -116,17 +109,14 @@ def is_squarefree(n: int) -> bool:
 
 @dataclass(frozen=True)
 class NumberField:
-    """Q, or the real quadratic field of squarefree radicand d > 1."""
+    """Q (d is None), or the real quadratic field of squarefree radicand d > 1."""
 
-    kind: FieldKind
     d: int | None = None
 
     def __post_init__(self):
-        if self.kind is FieldKind.RATIONALS:
-            if self.d is not None:
-                raise ValueError("d only applies to real quadratic fields")
+        if self.d is None:
             return
-        if self.d is None or self.d <= 1:
+        if self.d <= 1:
             raise NotTotallyReal(f"Q(sqrt {self.d}) is not a totally real quadratic field")
         if self.d > MAX_RADICAND:
             raise UnsupportedField(f"radicand {self.d} exceeds the supported maximum {MAX_RADICAND}")
@@ -135,70 +125,68 @@ class NumberField:
 
     @classmethod
     def rationals(cls) -> "NumberField":
-        return cls(FieldKind.RATIONALS)
+        return cls()
 
     @classmethod
     def real_quadratic(cls, d: int) -> "NumberField":
-        return cls(FieldKind.REAL_QUADRATIC, d)
+        return cls(d)
 
     @property
     def degree(self) -> int:
-        return 1 if self.kind is FieldKind.RATIONALS else 2
+        return 1 if self.d is None else 2
 
     @property
     def discriminant(self) -> int:
-        if self.kind is FieldKind.RATIONALS:
+        if self.d is None:
             return 1
         return self.d if self.d % 4 == 1 else 4 * self.d
 
     def __str__(self) -> str:
-        return "Q" if self.kind is FieldKind.RATIONALS else f"Q(sqrt {self.d})"
+        return "Q" if self.d is None else f"Q(sqrt {self.d})"
 
 
 @dataclass(frozen=True)
 class Place:
-    """One place of a field.
+    """One place of a field: real when p is None, else finite over the prime p
+    with ramification index e and inertia degree f.
 
     ``index`` distinguishes the two places over a split prime (and the real
     places of a quadratic field); it carries no arithmetic content.
     """
 
-    kind: PlaceKind
     p: int | None = None
     e: int | None = None
     f: int | None = None
     index: int = 0
 
     def __post_init__(self):
-        if self.kind is PlaceKind.REAL:
-            if not (self.p is None and self.e is None and self.f is None):
-                raise ValueError("real places carry no p, e, f")
-        else:
-            if self.p is None or self.e is None or self.f is None:
-                raise ValueError("finite places need p, e, f")
-            if self.p > MAX_PRIME:
-                raise ValueError(f"prime {self.p} exceeds the supported maximum {MAX_PRIME}")
-            if not is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-            if self.e < 1 or self.f < 1:
-                raise ValueError("e and f must be >= 1")
+        if self.p is None and self.e is None and self.f is None:
+            return
+        if self.p is None or self.e is None or self.f is None:
+            raise ValueError("finite places need p, e, f")
+        if self.p > MAX_PRIME:
+            raise ValueError(f"prime {self.p} exceeds the supported maximum {MAX_PRIME}")
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        if self.e < 1 or self.f < 1:
+            raise ValueError("e and f must be >= 1")
 
     @classmethod
     def real(cls, index: int = 0) -> "Place":
-        return cls(PlaceKind.REAL, index=index)
+        return cls(index=index)
 
     @classmethod
     def finite(cls, p: int, e: int, f: int, index: int = 0) -> "Place":
-        return cls(PlaceKind.FINITE, p, e, f, index)
+        return cls(p, e, f, index)
 
     @property
     def is_real(self) -> bool:
-        return self.kind is PlaceKind.REAL
+        return self.p is None
 
     @property
     def q(self) -> int:
         """Residue cardinality p^f of a finite place."""
-        if self.kind is not PlaceKind.FINITE:
+        if self.is_real:
             raise ValueError("real places have no residue field")
         return self.p**self.f
 
@@ -217,18 +205,14 @@ class SSet:
 
     def __post_init__(self):
         for v in self.finite_places:
-            if v.kind is not PlaceKind.FINITE:
+            if v.is_real:
                 raise ValueError("finite_places must all be finite")
         if len(set(self.finite_places)) != len(self.finite_places):
             raise DuplicatePlace("repeated place in S")
 
     @property
-    def archimedean_count(self) -> int:
-        return self.field.degree
-
-    @property
     def real_places(self) -> tuple[Place, ...]:
-        return tuple(Place.real(i) for i in range(self.archimedean_count))
+        return tuple(Place.real(i) for i in range(self.field.degree))
 
     @property
     def places(self) -> tuple[Place, ...]:
@@ -236,11 +220,11 @@ class SSet:
 
     @property
     def size(self) -> int:
-        return self.archimedean_count + len(self.finite_places)
+        return self.field.degree + len(self.finite_places)
 
     def __str__(self) -> str:
         finite = ",".join(str(v) for v in self.finite_places)
-        return f"S({self.field}; oo x{self.archimedean_count}" + (f"; {finite})" if finite else ")")
+        return f"S({self.field}; oo x{self.field.degree}" + (f"; {finite})" if finite else ")")
 
 
 def parse_field(spec: str) -> NumberField:
@@ -303,7 +287,7 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
     """
     if p > MAX_PRIME:
         raise UnsupportedPrime(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
-    if F.kind is FieldKind.RATIONALS:
+    if F.d is None:
         return [Place.finite(p, 1, 1)]
     sym = kronecker_symbol(F.discriminant, p)
     if sym == 0:
@@ -332,7 +316,7 @@ def build_S(F: NumberField, finite_primes) -> SSet:
             if len(places) != 2:
                 raise InvalidSelector(f"'both' requires a split prime, but {p} is not split in {F}")
             chosen.extend(places)
-        elif selector in (None, "one"):
+        elif selector == "one":
             chosen.append(places[0])
         else:
             raise InvalidSelector(f"unknown place selector {selector!r}")

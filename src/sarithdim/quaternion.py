@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OddCardinality
-from .numberfield import FieldKind, NumberField, SSet
+from .numberfield import NumberField, SSet
 from .zeta import zeta_F_minus1
 
 # radicand d -> extra m with 2 cos(2 pi / m) in Q(sqrt d); the rational
@@ -24,7 +24,6 @@ class CandidateReport:
     arithmetic in quaternion orders, out of scope here.
     """
 
-    field: NumberField
     cyclic_orders: tuple[int, ...]
     dihedral_orders: tuple[int, ...]
     exceptional: tuple[str, ...]
@@ -45,8 +44,10 @@ def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
     zeta_D(s) = zeta_F(2s) zeta_F(2s-1) prod_{v in S_f} (1 - q_v^(1-2s)),
     so at s = 0 the zeta_F factor cancels (as leading coefficients when
     zeta_F vanishes there) and the ratio is zeta_F(-1) prod (1 - q_v), taken
-    in absolute value.
+    in absolute value.  ValueError unless S is an S-set of F.
     """
+    if S.field != F:
+        raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")
     if not validate_ramification(F, S):
         raise OddCardinality(f"|S| = {S.size} is odd; no quaternion algebra ramifies exactly at S")
     ratio = zeta_F_minus1(F).value
@@ -59,26 +60,22 @@ def pdx_candidates(F: NumberField) -> CandidateReport:
     """Orders m with 2 cos(2 pi / m) in F, the exceptional groups passing the
     same trace test, and a crude bound on |PD*(O_S)|.
 
-    2 cos(2 pi / m) is rational iff m is in {1, 2, 3, 4, 6}; the degree-2
-    values add {5, 10} over sqrt(5), {8} over sqrt(2) and {12} over sqrt(3).
-    Cyclic groups of order m and dihedral groups of order 2m need the
-    condition for m; the octahedral group needs sqrt(2), the icosahedral
-    group sqrt(5).  The bound covers the largest dihedral candidate and the
-    order-60 icosahedral group.
+    In PD* = D*/F* an element of order m has eigenvalue ratio a primitive
+    m-th root of unity, so it needs 2 cos(2 pi / m) in F, whatever its norm;
+    only the norm-1 group asks for more.  2 cos(2 pi / m) is rational iff m
+    is in {1, 2, 3, 4, 6}; the degree-2 values add {5, 10} over sqrt(5), {8}
+    over sqrt(2) and {12} over sqrt(3).  Cyclic groups of order m and
+    dihedral groups of order 2m need the condition for m.  The tetrahedral
+    and octahedral groups A4 and S4 have element orders up to 4 and pass
+    over every field (over Q, the Hurwitz units and norm-2 elements give
+    S4); the icosahedral group A5 needs sqrt(5).  The bound covers the
+    largest dihedral candidate and the order-60 icosahedral group.
     """
-    orders = [1, 2, 3, 4, 6]
-    exceptional = ["A4"]
-    if F.kind is FieldKind.REAL_QUADRATIC:
-        orders.extend(_EXTRA_COSINE_ORDERS.get(F.d, ()))
-        if F.d == 2:
-            exceptional.append("S4")
-        elif F.d == 5:
-            exceptional.append("A5")
-    orders.sort()
+    orders = sorted([1, 2, 3, 4, 6, *_EXTRA_COSINE_ORDERS.get(F.d, ())])
+    exceptional = ("A4", "S4", "A5") if F.d == 5 else ("A4", "S4")
     return CandidateReport(
-        F,
         tuple(orders),
         tuple(2 * m for m in orders),
-        tuple(exceptional),
+        exceptional,
         max(2 * orders[-1], 60),
     )

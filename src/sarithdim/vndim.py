@@ -11,6 +11,10 @@ a disagreement of the routes it compares as a failed check and does not
 raise; only the two routes of the global formal degree, which every
 Steinberg value needs, still raise inside it.
 
+The group is one of the strings ``"pgl"``, ``"psl"`` and ``"sl"``; any other
+value is a ValueError.  S must be an S-set of F.  Result records carry the
+value, not the (F, S) or group they were computed for.
+
 In the fields of :class:`~sarithdim.covolume.Invariants` (z = |zeta_F(-1)|,
 |S|, Q- = prod (q_v - 1) over the finite places of S) the closed forms are
 
@@ -23,7 +27,6 @@ PGL dimension is the jl_ratio_pgl monomial at N = 1, for every |S|.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .covolume import Invariants, invariants, pgl2_covolume, pgl_psl_index
@@ -33,24 +36,9 @@ from .numberfield import NumberField, SSet
 from .quaternion import validate_ramification, zeta_D_leading_ratio_at_zero
 
 
-class GroupVariant(Enum):
-    PGL = "pgl"
-    PSL = "psl"
-    SL = "sl"
-
-
 @dataclass(frozen=True)
 class VnDimension:
-    group_variant: GroupVariant
-    field: NumberField
-    S: SSet
     value: Fraction
-
-
-def _coerce_group(group) -> GroupVariant:
-    if isinstance(group, GroupVariant):
-        return group
-    return GroupVariant(str(group).lower())
 
 
 def atiyah_schmid_dim(covolume, formal_degree) -> Fraction:
@@ -84,32 +72,33 @@ def _pgl_two_routes(F: NumberField, S: SSet) -> tuple[Fraction, Fraction]:
     return closed, atiyah_schmid_dim(pgl2_covolume(F, S).value, steinberg_global_degree(F, S))
 
 
-def _index_transfer(F: NumberField, S: SSet, pgl: Fraction, group: GroupVariant) -> Fraction:
+def _index_transfer(F: NumberField, S: SSet, pgl: Fraction, group: str) -> Fraction:
     """The dimension over ``group`` of a module whose PGL dimension is ``pgl``:
     times the index of PSL in PGL, then halved for SL."""
-    if group is GroupVariant.PGL:
+    if group == "pgl":
         return pgl
+    if group not in ("psl", "sl"):
+        raise ValueError(f"group must be 'pgl', 'psl' or 'sl', got {group!r}")
     psl = pgl_psl_index(F, S) * pgl
-    return psl if group is GroupVariant.PSL else psl / 2
+    return psl if group == "psl" else psl / 2
 
 
-def steinberg_vn_dim(F: NumberField, S: SSet, group) -> VnDimension:
+def steinberg_vn_dim(F: NumberField, S: SSet, group: str) -> VnDimension:
     """Dimension of the Steinberg module over the chosen group's algebra.
 
     The PGL value is the closed form 2 z Q- / 2^|S|, independently
     recomputed as covolume * global formal degree; PSL and SL are reached
     from it by index transfer.
     """
-    group = _coerce_group(group)
     closed, via_covolume = _pgl_two_routes(F, S)
     if closed != via_covolume:
         raise InternalInconsistency(
             f"Steinberg dimension routes disagree on {S}: closed form {closed}, covolume route {via_covolume}"
         )
-    return VnDimension(group, F, S, _index_transfer(F, S, closed, group))
+    return VnDimension(_index_transfer(F, S, closed, group))
 
 
-def module_vn_dim(F: NumberField, S: SSet, group, local: list[LocalRepDatum]) -> VnDimension:
+def module_vn_dim(F: NumberField, S: SSet, group: str, local: list[LocalRepDatum]) -> VnDimension:
     """Dimension of the module with the given local data, one datum per place.
 
     Equals the Steinberg dimension scaled by the product of the local
@@ -125,7 +114,7 @@ def module_vn_dim(F: NumberField, S: SSet, group, local: list[LocalRepDatum]) ->
         scale *= jl_degree_ratio(datum)
     if unmatched:
         raise MissingDatum(f"no local datum for {', '.join(str(v) for v in unmatched)}")
-    return VnDimension(base.group_variant, F, S, base.value * scale)
+    return VnDimension(base.value * scale)
 
 
 def jl_ratio_sl(F: NumberField, S: SSet) -> Fraction:
@@ -161,8 +150,6 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    field: NumberField
-    S: SSet
     checks: tuple[IdentityCheck, ...]
 
     @property
@@ -186,8 +173,8 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
     closed, via_cov = _pgl_two_routes(F, S)
     checks.append(_compare("pgl_two_routes", via_cov, closed, "covolume*degree vs closed form"))
 
-    psl = _index_transfer(F, S, closed, GroupVariant.PSL)
-    sl = _index_transfer(F, S, closed, GroupVariant.SL)
+    psl = _index_transfer(F, S, closed, "psl")
+    sl = _index_transfer(F, S, closed, "sl")
     checks.append(_compare("psl_transfer", psl, 2**S.size * closed, "PSL vs 2^|S| * PGL"))
     checks.append(_compare("sl_transfer", sl, psl / 2, "SL vs PSL/2"))
 
@@ -215,4 +202,4 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
         for name in ("sl_quaternion_zeta_match", "sl_steinberg_match", "pgl_sl_transfer"):
             checks.append(IdentityCheck(name, "skipped", note))
 
-    return IdentityReport(F, S, tuple(checks))
+    return IdentityReport(tuple(checks))

@@ -36,7 +36,7 @@ import mpmath
 from mpmath import libmp
 
 from .errors import ToleranceTooTight
-from .numberfield import FieldKind, NumberField, kronecker_symbol
+from .numberfield import NumberField, kronecker_symbol
 
 #: Fields whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
 #: for the value of one field many times; a bounded memo keeps long runs over
@@ -52,7 +52,6 @@ PRECISION_CONTEXTS = 8
 @dataclass(frozen=True)
 class SpecialValue:
     value: Fraction
-    field: NumberField
 
 
 def sum_of_divisors(n: int) -> int:
@@ -86,8 +85,8 @@ def zeta_F_minus1(F: NumberField) -> SpecialValue:
     divisor sum above, the only place the O(D) sum runs; it is positive,
     and the denominator divides 60.
     """
-    if F.kind is FieldKind.RATIONALS:
-        return SpecialValue(Fraction(-1, 12), F)
+    if F.d is None:
+        return SpecialValue(Fraction(-1, 12))
     D = F.discriminant
     total = 0
     b = 0
@@ -96,7 +95,7 @@ def zeta_F_minus1(F: NumberField) -> SpecialValue:
             # b and -b both contribute for b > 0
             total += (2 if b else 1) * sum_of_divisors((D - b * b) // 4)
         b += 1
-    return SpecialValue(Fraction(total, 60), F)
+    return SpecialValue(Fraction(total, 60))
 
 
 def quadratic_character_table(D: int) -> list[int]:
@@ -173,7 +172,7 @@ def zeta_F_2_numeric(F: NumberField, tol: float, precision_bits: int | None = No
     """
     bits = _working_prec_bits(tol, precision_bits)
     ctx = _context(bits)
-    if F.kind is FieldKind.RATIONALS:
+    if F.d is None:
         return ctx.pi**2 / 6
     D = F.discriminant
     wp = bits + 2 * D.bit_length() + 8
@@ -210,7 +209,7 @@ def zeta_F_2_euler_product(F: NumberField, prime_bound: int, primes: list[int] |
     ``primes`` may supply a precomputed ascending prime list covering
     ``prime_bound``, to amortize the sieve across many fields.
     """
-    if F.kind is FieldKind.RATIONALS:
+    if F.d is None:
         return math.pi**2 / 6
     D = F.discriminant
     chi = quadratic_character_table(D)
@@ -228,15 +227,11 @@ def zeta_F_2_euler_product(F: NumberField, prime_bound: int, primes: list[int] |
 
 @dataclass(frozen=True)
 class FunctionalEquationReport:
-    field: NumberField
     ok: bool
     numeric_side: float
     rational_side: float
     difference: float
     tol: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def functional_equation_check(
@@ -267,4 +262,4 @@ def functional_equation_check(
     )
     difference = abs(numeric_side - rational_side)
     ok = bool(difference < tol)
-    return FunctionalEquationReport(F, ok, float(numeric_side), float(rational_side), float(difference), tol)
+    return FunctionalEquationReport(ok, float(numeric_side), float(rational_side), float(difference), tol)

@@ -5,11 +5,14 @@ lines as they complete.  Everything here is desk scale (< 1 minute total).
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import sarithdim
 from sarithdim.cli import GRID_FIELD_SPECS, grid_points
 from sarithdim.numberfield import NumberField, build_S, decompose_prime, parse_field
 from sarithdim.covolume import pgl2_covolume
@@ -131,10 +134,14 @@ def test_criterion_6_splitting_law_oracle():
 
 
 def _run_cli(args):
+    # the child imports the same package as this process, installed or not
+    source_root = str(Path(sarithdim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sarithdim", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -16,10 +16,8 @@ from sarithdim.errors import (
 from sarithdim.numberfield import (
     MAX_PRIME,
     MAX_RADICAND,
-    FieldKind,
     NumberField,
     Place,
-    PlaceKind,
     build_S,
     decompose_prime,
     delta_2,
@@ -49,13 +47,12 @@ def brute_force_is_square_mod(D, p):
 class TestParseField:
     def test_rationals(self):
         F = parse_field("Q")
-        assert F.kind is FieldKind.RATIONALS
+        assert F.d is None
         assert F.discriminant == 1
         assert F.degree == 1
 
     def test_sqrt5(self):
         F = parse_field("Q(sqrt 5)")
-        assert F.kind is FieldKind.REAL_QUADRATIC
         assert F.d == 5
         assert F.discriminant == 5  # 5 = 1 mod 4
         assert F.degree == 2
@@ -234,7 +231,7 @@ class TestDecompose:
 
     def test_split_verdict_matches_brute_force(self):
         for F in TEST_FIELDS:
-            if F.kind is FieldKind.RATIONALS:
+            if F.d is None:
                 continue
             D = F.discriminant
             for p in PRIMES_TO_100:
@@ -264,7 +261,7 @@ class TestBuildS:
         S = build_S(parse_field("Q(sqrt 5)"), [])
         assert S.size == 2
         assert S.finite_places == ()
-        assert S.archimedean_count == 2
+        assert S.field.degree == 2
 
     def test_both_selector(self):
         S = build_S(parse_field("Q(sqrt 5)"), [(11, "both")])
@@ -290,7 +287,7 @@ class TestBuildS:
     def test_places_enumeration(self):
         S = build_S(parse_field("Q(sqrt 5)"), [11])
         assert len(S.places) == 3
-        assert [v.kind for v in S.places] == [PlaceKind.REAL, PlaceKind.REAL, PlaceKind.FINITE]
+        assert [v.is_real for v in S.places] == [True, True, False]
 
     def test_one_primality_test_per_place(self, monkeypatch):
         calls = []
@@ -332,14 +329,12 @@ def test_place_validation():
     with pytest.raises(ValueError):
         Place.finite(5, 0, 1)
     with pytest.raises(ValueError):
-        Place(PlaceKind.REAL, p=3)
+        Place(e=1)
     with pytest.raises(ValueError):
         Place.real().q
 
 
 def test_numberfield_validation():
-    with pytest.raises(ValueError):
-        NumberField(FieldKind.RATIONALS, d=5)
     with pytest.raises(NotTotallyReal):
         NumberField.real_quadratic(-3)
     with pytest.raises(NotSquarefree):

@@ -1,3 +1,6 @@
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -54,7 +57,7 @@ class TestCandidates:
     def test_rationals(self):
         report = pdx_candidates(parse_field("Q"))
         assert report.cyclic_orders == (1, 2, 3, 4, 6)
-        assert report.exceptional == ("A4",)
+        assert report.exceptional == ("A4", "S4")
         assert report.bound == 60
 
     def test_sqrt5(self):
@@ -71,7 +74,7 @@ class TestCandidates:
     def test_sqrt3(self):
         report = pdx_candidates(parse_field("Q(sqrt 3)"))
         assert 12 in report.cyclic_orders
-        assert report.exceptional == ("A4",)
+        assert report.exceptional == ("A4", "S4")
 
     def test_dihedral_orders_double_cyclic(self):
         for spec in ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 7)"):
@@ -91,3 +94,45 @@ class TestCandidates:
             assert all(m <= report.bound for m in report.cyclic_orders)
             assert all(m <= report.bound for m in report.dihedral_orders)
             assert report.bound >= 60  # A5 has order 60
+
+
+def _quaternion_product(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def _class_mod_rationals(x):
+    """The representative of x Q*: coprime integer coordinates, first nonzero one positive."""
+    g = math.gcd(*x) * (1 if next(c for c in x if c) > 0 else -1)
+    return tuple(c // g for c in x)
+
+
+def test_hurwitz_units_and_norm_two_elements_give_s4():
+    # Over Q, PD* for the definite algebra ramified at {2, oo} contains S4,
+    # found by brute force without reading pdx_candidates.  Coordinates are
+    # doubled, so the Hurwitz order is the integer 4-tuples of one parity
+    # and the norm is the sum of squares over 4.
+    hurwitz = [x for x in itertools.product(range(-2, 3), repeat=4) if len({c % 2 for c in x}) == 1]
+    units = [x for x in hurwitz if sum(c * c for c in x) == 4]
+    norm_two = [x for x in hurwitz if sum(c * c for c in x) == 8]
+    assert len(units) == len(norm_two) == 24
+    classes = {_class_mod_rationals(x) for x in units + norm_two}
+    assert len(classes) == 24
+    for x, y in itertools.product(classes, repeat=2):
+        assert _class_mod_rationals(_quaternion_product(x, y)) in classes
+
+    def order(x):
+        power, m = x, 1
+        while any(power[1:]):
+            power, m = _class_mod_rationals(_quaternion_product(power, x)), m + 1
+        return m
+
+    # S4: the identity, 6 transpositions and 3 double transpositions,
+    # 8 three-cycles, 6 four-cycles
+    assert Counter(order(x) for x in classes) == {1: 1, 2: 9, 3: 8, 4: 6}

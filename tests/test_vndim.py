@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from sarithdim import covolume, vndim
 from sarithdim.cli import grid_points
+from sarithdim.covolume import pgl2_covolume, sl2_covolume
 from sarithdim.errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality
-from sarithdim.formal_degree import LocalRepDatum
+from sarithdim.formal_degree import LocalRepDatum, steinberg_global_degree
 from sarithdim.numberfield import build_S, parse_field
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
 from sarithdim.zeta import zeta_F_minus1
 from sarithdim.vndim import (
-    GroupVariant,
     atiyah_schmid_dim,
     check_identities,
     jl_ratio_pgl,
@@ -33,6 +33,33 @@ def two_adic_valuation(x: Fraction) -> int:
         den //= 2
         v -= 1
     return v
+
+
+def _module_vn_dim_sl(F, S):
+    local = [LocalRepDatum.archimedean(v, 2) if v.is_real else LocalRepDatum.finite(v, 1) for v in S.places]
+    return module_vn_dim(F, S, "sl", local)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        sl2_covolume,
+        pgl2_covolume,
+        steinberg_global_degree,
+        pytest.param(lambda F, S: steinberg_vn_dim(F, S, "sl"), id="steinberg_vn_dim"),
+        pytest.param(_module_vn_dim_sl, id="module_vn_dim"),
+        jl_ratio_sl,
+        jl_ratio_pgl,
+        zeta_D_leading_ratio_at_zero,
+        check_identities,
+    ],
+    ids=lambda call: call.__name__,
+)
+def test_s_set_of_another_field_rejected(call):
+    F = parse_field("Q(sqrt 5)")
+    S = build_S(parse_field("Q"), [2])  # |S| = 2 is even, so no parity error comes first
+    with pytest.raises(ValueError, match="not of Q\\(sqrt 5\\)"):
+        call(F, S)
 
 
 class TestAtiyahSchmid:
@@ -63,7 +90,7 @@ class TestFiniteGroup:
 
 class TestSteinbergDim:
     def test_pgl_modular(self):
-        dim = steinberg_vn_dim(parse_field("Q"), build_S(parse_field("Q"), []), GroupVariant.PGL)
+        dim = steinberg_vn_dim(parse_field("Q"), build_S(parse_field("Q"), []), "pgl")
         assert dim.value == Fraction(1, 12)
 
     def test_psl_modular(self):
@@ -77,16 +104,17 @@ class TestSteinbergDim:
 
     def test_group_coercion_rejects_junk(self):
         F = parse_field("Q")
-        with pytest.raises(ValueError):
-            steinberg_vn_dim(F, build_S(F, []), "gl")
+        for group in ("gl", "PGL"):
+            with pytest.raises(ValueError):
+                steinberg_vn_dim(F, build_S(F, []), group)
 
     def test_two_routes_agree_on_grid(self):
         # steinberg_vn_dim computes closed form and covolume * degree and
         # raises InternalInconsistency on any mismatch
         for F, S in grid_points():
-            pgl = steinberg_vn_dim(F, S, GroupVariant.PGL)
-            psl = steinberg_vn_dim(F, S, GroupVariant.PSL)
-            sl = steinberg_vn_dim(F, S, GroupVariant.SL)
+            pgl = steinberg_vn_dim(F, S, "pgl")
+            psl = steinberg_vn_dim(F, S, "psl")
+            sl = steinberg_vn_dim(F, S, "sl")
             assert psl.value == 2**S.size * pgl.value
             assert sl.value == psl.value / 2
             assert pgl.value > 0
@@ -95,7 +123,7 @@ class TestSteinbergDim:
         # v_2(dim) >= -1 - |S|: the closed form contributes 1 - |S| and the
         # zeta value at worst -2 since its denominator divides 60
         for F, S in grid_points():
-            dim = steinberg_vn_dim(F, S, GroupVariant.PGL)
+            dim = steinberg_vn_dim(F, S, "pgl")
             assert two_adic_valuation(dim.value) >= -1 - S.size, (F, S)
 
 
