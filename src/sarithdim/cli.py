@@ -185,7 +185,7 @@ def _cmd_jl_ratio(ns):
     F = parse_field(ns.field)
     S = _build_S(F, ns.s_primes)
     if ns.group == "pgl":
-        value = jl_ratio_pgl(F, S, ns.pd_order)
+        value = jl_ratio_pgl(F, S, ns.pd_order or 1)
         diagnostics = []
         if ns.pd_order is None:
             diagnostics.append(_diag("pd_order", "info", "coefficient only: multiply by |PD*(O_S)|"))
@@ -270,10 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, s_primes=True, field_required=True):
-        if field_required:
-            p.add_argument("--field", required=True, help="field spec: 'Q' or 'Q(sqrt <d>)'")
-        else:
-            p.add_argument("--field", default=None, help="field spec: 'Q' or 'Q(sqrt <d>)'")
+        p.add_argument("--field", required=field_required, help="field spec: 'Q' or 'Q(sqrt <d>)'")
         if s_primes:
             p.add_argument(
                 "--s-primes",

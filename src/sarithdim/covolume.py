@@ -69,6 +69,6 @@ def pgl2_covolume(F: NumberField, S: SSet) -> Covolume:
     return Covolume(inv.zeta * Fraction(2 ** (inv.delta_2 + 1) * inv.prod_q_plus_1, 2 ** (2 * inv.n)))
 
 
-def pgl_psl_index(F: NumberField, S: SSet) -> int:
+def pgl_psl_index(S: SSet) -> int:
     """Index of PSL(2, O_S) in PGL(2, O_S): the square-class count 2^|S|."""
     return 2**S.size

@@ -8,7 +8,10 @@ part determines the ring of S-integers.
 
 Each fact is stored once: a field is Q exactly when its radicand d is None,
 a place is real exactly when its prime p is None, and the real places of an
-S-set are the field's degree many.
+S-set are the field's degree many.  Build fields and S-sets with
+:func:`parse_field` and :func:`build_S`, or with the dataclasses themselves
+(``NumberField(d)``, ``Place(p, e, f, index)``); an :class:`SSet` rejects a
+finite place that is not a place of its field.
 """
 
 import bisect
@@ -123,14 +126,6 @@ class NumberField:
         if not is_squarefree(self.d):
             raise NotSquarefree(f"{self.d} is not squarefree")
 
-    @classmethod
-    def rationals(cls) -> "NumberField":
-        return cls()
-
-    @classmethod
-    def real_quadratic(cls, d: int) -> "NumberField":
-        return cls(d)
-
     @property
     def degree(self) -> int:
         return 1 if self.d is None else 2
@@ -171,14 +166,6 @@ class Place:
         if self.e < 1 or self.f < 1:
             raise ValueError("e and f must be >= 1")
 
-    @classmethod
-    def real(cls, index: int = 0) -> "Place":
-        return cls(index=index)
-
-    @classmethod
-    def finite(cls, p: int, e: int, f: int, index: int = 0) -> "Place":
-        return cls(p, e, f, index)
-
     @property
     def is_real(self) -> bool:
         return self.p is None
@@ -198,7 +185,8 @@ class Place:
 
 @dataclass(frozen=True)
 class SSet:
-    """A finite set of places containing every real place of the field."""
+    """A finite set of places of the field containing every real place: each
+    finite place has the (e, f) of its prime and an index below its g."""
 
     field: NumberField
     finite_places: tuple[Place, ...] = ()
@@ -207,16 +195,15 @@ class SSet:
         for v in self.finite_places:
             if v.is_real:
                 raise ValueError("finite_places must all be finite")
+            e, f, g = _splitting(self.field, v.p)
+            if (v.e, v.f) != (e, f) or not 0 <= v.index < g:
+                raise ValueError(f"{v} is not a place of {self.field}")
         if len(set(self.finite_places)) != len(self.finite_places):
             raise DuplicatePlace("repeated place in S")
 
     @property
-    def real_places(self) -> tuple[Place, ...]:
-        return tuple(Place.real(i) for i in range(self.field.degree))
-
-    @property
     def places(self) -> tuple[Place, ...]:
-        return self.real_places + self.finite_places
+        return tuple(Place(index=i) for i in range(self.field.degree)) + self.finite_places
 
     @property
     def size(self) -> int:
@@ -231,7 +218,7 @@ def parse_field(spec: str) -> NumberField:
     """Parse a field spec: ``Q``, or ``Q(sqrt <d>)`` with d squarefree and > 1."""
     text = spec.strip()
     if text == "Q":
-        return NumberField.rationals()
+        return NumberField()
     m = _QUADRATIC_RE.fullmatch(text)
     if m is None:
         raise MalformedSpec(f"cannot parse field spec {spec!r}: expected 'Q' or 'Q(sqrt <d>)'")
@@ -241,7 +228,7 @@ def parse_field(spec: str) -> NumberField:
         if sign:
             raise NotTotallyReal(f"Q(sqrt -{digits}) is not a totally real quadratic field")
         raise UnsupportedField(f"radicand {digits} exceeds the supported maximum {MAX_RADICAND}")
-    return NumberField.real_quadratic(int(sign + digits))
+    return NumberField(int(sign + digits))
 
 
 def kronecker_symbol(D: int, m: int) -> int:
@@ -277,6 +264,17 @@ def kronecker_symbol(D: int, m: int) -> int:
     return result if n == 1 else 0
 
 
+def _splitting(F: NumberField, p: int) -> tuple[int, int, int]:
+    """(e, f, g) of the prime p in F: ramification index, inertia degree and
+    number of places over p, from the sign of (D/p); e * f * g = degree(F)."""
+    if F.d is None:
+        return 1, 1, 1
+    sym = kronecker_symbol(F.discriminant, p)
+    if sym == 0:
+        return 2, 1, 1
+    return (1, 1, 2) if sym == 1 else (1, 2, 1)
+
+
 def decompose_prime(F: NumberField, p: int) -> list[Place]:
     """The places of F above the rational prime p.
 
@@ -287,14 +285,8 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
     """
     if p > MAX_PRIME:
         raise UnsupportedPrime(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
-    if F.d is None:
-        return [Place.finite(p, 1, 1)]
-    sym = kronecker_symbol(F.discriminant, p)
-    if sym == 0:
-        return [Place.finite(p, 2, 1)]
-    if sym == 1:
-        return [Place.finite(p, 1, 1, index=0), Place.finite(p, 1, 1, index=1)]
-    return [Place.finite(p, 1, 2)]
+    e, f, g = _splitting(F, p)
+    return [Place(p, e, f, i) for i in range(g)]
 
 
 def build_S(F: NumberField, finite_primes) -> SSet:

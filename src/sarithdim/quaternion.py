@@ -30,8 +30,8 @@ class CandidateReport:
     bound: int
 
 
-def validate_ramification(F: NumberField, S: SSet) -> bool:
-    """Whether a quaternion algebra over F ramified exactly at S exists (with
+def validate_ramification(S: SSet) -> bool:
+    """Whether a quaternion algebra over S.field ramified exactly at S exists (with
     every real place ramified, which SSet guarantees structurally): iff |S|
     is even.  The single home of the even-|S| rule."""
     return S.size % 2 == 0
@@ -48,7 +48,7 @@ def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
     """
     if S.field != F:
         raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")
-    if not validate_ramification(F, S):
+    if not validate_ramification(S):
         raise OddCardinality(f"|S| = {S.size} is odd; no quaternion algebra ramifies exactly at S")
     ratio = zeta_F_minus1(F).value
     for v in S.finite_places:

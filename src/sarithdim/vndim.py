@@ -44,8 +44,6 @@ class VnDimension:
 def atiyah_schmid_dim(covolume, formal_degree) -> Fraction:
     """Dimension of a square-integrable module over the lattice's algebra:
     covolume times formal degree."""
-    covolume = Fraction(covolume)
-    formal_degree = Fraction(formal_degree)
     if covolume <= 0:
         raise ValueError("covolume must be positive")
     if formal_degree < 0:
@@ -72,14 +70,14 @@ def _pgl_two_routes(F: NumberField, S: SSet) -> tuple[Fraction, Fraction]:
     return closed, atiyah_schmid_dim(pgl2_covolume(F, S).value, steinberg_global_degree(F, S))
 
 
-def _index_transfer(F: NumberField, S: SSet, pgl: Fraction, group: str) -> Fraction:
+def _index_transfer(S: SSet, pgl: Fraction, group: str) -> Fraction:
     """The dimension over ``group`` of a module whose PGL dimension is ``pgl``:
     times the index of PSL in PGL, then halved for SL."""
     if group == "pgl":
         return pgl
     if group not in ("psl", "sl"):
         raise ValueError(f"group must be 'pgl', 'psl' or 'sl', got {group!r}")
-    psl = pgl_psl_index(F, S) * pgl
+    psl = pgl_psl_index(S) * pgl
     return psl if group == "psl" else psl / 2
 
 
@@ -95,7 +93,7 @@ def steinberg_vn_dim(F: NumberField, S: SSet, group: str) -> VnDimension:
         raise InternalInconsistency(
             f"Steinberg dimension routes disagree on {S}: closed form {closed}, covolume route {via_covolume}"
         )
-    return VnDimension(_index_transfer(F, S, closed, group))
+    return VnDimension(_index_transfer(S, closed, group))
 
 
 def module_vn_dim(F: NumberField, S: SSet, group: str, local: list[LocalRepDatum]) -> VnDimension:
@@ -120,25 +118,24 @@ def module_vn_dim(F: NumberField, S: SSet, group: str, local: list[LocalRepDatum
 def jl_ratio_sl(F: NumberField, S: SSet) -> Fraction:
     """The SL-side dimension ratio |zeta_D(0)/zeta_F(0)| for the quaternion
     algebra ramified exactly at S: z * Q-."""
-    if not validate_ramification(F, S):
+    if not validate_ramification(S):
         raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
     inv = invariants(F, S)
     return inv.zeta * inv.prod_q_minus_1
 
 
-def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int | None = None) -> Fraction:
-    """The PGL-side dimension ratio 2 z N Q- / 2^|S|, where N is the order
-    of the finite S-unit group on the quaternion side.
+def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
+    """The PGL-side dimension ratio 2 z N Q- / 2^|S|, where N = ``pd_order``
+    is the order of the finite S-unit group on the quaternion side.
 
-    With ``pd_order`` omitted the coefficient (N = 1) is returned; callers
-    multiply by the group order once they know it.
+    The default N = 1 gives the coefficient; callers multiply by the group
+    order once they know it.
     """
-    if not validate_ramification(F, S):
+    if not validate_ramification(S):
         raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
-    if pd_order is not None and pd_order < 1:
+    if pd_order < 1:
         raise ValueError("pd_order must be >= 1")
-    n_factor = pd_order if pd_order is not None else 1
-    return n_factor * _pgl_monomial(invariants(F, S))
+    return pd_order * _pgl_monomial(invariants(F, S))
 
 
 @dataclass(frozen=True)
@@ -173,12 +170,12 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
     closed, via_cov = _pgl_two_routes(F, S)
     checks.append(_compare("pgl_two_routes", via_cov, closed, "covolume*degree vs closed form"))
 
-    psl = _index_transfer(F, S, closed, "psl")
-    sl = _index_transfer(F, S, closed, "sl")
+    psl = _index_transfer(S, closed, "psl")
+    sl = _index_transfer(S, closed, "sl")
     checks.append(_compare("psl_transfer", psl, 2**S.size * closed, "PSL vs 2^|S| * PGL"))
     checks.append(_compare("sl_transfer", sl, psl / 2, "SL vs PSL/2"))
 
-    if validate_ramification(F, S):
+    if validate_ramification(S):
         ratio_sl = jl_ratio_sl(F, S)
         checks.append(
             _compare(

@@ -235,24 +235,15 @@ class FunctionalEquationReport:
 
 
 def functional_equation_check(
-    F: NumberField,
-    tol: float,
-    zeta_minus1: Fraction | None = None,
-    precision_bits: int | None = None,
+    F: NumberField, tol: float, precision_bits: int | None = None
 ) -> FunctionalEquationReport:
     """Check zeta_F(2) numerically against the image of zeta_F(-1) under the
-    functional equation, to absolute tolerance tol.
-
-    ``zeta_minus1`` overrides the computed exact value; feeding a wrong
-    value makes the check fail, which is how its tests prove it has teeth.
-    """
-    if zeta_minus1 is None:
-        zeta_minus1 = zeta_F_minus1(F).value
+    functional equation, to absolute tolerance tol."""
     n = F.degree
     bits = _working_prec_bits(tol, precision_bits)
     ctx = _context(bits)
     numeric_side = zeta_F_2_numeric(F, tol, precision_bits=bits)
-    z = abs(zeta_minus1)
+    z = abs(zeta_F_minus1(F).value)
     rational_side = (
         (2 * ctx.pi) ** (2 * n)
         / 2**n

@@ -33,7 +33,7 @@ def fundamental_discriminant_fields(limit):
     for d in range(2, limit + 1):
         if any(d % (k * k) == 0 for k in range(2, int(d**0.5) + 1)):
             continue
-        F = NumberField.real_quadratic(d)
+        F = NumberField(d)
         if F.discriminant <= limit:
             fields.append(F)
     return sorted(fields, key=lambda F: F.discriminant)
@@ -84,7 +84,7 @@ def test_criterion_3_zeta_cross_validation():
         assert Fraction(round(60 * oracle), 60) == siegel, F
     anchors = {5: Fraction(1, 30), 2: Fraction(1, 12)}
     for d, expected in anchors.items():
-        assert zeta_F_minus1(NumberField.real_quadratic(d)).value == expected
+        assert zeta_F_minus1(NumberField(d)).value == expected
     report(f"3 zeta cross-validation on {len(fields)} discriminants", started)
 
 

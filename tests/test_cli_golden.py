@@ -1,0 +1,65 @@
+"""Golden digests of the default CLI output.
+
+About 640 requests go through ``cli.run``: ``check --grid``; at each of the
+210 grid points ``check``, ``covolume --group pgl`` and ``jl-ratio --group
+pgl``; and ``zeta`` and ``candidates`` for each grid field.  Each subcommand
+gets one sha256 over the (argv, exit code, stdout, stderr) of its requests,
+in order, compared with the digest committed below.  This pins the rule that
+the default output does not change by one byte.
+
+A change that means to alter the output regenerates these digests
+(``PYTHONPATH=src python tests/test_cli_golden.py`` prints them) and says
+so in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+
+from sarithdim import cli
+
+GOLDEN = {
+    "check --grid": "ea833e770f3ea17b25285570eaf4ed8759b807edfda17022bfb1f0f670b0e3d0",
+    "check": "07876a65f921ff36619e3105683c00b9acc8b49eb523d9f90db477b0b0b1f460",
+    "covolume": "f914d0076228d03eb536d1fd2d743e79efb7988c2274748e1a0251666da1ed18",
+    "jl-ratio": "5791cd250294e5f30160a91fb55a0b79ca664514e40b9c3cb8893cede58a2af7",
+    "zeta": "6170b6d2ede69b63d80dff14d2963ec06d85e147a441336f24c91f26bb66f54d",
+    "candidates": "7d96bfc968f84b9dd86d11fe666ddb74a2f29935f311fd75ca9f56320f583947",
+}
+
+
+def _requests():
+    yield "check --grid", ["check", "--grid"]
+    points = [
+        (spec, ",".join(map(str, subset)))
+        for spec in cli.GRID_FIELD_SPECS
+        for k in range(cli.GRID_MAX_FINITE + 1)
+        for subset in itertools.combinations(cli.GRID_PRIMES, k)
+    ]
+    for spec, primes in points:
+        yield "check", ["check", "--field", spec, "--s-primes", primes]
+        yield "covolume", ["covolume", "--field", spec, "--s-primes", primes, "--group", "pgl"]
+        yield "jl-ratio", ["jl-ratio", "--field", spec, "--s-primes", primes, "--group", "pgl"]
+    for spec in cli.GRID_FIELD_SPECS:
+        yield "zeta", ["zeta", "--field", spec]
+        yield "candidates", ["candidates", "--field", spec]
+
+
+def digests() -> dict[str, str]:
+    hashes = {name: hashlib.sha256() for name in GOLDEN}
+    for name, argv in _requests():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        hashes[name].update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def test_default_output_matches_golden_digests():
+    assert digests() == GOLDEN
+
+
+if __name__ == "__main__":
+    for name, digest in digests().items():
+        print(f"    {name!r}: {digest!r},")

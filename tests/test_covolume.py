@@ -39,15 +39,15 @@ class TestPGL2:
 class TestIndex:
     def test_modular(self):
         F = parse_field("Q")
-        assert pgl_psl_index(F, build_S(F, [])) == 2
+        assert pgl_psl_index(build_S(F, [])) == 2
 
     def test_with_finite_place(self):
         F = parse_field("Q")
-        assert pgl_psl_index(F, build_S(F, [2])) == 4
+        assert pgl_psl_index(build_S(F, [2])) == 4
 
     def test_quadratic(self):
         F = parse_field("Q(sqrt 5)")
-        assert pgl_psl_index(F, build_S(F, [])) == 4
+        assert pgl_psl_index(build_S(F, [])) == 4
 
 
 def test_finite_part_multiplicative():

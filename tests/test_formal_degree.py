@@ -17,14 +17,14 @@ PRIMES_TO_100 = [p for p in range(2, 101) if all(p % k for k in range(2, p))]
 
 class TestLocalDegree:
     def test_real(self):
-        assert steinberg_local_degree(Place.real()) == 2
+        assert steinberg_local_degree(Place()) == 2
 
     def test_odd_prime(self):
-        assert steinberg_local_degree(Place.finite(3, 1, 1)) == Fraction(1, 4)
+        assert steinberg_local_degree(Place(3, 1, 1)) == Fraction(1, 4)
 
     def test_over_two(self):
         # the aggregate formula forces the extra 2^(-e f) here
-        assert steinberg_local_degree(Place.finite(2, 1, 1)) == Fraction(1, 12)
+        assert steinberg_local_degree(Place(2, 1, 1)) == Fraction(1, 12)
 
     def test_positive_and_small_at_finite_places(self):
         for F in GRID_FIELDS:
@@ -56,32 +56,32 @@ class TestGlobalDegree:
 
 class TestDegreeRatio:
     def test_weight_two_is_steinberg(self):
-        assert jl_degree_ratio(LocalRepDatum.archimedean(Place.real(), 2)) == 1
+        assert jl_degree_ratio(LocalRepDatum.archimedean(Place(), 2)) == 1
 
     def test_weight_four(self):
-        assert jl_degree_ratio(LocalRepDatum.archimedean(Place.real(), 4)) == 3
+        assert jl_degree_ratio(LocalRepDatum.archimedean(Place(), 4)) == 3
 
     def test_finite_passthrough(self):
-        assert jl_degree_ratio(LocalRepDatum.finite(Place.finite(2, 1, 1), 2)) == 2
+        assert jl_degree_ratio(LocalRepDatum.finite(Place(2, 1, 1), 2)) == 2
 
     def test_strictly_increasing_in_weight(self):
-        ratios = [jl_degree_ratio(LocalRepDatum.archimedean(Place.real(), n)) for n in range(2, 12)]
+        ratios = [jl_degree_ratio(LocalRepDatum.archimedean(Place(), n)) for n in range(2, 12)]
         assert ratios == sorted(set(ratios))
 
 
 class TestDatumValidation:
     def test_weight_on_finite_place(self):
         with pytest.raises(ValueError):
-            LocalRepDatum.archimedean(Place.finite(2, 1, 1), 2)
+            LocalRepDatum.archimedean(Place(2, 1, 1), 2)
 
     def test_dim_on_real_place(self):
         with pytest.raises(ValueError):
-            LocalRepDatum.finite(Place.real(), 1)
+            LocalRepDatum.finite(Place(), 1)
 
     def test_weight_must_be_at_least_two(self):
         with pytest.raises(ValueError):
-            LocalRepDatum.archimedean(Place.real(), 1)
+            LocalRepDatum.archimedean(Place(), 1)
 
     def test_dim_must_be_positive(self):
         with pytest.raises(ValueError):
-            LocalRepDatum.finite(Place.finite(3, 1, 1), 0)
+            LocalRepDatum.finite(Place(3, 1, 1), 0)

@@ -18,6 +18,7 @@ from sarithdim.numberfield import (
     MAX_RADICAND,
     NumberField,
     Place,
+    SSet,
     build_S,
     decompose_prime,
     delta_2,
@@ -165,7 +166,7 @@ class TestPrimality:
             with pytest.raises(UnsupportedPrime):
                 build_S(parse_field("Q"), [p])
             with pytest.raises(ValueError):
-                Place.finite(p, 1, 1)
+                Place(p, 1, 1)
 
 
 class TestKronecker:
@@ -325,17 +326,38 @@ def test_build_S_order_invariant(primes):
 
 def test_place_validation():
     with pytest.raises(ValueError):
-        Place.finite(4, 1, 1)
+        Place(4, 1, 1)
     with pytest.raises(ValueError):
-        Place.finite(5, 0, 1)
+        Place(5, 0, 1)
     with pytest.raises(ValueError):
         Place(e=1)
     with pytest.raises(ValueError):
-        Place.real().q
+        Place().q
+
+
+@pytest.mark.parametrize(
+    "field, places",
+    [
+        ("Q(sqrt 5)", (Place(3, 1, 1),)),  # 3 is inert in Q(sqrt 5): f = 2
+        ("Q", (Place(2, 1, 2),)),  # every prime of Q has f = 1
+        ("Q", (Place(2, 1, 1, 1),)),  # one place over each prime of Q
+        ("Q", (Place(2, 1, 1, 0), Place(2, 1, 1, 1))),
+    ],
+)
+def test_s_set_rejects_a_place_not_of_its_field(field, places):
+    with pytest.raises(ValueError):
+        SSet(parse_field(field), places)
+
+
+def test_s_set_accepts_every_decomposed_place():
+    for F in TEST_FIELDS:
+        for p in PRIMES_TO_100:
+            places = tuple(decompose_prime(F, p))
+            assert SSet(F, places).finite_places == places, (F, p)
 
 
 def test_numberfield_validation():
     with pytest.raises(NotTotallyReal):
-        NumberField.real_quadratic(-3)
+        NumberField(-3)
     with pytest.raises(NotSquarefree):
-        NumberField.real_quadratic(50)
+        NumberField(50)

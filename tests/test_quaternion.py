@@ -18,15 +18,15 @@ from sarithdim.quaternion import (
 class TestValidate:
     def test_even(self):
         F = parse_field("Q")
-        assert validate_ramification(F, build_S(F, [2])) is True
+        assert validate_ramification(build_S(F, [2])) is True
 
     def test_odd(self):
         F = parse_field("Q")
-        assert validate_ramification(F, build_S(F, [])) is False
+        assert validate_ramification(build_S(F, [])) is False
 
     def test_quadratic_archimedean(self):
         F = parse_field("Q(sqrt 5)")
-        assert validate_ramification(F, build_S(F, [])) is True
+        assert validate_ramification(build_S(F, [])) is True
 
 
 class TestZetaRatio:

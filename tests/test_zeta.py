@@ -6,9 +6,11 @@ import mpmath
 import pytest
 from mpmath import libmp
 
+from sarithdim import zeta
 from sarithdim.errors import ToleranceTooTight
 from sarithdim.numberfield import NumberField, parse_field
 from sarithdim.zeta import (
+    SpecialValue,
     functional_equation_check,
     quadratic_character_table,
     sum_of_divisors,
@@ -24,7 +26,7 @@ def real_quadratic_fields_with_disc_up_to(limit):
     for d in range(2, limit + 1):
         if any(d % (k * k) == 0 for k in range(2, int(d**0.5) + 1)):
             continue
-        F = NumberField.real_quadratic(d)
+        F = NumberField(d)
         if F.discriminant <= limit:
             fields.append(F)
     return sorted(fields, key=lambda F: F.discriminant)
@@ -268,16 +270,19 @@ class TestFunctionalEquation:
         assert report.ok
         assert abs(report.numeric_side - 1.1615) < 1e-3
 
-    def test_detects_corruption(self):
-        report = functional_equation_check(parse_field("Q"), 1e-8, zeta_minus1=Fraction(-1, 10))
+    def test_detects_corruption(self, monkeypatch):
+        monkeypatch.setattr(zeta, "zeta_F_minus1", lambda F: SpecialValue(Fraction(-1, 10)))
+        report = functional_equation_check(parse_field("Q"), 1e-8)
         assert not report.ok
 
-    def test_all_fundamental_discs(self):
-        # zeta_F(-1) lies in (1/60)Z, so a value off by 1/60 is the nearest wrong one
-        for F in real_quadratic_fields_with_disc_up_to(500) + [parse_field("Q(sqrt 10007)")]:
-            exact = zeta_F_minus1(F).value
+    def test_all_fundamental_discs(self, monkeypatch):
+        fields = real_quadratic_fields_with_disc_up_to(500) + [parse_field("Q(sqrt 10007)")]
+        for F in fields:
             assert functional_equation_check(F, 1e-8).ok, F
-            assert not functional_equation_check(F, 1e-8, zeta_minus1=exact + Fraction(1, 60)).ok, F
+        # zeta_F(-1) lies in (1/60)Z, so a value off by 1/60 is the nearest wrong one
+        monkeypatch.setattr(zeta, "zeta_F_minus1", lambda F: SpecialValue(zeta_F_minus1(F).value + Fraction(1, 60)))
+        for F in fields:
+            assert not functional_equation_check(F, 1e-8).ok, F
 
     def test_large_discriminant_within_two_seconds(self):
         F = parse_field("Q(sqrt 100003)")  # D = 400012
