@@ -12,17 +12,28 @@ places of S) the covolumes are the monomials
     SL(2, O_S):   z * Q+ / 2^n
     PGL(2, O_S):  2^(delta_2 + 1) * z * Q+ / 2^(2n)
 
-both exact rationals.  S must be an S-set of F: :func:`invariants`, the
-entry point of F's data into every closed form, raises ValueError
-otherwise.  A :class:`Covolume` carries the value only, not (F, S).
+both exact rationals, each formed as one Fraction of integer products.
+S must be an S-set of F: :func:`invariants`, the entry point of F's data
+into every closed form, raises ValueError otherwise.  The record is
+memoized per (F, S), as ``zeta_F_minus1`` is per field, because one
+computation at a point asks for it many times; no route's output is
+cached, so every cross-check recomputes its value on every call.  A
+:class:`Covolume` carries the value only, not (F, S).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .numberfield import NumberField, SSet, delta_2
 from .zeta import zeta_F_minus1
+
+#: (F, S) points whose :class:`Invariants` record is memoized.  The routes at
+#: one point ask for the same record about 18 times in a row, so a small
+#: bound keeps every repeat and long runs over many points at constant
+#: memory.
+INVARIANTS_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -37,9 +48,10 @@ class Invariants:
     prod_q_plus_1: int  # prod (q_v + 1) over the finite places of S
 
 
+@functools.lru_cache(maxsize=INVARIANTS_MEMO_SIZE)
 def invariants(F: NumberField, S: SSet) -> Invariants:
-    """The :class:`Invariants` record of (F, S); ValueError unless S is an
-    S-set of F."""
+    """The :class:`Invariants` record of (F, S), memoized per point;
+    ValueError unless S is an S-set of F."""
     if S.field != F:
         raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")
     return Invariants(
@@ -60,13 +72,17 @@ class Covolume:
 def sl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of SL(2, O_S), exactly."""
     inv = invariants(F, S)
-    return Covolume(inv.zeta * Fraction(inv.prod_q_plus_1, 2**inv.n))
+    z = inv.zeta
+    return Covolume(Fraction(z.numerator * inv.prod_q_plus_1, z.denominator * 2**inv.n))
 
 
 def pgl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of PGL(2, O_S), exactly."""
     inv = invariants(F, S)
-    return Covolume(inv.zeta * Fraction(2 ** (inv.delta_2 + 1) * inv.prod_q_plus_1, 2 ** (2 * inv.n)))
+    z = inv.zeta
+    return Covolume(
+        Fraction(z.numerator * 2 ** (inv.delta_2 + 1) * inv.prod_q_plus_1, z.denominator * 2 ** (2 * inv.n))
+    )
 
 
 def pgl_psl_index(S: SSet) -> int:

@@ -14,7 +14,6 @@ never reads the invariants, and by this closed form, and is returned only
 when the two agree exactly.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,19 +61,23 @@ def steinberg_local_degree(v: Place) -> Fraction:
     if v.is_real:
         return Fraction(2)
     q = v.q
-    degree = Fraction(q - 1, 2 * (q + 1))
-    if v.p == 2:
-        degree /= 2 ** (v.e * v.f)
-    return degree
+    two_part = 2 ** (v.e * v.f) if v.p == 2 else 1
+    return Fraction(q - 1, 2 * (q + 1) * two_part)
 
 
 def steinberg_global_degree(F: NumberField, S: SSet) -> Fraction:
     """Formal degree of the Steinberg factor over all places of S.
 
-    Computed as the product of local degrees, verified against the closed
-    form; any disagreement is a bug, not recoverable input error.
+    Computed as the product of local degrees, their numerators and
+    denominators multiplied as integers and reduced once, verified against
+    the closed form; any disagreement is a bug, not recoverable input error.
     """
-    product = math.prod((steinberg_local_degree(v) for v in S.places), start=Fraction(1))
+    num = den = 1
+    for v in S.places:
+        local = steinberg_local_degree(v)
+        num *= local.numerator
+        den *= local.denominator
+    product = Fraction(num, den)
     inv = invariants(F, S)
     closed = Fraction(
         2**inv.n * inv.prod_q_minus_1,

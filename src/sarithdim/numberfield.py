@@ -15,6 +15,7 @@ finite place that is not a place of its field.
 """
 
 import bisect
+import functools
 import re
 from dataclasses import dataclass
 
@@ -63,6 +64,11 @@ _PSI = (
     318665857834031151167461,
     3317044064679887385961981,
 )
+
+#: (field, prime) pairs whose splitting type is memoized.  Building an
+#: S-set asks for each prime's splitting twice, once to make its places and
+#: once to check them; a small bound keeps both answers of one build.
+SPLITTING_MEMO_SIZE = 32
 
 _QUADRATIC_RE = re.compile(r"Q\(sqrt (-?)(\d+)\)")
 
@@ -264,9 +270,11 @@ def kronecker_symbol(D: int, m: int) -> int:
     return result if n == 1 else 0
 
 
+@functools.lru_cache(maxsize=SPLITTING_MEMO_SIZE)
 def _splitting(F: NumberField, p: int) -> tuple[int, int, int]:
     """(e, f, g) of the prime p in F: ramification index, inertia degree and
-    number of places over p, from the sign of (D/p); e * f * g = degree(F)."""
+    number of places over p, from the sign of (D/p); e * f * g = degree(F).
+    Memoized per (F, p)."""
     if F.d is None:
         return 1, 1, 1
     sym = kronecker_symbol(F.discriminant, p)

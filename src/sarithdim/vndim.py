@@ -43,12 +43,13 @@ class VnDimension:
 
 def atiyah_schmid_dim(covolume, formal_degree) -> Fraction:
     """Dimension of a square-integrable module over the lattice's algebra:
-    covolume times formal degree."""
+    covolume times formal degree, a Fraction whatever the argument types."""
     if covolume <= 0:
         raise ValueError("covolume must be positive")
     if formal_degree < 0:
         raise ValueError("formal degree must be >= 0")
-    return covolume * formal_degree
+    product = covolume * formal_degree
+    return product if isinstance(product, Fraction) else Fraction(product)
 
 
 def vn_dim_finite_group(dim_C: int, group_order: int) -> Fraction:
@@ -60,7 +61,8 @@ def vn_dim_finite_group(dim_C: int, group_order: int) -> Fraction:
 
 def _pgl_monomial(inv: Invariants) -> Fraction:
     """2 z Q- / 2^|S|, the PGL closed form at N = 1, defined for every |S|."""
-    return 2 * inv.zeta * Fraction(inv.prod_q_minus_1, 2**inv.size)
+    z = inv.zeta
+    return Fraction(2 * z.numerator * inv.prod_q_minus_1, z.denominator * 2**inv.size)
 
 
 def _pgl_two_routes(F: NumberField, S: SSet) -> tuple[Fraction, Fraction]:

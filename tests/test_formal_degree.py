@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from sarithdim.formal_degree import (
     steinberg_global_degree,
     steinberg_local_degree,
 )
-from sarithdim.numberfield import Place, build_S, decompose_prime, parse_field
+from sarithdim.numberfield import MAX_PRIME, Place, build_S, decompose_prime, is_prime, parse_field
 
 GRID_FIELDS = [parse_field(s) for s in GRID_FIELD_SPECS]
 PRIMES_TO_100 = [p for p in range(2, 101) if all(p % k for k in range(2, p))]
@@ -52,6 +53,37 @@ class TestGlobalDegree:
         # routes ever disagree, so evaluating the grid is the assertion
         for F, S in grid_points():
             assert steinberg_global_degree(F, S) > 0
+
+
+def local_degree_product(S):
+    """The test-side oracle: the local degrees multiplied as Fractions."""
+    return math.prod((steinberg_local_degree(v) for v in S.places), start=Fraction(1))
+
+
+class TestGlobalDegreeOracle:
+    def test_grid(self):
+        points = list(grid_points())
+        assert len(points) == 210
+        for F, S in points:
+            assert steinberg_global_degree(F, S) == local_degree_product(S), (F, S)
+
+    @pytest.mark.parametrize(
+        "spec, ef",
+        [("Q", 1), ("Q(sqrt 17)", 1), ("Q(sqrt 5)", 2), ("Q(sqrt 3)", 2)],
+    )
+    def test_place_above_two(self, spec, ef):
+        F = parse_field(spec)
+        S = build_S(F, [2, 7])
+        (v,) = [w for w in S.finite_places if w.p == 2]
+        assert v.e * v.f == ef
+        assert steinberg_global_degree(F, S) == local_degree_product(S)
+
+    def test_prime_near_the_cap(self):
+        p = next(n for n in range(MAX_PRIME, MAX_PRIME - 1000, -1) if is_prime(n))
+        for spec in ("Q", "Q(sqrt 2)", "Q(sqrt 5)"):
+            F = parse_field(spec)
+            S = build_S(F, [2, p])
+            assert steinberg_global_degree(F, S) == local_degree_product(S), (F, p)
 
 
 class TestDegreeRatio:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sarithdim import numberfield
+from sarithdim.cli import grid_points
 from sarithdim.errors import (
     DuplicatePlace,
     InvalidSelector,
@@ -298,6 +299,28 @@ class TestBuildS:
         # of them kept for "one"), 5 ramifies
         build_S(parse_field("Q(sqrt 5)"), [2, 11, (19, "both"), 5])
         assert sorted(calls) == [2, 5, 11, 11, 19, 19]
+
+    @staticmethod
+    def count_kronecker_symbols(monkeypatch):
+        calls = []
+        original = numberfield.kronecker_symbol
+        monkeypatch.setattr(numberfield, "kronecker_symbol", lambda D, m: calls.append(m) or original(D, m))
+        numberfield._splitting.cache_clear()
+        return calls
+
+    def test_one_kronecker_symbol_per_prime(self, monkeypatch):
+        calls = self.count_kronecker_symbols(monkeypatch)
+        build_S(parse_field("Q(sqrt 5)"), [2, 11, (19, "both"), 5])
+        assert sorted(calls) == [2, 5, 11, 19]
+
+    def test_grid_reads_each_kronecker_symbol_at_most_once_per_prime(self, monkeypatch):
+        calls = self.count_kronecker_symbols(monkeypatch)
+        assert len(list(grid_points())) == 210
+        # 384 is the number of (quadratic field, prime) entries over the grid
+        assert len(calls) <= 384
+
+    def test_splitting_memo_bound_is_the_module_constant(self):
+        assert numberfield._splitting.cache_info().maxsize == numberfield.SPLITTING_MEMO_SIZE
 
 
 class TestDelta2:

@@ -58,8 +58,30 @@ def _module_vn_dim_sl(F, S):
 def test_s_set_of_another_field_rejected(call):
     F = parse_field("Q(sqrt 5)")
     S = build_S(parse_field("Q"), [2])  # |S| = 2 is even, so no parity error comes first
-    with pytest.raises(ValueError, match="not of Q\\(sqrt 5\\)"):
-        call(F, S)
+    for _ in range(2):  # the invariants memo must not remember a rejected point
+        with pytest.raises(ValueError, match="not of Q\\(sqrt 5\\)"):
+            call(F, S)
+
+
+class TestInvariantsMemo:
+    def test_bound_is_the_module_constant(self):
+        assert covolume.invariants.cache_info().maxsize == covolume.INVARIANTS_MEMO_SIZE
+
+    def test_built_once_per_fresh_point(self):
+        F = parse_field("Q(sqrt 13)")
+        S = build_S(F, [2, 3])
+        assert S.size % 2 == 0
+        covolume.invariants.cache_clear()
+        sl2_covolume(F, S)
+        pgl2_covolume(F, S)
+        for group in ("pgl", "psl", "sl"):
+            steinberg_vn_dim(F, S, group)
+        _module_vn_dim_sl(F, S)
+        jl_ratio_sl(F, S)
+        jl_ratio_pgl(F, S)
+        zeta_D_leading_ratio_at_zero(F, S)
+        assert check_identities(F, S).all_pass
+        assert covolume.invariants.cache_info().misses == 1
 
 
 class TestAtiyahSchmid:
@@ -71,6 +93,10 @@ class TestAtiyahSchmid:
 
     def test_product(self):
         assert atiyah_schmid_dim(Fraction(1, 8), Fraction(1, 6)) == Fraction(1, 48)
+
+    @pytest.mark.parametrize("covolume_value, degree", [(2, 3), (Fraction(1, 24), 2)])
+    def test_returns_a_fraction(self, covolume_value, degree):
+        assert type(atiyah_schmid_dim(covolume_value, degree)) is Fraction
 
     def test_rejects_nonpositive_covolume(self):
         with pytest.raises(ValueError):
