@@ -30,14 +30,16 @@ MAX_PRECISION_BITS = 4096
 GRID_FIELD_SPECS = ("Q", "Q(sqrt 2)", "Q(sqrt 3)", "Q(sqrt 5)", "Q(sqrt 13)")
 GRID_PRIMES = (2, 3, 5, 7, 11, 13)
 GRID_MAX_FINITE = 3
+#: Significant digits of the "decimal" field.
+DECIMAL_DIGITS = 20
 
 
-def decimal_string(value: Fraction, digits: int = 20) -> str:
-    """Decimal rendering of an exact rational to `digits` significant digits."""
+def decimal_string(value: Fraction) -> str:
+    """Decimal rendering of an exact rational to DECIMAL_DIGITS significant digits."""
     if value == 0:
-        return "0." + "0" * (digits - 1)
+        return "0." + "0" * (DECIMAL_DIGITS - 1)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 

@@ -207,7 +207,7 @@ class SSet:
         if len(set(self.finite_places)) != len(self.finite_places):
             raise DuplicatePlace("repeated place in S")
 
-    @property
+    @functools.cached_property
     def places(self) -> tuple[Place, ...]:
         return tuple(Place(index=i) for i in range(self.field.degree)) + self.finite_places
 

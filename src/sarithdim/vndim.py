@@ -187,7 +187,8 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
                 "SL ratio vs zeta_D factorization route",
             )
         )
-        checks.append(_compare("sl_steinberg_match", ratio_sl, sl, "SL ratio vs Steinberg SL dimension"))
+        sl_via_cov = _index_transfer(S, via_cov, "sl")
+        checks.append(_compare("sl_steinberg_match", ratio_sl, sl_via_cov, "SL ratio vs Steinberg SL dimension"))
         checks.append(
             _compare(
                 "pgl_sl_transfer",

@@ -24,7 +24,8 @@ never mutated.  The functional equation
 
     zeta_F(2) = (2 pi)^(2n) / 2^n * d_F^(-3/2) * |zeta_F(-1)|
 
-ties the exact layer to the numeric one.
+ties the exact layer to the numeric one; its check is the one place where
+a tolerance becomes a working precision.
 """
 
 import functools
@@ -116,16 +117,6 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, is_p in enumerate(flags) if is_p]
 
 
-def _working_prec_bits(tol: float, precision_bits: int | None) -> int:
-    if not math.isfinite(tol):
-        raise ToleranceTooTight(f"tolerance {tol} is not a finite number")
-    if tol < 1e-12:
-        raise ToleranceTooTight(f"tolerance {tol} below the supported floor of 1e-12")
-    # at least twice the target digits, plus guard bits
-    target_bits = max(-math.log2(tol), 1.0)
-    return max(int(math.ceil(2 * target_bits)) + 16, precision_bits or 0, 64)
-
-
 @functools.lru_cache(maxsize=PRECISION_CONTEXTS)
 def _context(bits: int) -> mpmath.ctx_mp.MPContext:
     """The mpmath context at ``bits`` of precision, cloned once per precision
@@ -137,10 +128,12 @@ def _context(bits: int) -> mpmath.ctx_mp.MPContext:
     return ctx
 
 
-def zeta_F_2_numeric(F: NumberField, tol: float, precision_bits: int | None = None) -> mpmath.mpf:
-    """zeta_F(2) to within tol (finite, tol >= 1e-12).
+def zeta_F_2_numeric(F: NumberField, bits: int) -> mpmath.mpf:
+    """zeta_F(2) within one ulp at ``bits`` of precision, as an mpf whose
+    ``.context`` is the shared context at ``bits``.
 
-    Over Q this is pi^2/6.  Over a quadratic field of discriminant D,
+    Over Q this is pi^2/6, squared from pi at 8 guard bits and rounded once
+    to ``bits``.  Over a quadratic field of discriminant D,
     zeta_F(2) = zeta(2) * L(2, chi_D).  Regrouping the L-series into
     residue classes mod D gives D^-2 * sum_{r=1}^{D-1} chi(r) * psi'(r/D),
     with psi' the trigamma function.  chi_D is even for real quadratic F,
@@ -153,8 +146,7 @@ def zeta_F_2_numeric(F: NumberField, tol: float, precision_bits: int | None = No
     are exact, so the only error is evaluation error.
 
     The sum is a fixed-point integer kernel at wp = bits + g bits, with
-    g = 2 * D.bit_length() + 8 guard bits on top of the working precision
-    ``bits`` (at least twice the requested digits).  cos(pi/D) and
+    g = 2 * D.bit_length() + 8 guard bits on top of ``bits``.  cos(pi/D) and
     sin(pi/D) are computed once, as integers scaled by 2^wp; each step
     rotates z_r = exp(i pi r / D) by one complex multiply in Python ints,
     and chi(r) * floor(2^(3 wp) / (Im z_r)^2), which is csc^2(pi r / D)
@@ -170,10 +162,10 @@ def zeta_F_2_numeric(F: NumberField, tol: float, precision_bits: int | None = No
     2^-D.bit_length(); as zeta_F(2) > 1, the value rounded to ``bits`` is
     within one ulp of zeta_F(2).
     """
-    bits = _working_prec_bits(tol, precision_bits)
     ctx = _context(bits)
     if F.d is None:
-        return ctx.pi**2 / 6
+        pi2 = libmp.mpf_pow_int(libmp.mpf_pi(bits + 8), 2, bits + 8)
+        return ctx.make_mpf(libmp.mpf_div(pi2, libmp.from_int(6), bits, libmp.round_nearest))
     D = F.discriminant
     wp = bits + 2 * D.bit_length() + 8
     cos, sin = libmp.mpf_cos_sin_pi(libmp.from_rational(1, D, wp + 8), wp + 8, libmp.round_nearest)
@@ -193,32 +185,26 @@ def zeta_F_2_numeric(F: NumberField, tol: float, precision_bits: int | None = No
     return ctx.make_mpf(libmp.mpf_div(value, libmp.from_int(6 * D * D), bits, libmp.round_nearest))
 
 
-def zeta_F_2_euler_product(F: NumberField, prime_bound: int, primes: list[int] | None = None) -> float:
+def zeta_F_2_euler_product(F: NumberField, primes: list[int]) -> float:
     """Truncated Euler-product route to zeta_F(2), for cross-checks.
 
     The factor common to every field, prod_p (1 - p^-2)^-1 = zeta(2), is
     folded into its closed form pi^2/6; only the character factors
-    (1 - chi(p) p^-2)^-1 are truncated at ``prime_bound``.  Truncating the
-    common factor as well would plateau near 7e-8 at a bound of 10^6, while
-    the character tail oscillates and is orders of magnitude smaller
-    (measured < 2e-10 for every discriminant <= 200 at that bound), so
-    this split is what makes a desk-scale bound usable.  Factors are
-    multiplied in ascending-prime order; double-precision rounding
-    (~1e-13) is negligible against the truncation term.
-
-    ``primes`` may supply a precomputed ascending prime list covering
-    ``prime_bound``, to amortize the sieve across many fields.
+    (1 - chi(p) p^-2)^-1 are truncated, to the ascending list ``primes``.
+    Truncating the common factor as well would plateau near 7e-8 over the
+    primes below 10^6, while the character tail oscillates and is orders of
+    magnitude smaller (measured < 2e-10 for every discriminant <= 200 over
+    those primes), so this split is what makes a desk-scale prime list
+    usable.  Factors are multiplied in ascending-prime order;
+    double-precision rounding (~1e-13) is negligible against the truncation
+    term.
     """
     if F.d is None:
         return math.pi**2 / 6
     D = F.discriminant
     chi = quadratic_character_table(D)
-    if primes is None:
-        primes = primes_up_to(prime_bound)
     product = 1.0
     for p in primes:
-        if p > prime_bound:
-            break
         c = chi[p % D]
         if c:
             product *= 1.0 / (1.0 - c / (p * p))
@@ -238,11 +224,21 @@ def functional_equation_check(
     F: NumberField, tol: float, precision_bits: int | None = None
 ) -> FunctionalEquationReport:
     """Check zeta_F(2) numerically against the image of zeta_F(-1) under the
-    functional equation, to absolute tolerance tol."""
+    functional equation, to absolute tolerance tol.
+
+    This is the one place a tolerance is validated and sized: tol must be
+    finite and at least 1e-12, else ToleranceTooTight.  The working
+    precision is twice the target bits max(-log2(tol), 1), rounded up, plus
+    16 guard bits, and at least 64 and at least ``precision_bits``.
+    """
+    if not math.isfinite(tol):
+        raise ToleranceTooTight(f"tolerance {tol} is not a finite number")
+    if tol < 1e-12:
+        raise ToleranceTooTight(f"tolerance {tol} below the supported floor of 1e-12")
+    bits = max(math.ceil(2 * max(-math.log2(tol), 1.0)) + 16, precision_bits or 0, 64)
     n = F.degree
-    bits = _working_prec_bits(tol, precision_bits)
     ctx = _context(bits)
-    numeric_side = zeta_F_2_numeric(F, tol, precision_bits=bits)
+    numeric_side = zeta_F_2_numeric(F, bits)
     z = abs(zeta_F_minus1(F).value)
     rational_side = (
         (2 * ctx.pi) ** (2 * n)

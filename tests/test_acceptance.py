@@ -74,7 +74,7 @@ def test_criterion_3_zeta_cross_validation():
     primes = primes_up_to(10**6)
     for F in fields:
         siegel = zeta_F_minus1(F).value
-        zf2 = zeta_F_2_euler_product(F, 10**6, primes=primes)
+        zf2 = zeta_F_2_euler_product(F, primes)
         # functional equation: |zeta_F(-1)| = 2^n d^(3/2) (2 pi)^(-2n) zeta_F(2)
         import math
 

@@ -78,7 +78,7 @@ def test_numeric_consistency_with_zeta_two():
     # second route: d^(3/2) (2 pi)^(-2n) zeta_F(2) prod (q_v + 1)
     import math
 
-    zf2 = {F: float(zeta_F_2_numeric(F, 1e-10)) for F in GRID_FIELDS}
+    zf2 = {F: float(zeta_F_2_numeric(F, 64)) for F in GRID_FIELDS}
     for F, S in grid_points():
         numeric = (
             F.discriminant**1.5

@@ -291,6 +291,13 @@ class TestBuildS:
         assert len(S.places) == 3
         assert [v.is_real for v in S.places] == [True, True, False]
 
+    def test_places_built_once(self):
+        F = parse_field("Q(sqrt 5)")
+        S = build_S(F, [11])
+        assert S.places is S.places
+        # the cached tuple is not part of equality or the hash
+        assert S == build_S(F, [11]) and hash(S) == hash(build_S(F, [11]))
+
     def test_one_primality_test_per_place(self, monkeypatch):
         calls = []
         original = numberfield.is_prime

@@ -12,6 +12,7 @@ from sarithdim.numberfield import NumberField, parse_field
 from sarithdim.zeta import (
     SpecialValue,
     functional_equation_check,
+    primes_up_to,
     quadratic_character_table,
     sum_of_divisors,
     zeta_F_2_euler_product,
@@ -161,30 +162,40 @@ def test_sum_of_divisors_brute_force():
 
 class TestZetaTwoNumeric:
     def test_rationals(self):
-        value = zeta_F_2_numeric(parse_field("Q"), 1e-9)
-        assert abs(float(value) - math.pi**2 / 6) < 1e-9
+        value = zeta_F_2_numeric(parse_field("Q"), 64)
+        assert abs(float(value) - math.pi**2 / 6) < 1e-15
 
     def test_sqrt5(self):
         expected = (2 * math.pi) ** 4 * (1 / 30) / (2**2 * 5**1.5)
-        value = zeta_F_2_numeric(parse_field("Q(sqrt 5)"), 1e-6)
-        assert abs(float(value) - expected) < 1e-6
+        value = zeta_F_2_numeric(parse_field("Q(sqrt 5)"), 64)
+        assert abs(float(value) - expected) < 1e-12
 
     def test_sqrt2(self):
         expected = (2 * math.pi) ** 4 * (1 / 12) / (2**2 * 8**1.5)
-        value = zeta_F_2_numeric(parse_field("Q(sqrt 2)"), 1e-6)
-        assert abs(float(value) - expected) < 1e-6
+        value = zeta_F_2_numeric(parse_field("Q(sqrt 2)"), 64)
+        assert abs(float(value) - expected) < 1e-12
+
+    @pytest.mark.parametrize("bits", [64, 100, 160])
+    def test_precision_is_bits(self, bits):
+        # one ulp at bits: the sine route over quadratic fields, pi^2/6 over Q
+        ctx = mpmath.mp.clone()
+        ctx.prec = bits + 32
+        for spec in ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 2993)"):
+            F = parse_field(spec)
+            value = zeta_F_2_numeric(F, bits)
+            reference = ctx.pi**2 / 6 if F.d is None else sine_route_zeta_F_2(F.discriminant, bits)
+            assert value.context.prec == bits, (F, bits)
+            assert ulps_apart(value, reference, bits) <= 1, (F, bits)
 
     def test_tolerance_floor(self):
         with pytest.raises(ToleranceTooTight):
-            zeta_F_2_numeric(parse_field("Q"), 1e-13)
+            functional_equation_check(parse_field("Q"), 1e-13)
         with pytest.raises(ToleranceTooTight):
-            zeta_F_2_numeric(parse_field("Q"), -1.0)
+            functional_equation_check(parse_field("Q"), -1.0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance(self, tol):
         for spec in ("Q", "Q(sqrt 5)"):
-            with pytest.raises(ToleranceTooTight):
-                zeta_F_2_numeric(parse_field(spec), tol)
             with pytest.raises(ToleranceTooTight):
                 functional_equation_check(parse_field(spec), tol)
 
@@ -193,7 +204,7 @@ class TestZetaTwoNumeric:
         for F in real_quadratic_fields_with_disc_up_to(200):
             reference = hurwitz_route_zeta_F_2(F.discriminant, 128)
             for bits in (128, 192):
-                value = reference.context.mpf(zeta_F_2_numeric(F, 1e-8, precision_bits=bits))
+                value = reference.context.mpf(zeta_F_2_numeric(F, bits))
                 assert abs(value - reference) <= mpmath.ldexp(reference, -100), (F, bits)
 
     @pytest.mark.parametrize("bits", [70, 128, 192])
@@ -202,7 +213,7 @@ class TestZetaTwoNumeric:
         fields = real_quadratic_fields_with_disc_up_to(500)
         fields += [parse_field("Q(sqrt 2993)"), parse_field("Q(sqrt 10007)")]
         for F in fields:
-            value = zeta_F_2_numeric(F, 1e-8, precision_bits=bits)
+            value = zeta_F_2_numeric(F, bits)
             reference = sine_route_zeta_F_2(F.discriminant, bits)
             assert ulps_apart(value, reference, bits) <= 1, (F, bits)
             assert float(value) == float(reference), (F, bits)
@@ -214,7 +225,7 @@ class TestZetaTwoNumeric:
         # the reference has 64 more bits than the result
         for F in real_quadratic_fields_with_disc_up_to(500):
             D = F.discriminant
-            value = zeta_F_2_numeric(F, 1e-8, precision_bits=bits)
+            value = zeta_F_2_numeric(F, bits)
             reference = sine_route_zeta_F_2(D, bits + 64)
             _, _, exp, bc = value._mpf_
             exact = mpf_fraction(reference)
@@ -225,7 +236,7 @@ class TestZetaTwoNumeric:
     def test_shared_context_per_precision(self):
         before = mpmath.mp.prec
         values = [
-            zeta_F_2_numeric(parse_field(spec), 1e-8, precision_bits=bits)
+            zeta_F_2_numeric(parse_field(spec), bits)
             for bits in (128, 192)
             for spec in ("Q", "Q(sqrt 5)", "Q(sqrt 10007)")
         ]
@@ -238,22 +249,23 @@ class TestZetaTwoNumeric:
         F = parse_field("Q(sqrt 13)")
         tol = 1e-6
         while tol >= 1e-11:
-            coarse = zeta_F_2_numeric(F, tol)
-            fine = zeta_F_2_numeric(F, tol / 2)
-            assert abs(float(coarse) - float(fine)) <= tol
+            coarse = functional_equation_check(F, tol).numeric_side
+            fine = functional_equation_check(F, tol / 2).numeric_side
+            assert abs(coarse - fine) <= tol
             tol /= 2
 
     def test_deterministic(self):
         F = parse_field("Q(sqrt 21)")
-        assert mpmath.mpf(zeta_F_2_numeric(F, 1e-10)) == mpmath.mpf(zeta_F_2_numeric(F, 1e-10))
+        assert mpmath.mpf(zeta_F_2_numeric(F, 128)) == mpmath.mpf(zeta_F_2_numeric(F, 128))
 
 
 class TestEulerProduct:
     def test_agrees_with_numeric_route(self):
+        primes = primes_up_to(10**5)
         for spec in ("Q", "Q(sqrt 5)", "Q(sqrt 2)", "Q(sqrt 13)"):
             F = parse_field(spec)
-            truncated = zeta_F_2_euler_product(F, 10**5)
-            reference = float(zeta_F_2_numeric(F, 1e-10))
+            truncated = zeta_F_2_euler_product(F, primes)
+            reference = float(zeta_F_2_numeric(F, 64))
             assert abs(truncated - reference) < 1e-7, spec
 
     def test_character_table_periodic_values(self):
