@@ -18,7 +18,7 @@ from .covolume import pgl2_covolume, sl2_covolume
 from .errors import CalcError, DatumPlaceMismatch, MissingDatum, UnsupportedPrime
 from .formal_degree import LocalRepDatum
 from .numberfield import MAX_PRIME, is_prime, parse_field, build_S
-from .quaternion import pdx_candidates, zeta_D_leading_ratio_at_zero
+from .quaternion import pdx_candidates
 from .vndim import check_identities, jl_ratio_pgl, jl_ratio_sl, module_vn_dim, steinberg_vn_dim
 from .zeta import functional_equation_check, zeta_F_minus1
 
@@ -193,17 +193,13 @@ def _cmd_jl_ratio(ns):
             diagnostics.append(_diag("pd_order", "info", "coefficient only: multiply by |PD*(O_S)|"))
         return "jl_ratio_pgl", value, diagnostics
     value = jl_ratio_sl(F, S)
+    status = {c.name: c.status for c in check_identities(F, S).checks}
     diagnostics = [
-        _diag(
-            "sl_quaternion_zeta_match",
-            "pass" if value == zeta_D_leading_ratio_at_zero(F, S) else "fail",
-            "SL ratio vs zeta_D factorization route",
-        ),
-        _diag(
-            "sl_steinberg_match",
-            "pass" if value == steinberg_vn_dim(F, S, "sl").value else "fail",
-            "SL ratio vs Steinberg SL dimension",
-        ),
+        _diag(name, status[name], detail)
+        for name, detail in (
+            ("sl_quaternion_zeta_match", "SL ratio vs zeta_D factorization route"),
+            ("sl_steinberg_match", "SL ratio vs Steinberg SL dimension"),
+        )
     ]
     return "jl_ratio_sl", value, diagnostics
 

@@ -3,23 +3,23 @@
 Locally, d(St_v) = 2 at a real place and (q_v - 1)/(2 (q_v + 1)) at a
 finite place, with an extra factor 2^(-e*f) at places of residue
 characteristic 2 (the unique assignment consistent with the aggregate
-below).  Globally, with n, |S|, delta_2, Q- = prod (q_v - 1) and
-Q+ = prod (q_v + 1) the fields of :class:`~sarithdim.covolume.Invariants`,
+below).  The global degree d(St_S) is the product of the local degrees over
+the places of S and never reads the invariants of (F, S).  In the fields of
+:class:`~sarithdim.covolume.Invariants` (n, |S|, delta_2, Q- = prod (q_v - 1),
+Q+ = prod (q_v + 1)) it equals
 
     d(St_S) = 2^n * Q- / (2^(delta_2 + |S| - n) * Q+),
 
 since each of the |S| - n finite places contributes (q_v - 1)/(2 (q_v + 1)).
-The global degree is computed both as the product of local degrees, which
-never reads the invariants, and by this closed form, and is returned only
-when the two agree exactly.
+The closed form is computed nowhere: it is the degree for which covolume *
+d(St_S) equals the Steinberg PGL monomial 2 z Q- / 2^|S|, and that equality
+is the ``pgl_two_routes`` check of :mod:`~sarithdim.vndim`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covolume import invariants
-from .errors import InternalInconsistency
-from .numberfield import NumberField, Place, SSet
+from .numberfield import Place, SSet
 
 
 @dataclass(frozen=True)
@@ -65,29 +65,16 @@ def steinberg_local_degree(v: Place) -> Fraction:
     return Fraction(q - 1, 2 * (q + 1) * two_part)
 
 
-def steinberg_global_degree(F: NumberField, S: SSet) -> Fraction:
-    """Formal degree of the Steinberg factor over all places of S.
-
-    Computed as the product of local degrees, their numerators and
-    denominators multiplied as integers and reduced once, verified against
-    the closed form; any disagreement is a bug, not recoverable input error.
-    """
+def steinberg_global_degree(S: SSet) -> Fraction:
+    """Formal degree of the Steinberg factor over all places of S: the
+    product of local degrees, their numerators and denominators multiplied
+    as integers and reduced once."""
     num = den = 1
     for v in S.places:
         local = steinberg_local_degree(v)
         num *= local.numerator
         den *= local.denominator
-    product = Fraction(num, den)
-    inv = invariants(F, S)
-    closed = Fraction(
-        2**inv.n * inv.prod_q_minus_1,
-        2 ** (inv.delta_2 + inv.size - inv.n) * inv.prod_q_plus_1,
-    )
-    if product != closed:
-        raise InternalInconsistency(
-            f"Steinberg degree routes disagree on {S}: product {product} vs closed form {closed}"
-        )
-    return product
+    return Fraction(num, den)
 
 
 def jl_degree_ratio(datum: LocalRepDatum) -> int:

@@ -8,8 +8,7 @@ along SL -> SL/{+-1} = PSL halves it (every module in scope has trivial
 central character).  Headline values are computed by two routes and
 returned only on exact agreement.  :func:`check_identities` instead reports
 a disagreement of the routes it compares as a failed check and does not
-raise; only the two routes of the global formal degree, which every
-Steinberg value needs, still raise inside it.
+raise.
 
 The group is one of the strings ``"pgl"``, ``"psl"`` and ``"sl"``; any other
 value is a ValueError.  S must be an S-set of F.  Result records carry the
@@ -69,7 +68,7 @@ def _pgl_two_routes(F: NumberField, S: SSet) -> tuple[Fraction, Fraction]:
     """The Steinberg dimension over PGL(2, O_S) by its two routes: the closed
     form 2 z Q- / 2^|S|, and covolume * global formal degree."""
     closed = _pgl_monomial(invariants(F, S))
-    return closed, atiyah_schmid_dim(pgl2_covolume(F, S).value, steinberg_global_degree(F, S))
+    return closed, atiyah_schmid_dim(pgl2_covolume(F, S).value, steinberg_global_degree(S))
 
 
 def _index_transfer(S: SSet, pgl: Fraction, group: str) -> Fraction:
@@ -135,8 +134,8 @@ def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
     """
     if not validate_ramification(S):
         raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
-    if pd_order < 1:
-        raise ValueError("pd_order must be >= 1")
+    if not isinstance(pd_order, int) or pd_order < 1:
+        raise ValueError(f"pd_order must be an int >= 1, got {pd_order!r}")
     return pd_order * _pgl_monomial(invariants(F, S))
 
 

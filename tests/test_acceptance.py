@@ -59,7 +59,7 @@ def test_criterion_2_two_route_identity():
         closed_form = 2 * z * Fraction(1, 2**S.size)
         for v in S.finite_places:
             closed_form *= v.q - 1
-        via_covolume = pgl2_covolume(F, S).value * steinberg_global_degree(F, S)
+        via_covolume = pgl2_covolume(F, S).value * steinberg_global_degree(S)
         assert via_covolume == closed_form, (F, S)
         assert steinberg_vn_dim(F, S, "pgl").value == closed_form, (F, S)
         count += 1

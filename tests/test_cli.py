@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import signal
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sarithdim import cli
+from sarithdim import cli, vndim
 
 
 def invoke(capsys, argv):
@@ -85,6 +86,17 @@ class TestResponseShape:
     def test_diagnostics_on_stderr(self, capsys):
         _, _, err = invoke(capsys, ["jl-ratio", "--field", "Q", "--s-primes", "2", "--group", "sl"])
         assert "sl_quaternion_zeta_match: pass" in err
+
+    def test_route_disagreement_is_a_failed_diagnostic(self, capsys, monkeypatch):
+        original = vndim.pgl2_covolume
+        monkeypatch.setattr(
+            vndim, "pgl2_covolume", lambda F, S: dataclasses.replace(original(F, S), value=2 * original(F, S).value)
+        )
+        code, out, err = invoke(capsys, ["jl-ratio", "--field", "Q", "--s-primes", "2", "--group", "sl"])
+        assert code == 0
+        assert json.loads(out)["value"] == {"num": "1", "den": "12"}
+        assert "sl_quaternion_zeta_match: pass" in err
+        assert "sl_steinberg_match: fail" in err
 
 
 class TestTable:

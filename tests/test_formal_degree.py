@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sarithdim.cli import GRID_FIELD_SPECS, grid_points
+from sarithdim.covolume import invariants
 from sarithdim.formal_degree import (
     LocalRepDatum,
     jl_degree_ratio,
@@ -38,21 +39,26 @@ class TestLocalDegree:
 class TestGlobalDegree:
     def test_archimedean_only(self):
         F = parse_field("Q")
-        assert steinberg_global_degree(F, build_S(F, [])) == 2
+        assert steinberg_global_degree(build_S(F, [])) == 2
 
     def test_with_prime_two(self):
         F = parse_field("Q")
-        assert steinberg_global_degree(F, build_S(F, [2])) == Fraction(1, 6)
+        assert steinberg_global_degree(build_S(F, [2])) == Fraction(1, 6)
 
     def test_sqrt5_archimedean(self):
         F = parse_field("Q(sqrt 5)")
-        assert steinberg_global_degree(F, build_S(F, [])) == 4
+        assert steinberg_global_degree(build_S(F, [])) == 4
 
     def test_product_equals_closed_form_on_grid(self):
-        # steinberg_global_degree raises InternalInconsistency if the two
-        # routes ever disagree, so evaluating the grid is the assertion
-        for F, S in grid_points():
-            assert steinberg_global_degree(F, S) > 0
+        points = list(grid_points())
+        assert len(points) == 210
+        for F, S in points:
+            inv = invariants(F, S)
+            closed = Fraction(
+                2**inv.n * inv.prod_q_minus_1,
+                2 ** (inv.delta_2 + inv.size - inv.n) * inv.prod_q_plus_1,
+            )
+            assert steinberg_global_degree(S) == closed, (F, S)
 
 
 def local_degree_product(S):
@@ -65,7 +71,7 @@ class TestGlobalDegreeOracle:
         points = list(grid_points())
         assert len(points) == 210
         for F, S in points:
-            assert steinberg_global_degree(F, S) == local_degree_product(S), (F, S)
+            assert steinberg_global_degree(S) == local_degree_product(S), (F, S)
 
     @pytest.mark.parametrize(
         "spec, ef",
@@ -76,14 +82,14 @@ class TestGlobalDegreeOracle:
         S = build_S(F, [2, 7])
         (v,) = [w for w in S.finite_places if w.p == 2]
         assert v.e * v.f == ef
-        assert steinberg_global_degree(F, S) == local_degree_product(S)
+        assert steinberg_global_degree(S) == local_degree_product(S)
 
     def test_prime_near_the_cap(self):
         p = next(n for n in range(MAX_PRIME, MAX_PRIME - 1000, -1) if is_prime(n))
         for spec in ("Q", "Q(sqrt 2)", "Q(sqrt 5)"):
             F = parse_field(spec)
             S = build_S(F, [2, p])
-            assert steinberg_global_degree(F, S) == local_degree_product(S), (F, p)
+            assert steinberg_global_degree(S) == local_degree_product(S), (F, p)
 
 
 class TestDegreeRatio:
