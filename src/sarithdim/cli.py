@@ -135,26 +135,18 @@ def _build_local_data(S, entries):
         raise MissingDatum(f"{len(places)} places in S but only {len(entries)} local data entries")
     if len(entries) > len(places):
         raise DatumPlaceMismatch(f"{len(entries)} local data entries for {len(places)} places")
-    data = []
     for place, (kind, value) in zip(places, entries):
         if place.is_real != (kind == "weight"):
             raise DatumPlaceMismatch(f"entry {kind}:{value} does not fit place {place}")
-        if place.is_real:
-            data.append(LocalRepDatum.archimedean(place, value))
-        else:
-            data.append(LocalRepDatum.finite(place, value))
-    return data
+    return [LocalRepDatum(place, value) for place, (_, value) in zip(places, entries)]
 
 
-def _cmd_covolume(ns):
-    F = parse_field(ns.field)
-    S = _build_S(F, ns.s_primes)
+def _cmd_covolume(ns, F, S):
     cov = sl2_covolume(F, S) if ns.group == "sl" else pgl2_covolume(F, S)
     return f"covolume_{ns.group}", cov.value, []
 
 
-def _cmd_zeta(ns):
-    F = parse_field(ns.field)
+def _cmd_zeta(ns, F, S):
     special = zeta_F_minus1(F)
     report = functional_equation_check(F, ns.tol, precision_bits=ns.working_precision)
     diagnostics = [
@@ -167,25 +159,19 @@ def _cmd_zeta(ns):
     return "zeta_minus1", special.value, diagnostics
 
 
-def _cmd_steinberg_dim(ns):
-    F = parse_field(ns.field)
-    S = _build_S(F, ns.s_primes)
+def _cmd_steinberg_dim(ns, F, S):
     dim = steinberg_vn_dim(F, S, ns.group)
     diagnostics = [_diag("pgl_two_routes", "pass", "closed form == covolume * formal degree")]
     return f"steinberg_dim_{ns.group}", dim.value, diagnostics
 
 
-def _cmd_module_dim(ns):
-    F = parse_field(ns.field)
-    S = _build_S(F, ns.s_primes)
+def _cmd_module_dim(ns, F, S):
     data = _build_local_data(S, ns.local_data)
     dim = module_vn_dim(F, S, ns.group, data)
     return f"module_dim_{ns.group}", dim.value, []
 
 
-def _cmd_jl_ratio(ns):
-    F = parse_field(ns.field)
-    S = _build_S(F, ns.s_primes)
+def _cmd_jl_ratio(ns, F, S):
     if ns.group == "pgl":
         value = jl_ratio_pgl(F, S, ns.pd_order or 1)
         diagnostics = []
@@ -204,8 +190,7 @@ def _cmd_jl_ratio(ns):
     return "jl_ratio_sl", value, diagnostics
 
 
-def _cmd_candidates(ns):
-    F = parse_field(ns.field)
+def _cmd_candidates(ns, F, S):
     report = pdx_candidates(F)
     diagnostics = [
         _diag("cyclic_orders", "info", ",".join(str(m) for m in report.cyclic_orders)),
@@ -225,7 +210,7 @@ def grid_points():
                 yield F, build_S(F, subset)
 
 
-def _cmd_check(ns):
+def _cmd_check(ns, F, S):
     if ns.grid:
         total = 0
         passed = 0
@@ -241,8 +226,6 @@ def _cmd_check(ns):
                         diagnostics.append(_diag(f"{F}|{S}|{c.name}", "fail", c.detail))
         diagnostics.insert(0, _diag("grid", "pass" if passed == total else "fail", f"{passed}/{total} points pass"))
         return "identity_grid", Fraction(passed, total), diagnostics
-    F = parse_field(ns.field)
-    S = _build_S(F, ns.s_primes)
     report = check_identities(F, S)
     diagnostics = [_diag(c.name, c.status, c.detail) for c in report.checks]
     return "identity_checks", Fraction(1 if report.all_pass else 0), diagnostics
@@ -353,7 +336,13 @@ def run(argv=None) -> int:
         parser.error("check requires --field (or --grid)")
     response = _request_echo(ns)
     try:
-        quantity, value, diagnostics = _HANDLERS[ns.command](ns)
+        # check --grid builds its own fields; zeta and candidates take no S
+        F = S = None
+        if not getattr(ns, "grid", False):
+            F = parse_field(ns.field)
+            if hasattr(ns, "s_primes"):
+                S = _build_S(F, ns.s_primes)
+        quantity, value, diagnostics = _HANDLERS[ns.command](ns, F, S)
     except CalcError as err:
         response["status"] = "error"
         response["error"] = {"code": err.code, "message": str(err)}

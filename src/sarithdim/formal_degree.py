@@ -24,36 +24,33 @@ from .numberfield import Place, SSet
 
 @dataclass(frozen=True)
 class LocalRepDatum:
-    """Per-place description of one discrete-series factor.
+    """One local factor pi_v of pi = (x) pi_v, as one int that its place reads.
 
-    A real place carries the weight n >= 2 of the discrete-series pair (the
-    weight-2 member is the Steinberg-type one); a finite place carries the
-    complex dimension of the matched division-algebra factor.
+    At a real place ``value`` is the weight k >= 2 of the discrete series
+    (weight 2 is the Steinberg-type one); at a finite place it is the
+    complex dimension >= 1 of the matched factor pi'_v of the division
+    algebra.  Anything else is a ValueError.
     """
 
     place: Place
-    weight: int | None = None
-    complex_dim: int | None = None
+    value: int
 
     def __post_init__(self):
-        if self.place.is_real:
-            if self.weight is None or self.complex_dim is not None:
-                raise ValueError("a real place takes a weight and nothing else")
-            if self.weight < 2:
-                raise ValueError(f"discrete series need weight >= 2, got {self.weight}")
-        else:
-            if self.complex_dim is None or self.weight is not None:
-                raise ValueError("a finite place takes a complex dimension and nothing else")
-            if self.complex_dim < 1:
-                raise ValueError("complex dimension must be >= 1")
+        least = 2 if self.place.is_real else 1
+        if type(self.value) is not int or self.value < least:
+            raise ValueError(f"the datum at {self.place} must be an int >= {least}, got {self.value!r}")
 
     @classmethod
     def archimedean(cls, place: Place, weight: int) -> "LocalRepDatum":
-        return cls(place, weight=weight)
+        if not place.is_real:
+            raise ValueError(f"{place} is finite and takes a complex dimension, not a weight")
+        return cls(place, weight)
 
     @classmethod
     def finite(cls, place: Place, complex_dim: int) -> "LocalRepDatum":
-        return cls(place, complex_dim=complex_dim)
+        if place.is_real:
+            raise ValueError(f"{place} is real and takes a weight, not a complex dimension")
+        return cls(place, complex_dim)
 
 
 def steinberg_local_degree(v: Place) -> Fraction:
@@ -78,12 +75,6 @@ def steinberg_global_degree(S: SSet) -> Fraction:
 
 
 def jl_degree_ratio(datum: LocalRepDatum) -> int:
-    """d(pi_v)/d(St_v) for the local factor described by datum.
-
-    At a real place of weight n the matched compact-group factor is the
-    (n-1)-dimensional one, so the ratio is n - 1; at a finite place the
-    supplied complex dimension passes through.
-    """
-    if datum.place.is_real:
-        return datum.weight - 1
-    return datum.complex_dim
+    """d(pi_v)/d(St_v), the dimension of the matched factor pi'_v: k - 1 for
+    weight k at a real place, the datum itself at a finite place."""
+    return datum.value - 1 if datum.place.is_real else datum.value

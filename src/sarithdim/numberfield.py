@@ -125,6 +125,8 @@ class NumberField:
     def __post_init__(self):
         if self.d is None:
             return
+        if type(self.d) is not int:
+            raise ValueError(f"the radicand must be an int, got {self.d!r}")
         if self.d <= 1:
             raise NotTotallyReal(f"Q(sqrt {self.d}) is not a totally real quadratic field")
         if self.d > MAX_RADICAND:
@@ -161,10 +163,14 @@ class Place:
     index: int = 0
 
     def __post_init__(self):
+        if type(self.index) is not int:
+            raise ValueError(f"place data must be ints, got {self!r}")
         if self.p is None and self.e is None and self.f is None:
             return
         if self.p is None or self.e is None or self.f is None:
             raise ValueError("finite places need p, e, f")
+        if not type(self.p) is type(self.e) is type(self.f) is int:
+            raise ValueError(f"place data must be ints, got {self!r}")
         if self.p > MAX_PRIME:
             raise ValueError(f"prime {self.p} exceeds the supported maximum {MAX_PRIME}")
         if not is_prime(self.p):

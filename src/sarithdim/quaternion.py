@@ -38,13 +38,17 @@ def validate_ramification(S: SSet) -> bool:
 
 
 def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
-    """|zeta_D(0) / zeta_F(0)| as a ratio of leading Taylor coefficients.
+    """|zeta_D(0) / zeta_F(0)| = |zeta_F(-1) prod_{v in S_f} (1 - q_v)| for
+    the quaternion algebra D ramified exactly at S.
 
-    The zeta function of the algebra factors as
-    zeta_D(s) = zeta_F(2s) zeta_F(2s-1) prod_{v in S_f} (1 - q_v^(1-2s)),
-    so at s = 0 the zeta_F factor cancels (as leading coefficients when
-    zeta_F vanishes there) and the ratio is zeta_F(-1) prod (1 - q_v), taken
-    in absolute value.  ValueError unless S is an S-set of F.
+    The ratio is taken in the normalization
+    zeta_D(s) = zeta_F(s) zeta_F(s-1) prod_{v in S_f} (1 - q_v^(1-s)),
+    in which zeta_D / zeta_F is zeta_F(s-1) prod (1 - q_v^(1-s)) as a
+    function; it is the one in which the dimension identity matches the
+    lattice side.  Hey's normalization zeta_F(2s) zeta_F(2s-1)
+    prod (1 - q_v^(1-2s)) gives 2^(n-1) times this value, n the degree of F:
+    zeta_F has a zero of order n - 1 at 0, so zeta_F(2s) / zeta_F(s) tends
+    to 2^(n-1) there.  ValueError unless S is an S-set of F.
     """
     if S.field != F:
         raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")

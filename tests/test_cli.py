@@ -201,6 +201,19 @@ class TestUsageErrors:
             cli.run(["check"])
         assert err.value.code == 2
 
+    def test_grid_builds_no_field_or_s_set(self, capsys):
+        code, out, _ = invoke(capsys, ["check", "--grid", "--field", "junk", "--s-primes", "3,3"])
+        assert code == 0
+        assert json.loads(out)["quantity"] == "identity_grid"
+
+    def test_field_then_s_set_then_handler_errors(self, capsys):
+        code, out, _ = invoke(capsys, ["covolume", "--field", "Q(sqrt 8)", "--s-primes", "3,3", "--group", "sl"])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "NOT_SQUAREFREE"
+        code, out, _ = invoke(capsys, ["module-dim", "--field", "Q", "--s-primes", "3,3", "--group", "sl", "--local-data", "dim:2"])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "DUPLICATE_PLACE"
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--tol", v) for v in ("nan", "inf", "-inf", "1", "0", "-5")]

@@ -1,11 +1,14 @@
 """Golden digests of the default CLI output.
 
-About 640 requests go through ``cli.run``: ``check --grid``; at each of the
-210 grid points ``check``, ``covolume --group pgl`` and ``jl-ratio --group
-pgl``; and ``zeta`` and ``candidates`` for each grid field.  Each subcommand
-gets one sha256 over the (argv, exit code, stdout, stderr) of its requests,
-in order, compared with the digest committed below.  This pins the rule that
-the default output does not change by one byte.
+About 1,480 requests go through ``cli.run``: ``check --grid``; at each of
+the 210 grid points ``check``, ``covolume --group pgl``, ``jl-ratio --group
+pgl``, ``steinberg-dim --group psl``, ``module-dim --group sl`` (weight 3 at
+each real place, dimension 2 at each finite place), ``jl-ratio --group sl``
+(whose odd-|S| points give the ODD_CARDINALITY error) and ``covolume --group
+sl --format table``; and ``zeta`` and ``candidates`` for each grid field.
+Each request family gets one sha256 over the (argv, exit code, stdout,
+stderr) of its requests, in order, compared with the digest committed below.
+This pins the rule that the default output does not change by one byte.
 
 A change that means to alter the output regenerates these digests
 (``PYTHONPATH=src python tests/test_cli_golden.py`` prints them) and says
@@ -26,21 +29,28 @@ GOLDEN = {
     "jl-ratio": "5791cd250294e5f30160a91fb55a0b79ca664514e40b9c3cb8893cede58a2af7",
     "zeta": "6170b6d2ede69b63d80dff14d2963ec06d85e147a441336f24c91f26bb66f54d",
     "candidates": "7d96bfc968f84b9dd86d11fe666ddb74a2f29935f311fd75ca9f56320f583947",
+    "steinberg-dim --group psl": "38d81b152dabd81d1f3ba0c7486b99265d445c0e5444d7ec297194b0ae39c3bb",
+    "module-dim --group sl": "95bc1bfdad32f53dfa18893288f1a28a7040daaa10c5b27ab40ca80e15280c13",
+    "jl-ratio --group sl": "f33f02fb0ead86ded82b0a1fac767823d246181fd9d7e8c1bc073be519fdffc0",
+    "covolume --group sl --format table": "8a071729b669a587ab9fb85620225bc3c83a5033420d4b445bb151eca8620440",
 }
 
 
 def _requests():
     yield "check --grid", ["check", "--grid"]
-    points = [
-        (spec, ",".join(map(str, subset)))
-        for spec in cli.GRID_FIELD_SPECS
-        for k in range(cli.GRID_MAX_FINITE + 1)
-        for subset in itertools.combinations(cli.GRID_PRIMES, k)
-    ]
-    for spec, primes in points:
-        yield "check", ["check", "--field", spec, "--s-primes", primes]
-        yield "covolume", ["covolume", "--field", spec, "--s-primes", primes, "--group", "pgl"]
-        yield "jl-ratio", ["jl-ratio", "--field", spec, "--s-primes", primes, "--group", "pgl"]
+    for spec in cli.GRID_FIELD_SPECS:
+        weights = ["weight:3"] * (1 if spec == "Q" else 2)
+        for k in range(cli.GRID_MAX_FINITE + 1):
+            for subset in itertools.combinations(cli.GRID_PRIMES, k):
+                common = ["--field", spec, "--s-primes", ",".join(map(str, subset))]
+                local_data = ",".join(weights + ["dim:2"] * k)
+                yield "check", ["check", *common]
+                yield "covolume", ["covolume", *common, "--group", "pgl"]
+                yield "jl-ratio", ["jl-ratio", *common, "--group", "pgl"]
+                yield "steinberg-dim --group psl", ["steinberg-dim", *common, "--group", "psl"]
+                yield "module-dim --group sl", ["module-dim", *common, "--group", "sl", "--local-data", local_data]
+                yield "jl-ratio --group sl", ["jl-ratio", *common, "--group", "sl"]
+                yield "covolume --group sl --format table", ["covolume", *common, "--group", "sl", "--format", "table"]
     for spec in cli.GRID_FIELD_SPECS:
         yield "zeta", ["zeta", "--field", spec]
         yield "candidates", ["candidates", "--field", spec]

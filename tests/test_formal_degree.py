@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -123,3 +124,16 @@ class TestDatumValidation:
     def test_dim_must_be_positive(self):
         with pytest.raises(ValueError):
             LocalRepDatum.finite(Place(3, 1, 1), 0)
+
+    def test_value_must_be_an_int(self):
+        for place, value in ((Place(), 2.5), (Place(), 3.0), (Place(3, 1, 1), 1.5), (Place(3, 1, 1), True)):
+            with pytest.raises(ValueError):
+                LocalRepDatum(place, value)
+
+    def test_one_value_read_by_its_place(self):
+        assert [f.name for f in dataclasses.fields(LocalRepDatum)] == ["place", "value"]
+        assert LocalRepDatum.archimedean(Place(), 3) == LocalRepDatum(Place(), 3)
+        assert LocalRepDatum.finite(Place(3, 1, 1), 2) == LocalRepDatum(Place(3, 1, 1), 2)
+        assert LocalRepDatum(Place(3, 1, 1), 1).value == 1
+        with pytest.raises(ValueError):
+            LocalRepDatum(Place(), 1)

@@ -363,6 +363,12 @@ def test_place_validation():
         Place(e=1)
     with pytest.raises(ValueError):
         Place().q
+    # non-int data: is_prime(2.5) is True, so only the type check rejects a float prime
+    for args in ((2.5, 1, 1), (3.0, 1, 1), (3, 1.0, 1), (3, 1, 2.0), (3, 1, 1, 0.0), (None, None, None, None)):
+        with pytest.raises(ValueError):
+            Place(*args)
+    with pytest.raises(ValueError):
+        build_S(parse_field("Q"), [2.5])
 
 
 @pytest.mark.parametrize(
@@ -391,3 +397,7 @@ def test_numberfield_validation():
         NumberField(-3)
     with pytest.raises(NotSquarefree):
         NumberField(50)
+    # a non-int radicand would pass the squarefree test as Q(sqrt 6.5)
+    for d in (6.5, 5.0, "5", True):
+        with pytest.raises(ValueError):
+            NumberField(d)

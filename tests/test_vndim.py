@@ -198,6 +198,13 @@ class TestModuleDim:
         with pytest.raises(DatumPlaceMismatch):
             module_vn_dim(F, S, "pgl", data)
 
+    def test_non_integer_weight(self):
+        # a float weight would give a float dimension
+        F = parse_field("Q")
+        S = build_S(F, [])
+        with pytest.raises(ValueError):
+            module_vn_dim(F, S, "pgl", [LocalRepDatum.archimedean(S.places[0], 2.5)])
+
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=2, max_value=40))
     def test_multiplicative_in_local_ratio(self, n1, n2):
         F = parse_field("Q")
