@@ -6,21 +6,26 @@ discriminant D the divisor lattice sum
     zeta_F(-1) = (1/60) * sum over b^2 < D, b^2 = D (mod 4)
                  of sigma_1((D - b^2)/4),
 
-always an integer divided by 60, with sigma_1 computed from the
-factorization of its argument.  zeta_F(2) = zeta(2) * L(2, chi_D) is
-evaluated numerically by two independent routes: an elementary cosecant sum
-good to any working precision,
+always an integer divided by 60.  Its about sqrt(D)/2 values (D - b^2)/4
+are factored together by one quadratic sieve: each odd prime p <= sqrt(D/4)
+divides exactly the values whose b is a square root of D mod p, found by
+Tonelli-Shanks, so it is stepped to in arithmetic progressions rather than
+tried on every value.  The sum costs about sqrt(D) * log log D.
+zeta_F(2) = zeta(2) * L(2, chi_D) is evaluated numerically by two
+independent routes: an elementary cosecant sum good to any working
+precision,
 
     L(2, chi_D) = (pi^2 / D^2) * sum_{1 <= r < D/2} chi_D(r) * csc^2(pi r / D),
 
 which is the residue-class regrouping of the L-series folded in half by the
 trigamma reflection formula (DLMF 5.15.6), and a truncated Euler product
-used for cross-checks.  The cosecant sum runs as a fixed-point integer
+used for cross-checks.  Both read chi_D from one half-period table, sieved
+from its values at primes.  The cosecant sum runs as a fixed-point integer
 kernel: exp(i pi r / D) is stepped by one complex multiply in Python ints
 per residue, with 2 * D.bit_length() + 8 guard bits, and only the total
 becomes an mpmath number, within one ulp of zeta_F(2) at the working
-precision.  Each working precision has one mpmath context, cloned once and
-never mutated.  The functional equation
+precision; it is O(D).  Each working precision has one mpmath context,
+cloned once and never mutated.  The functional equation
 
     zeta_F(2) = (2 pi)^(2n) / 2^n * d_F^(-3/2) * |zeta_F(-1)|
 
@@ -55,27 +60,37 @@ class SpecialValue:
     value: Fraction
 
 
-def sum_of_divisors(n: int) -> int:
-    """sigma_1(n), the sum of the positive divisors of n >= 1.
+def _sqrt_mod(D: int, p: int) -> int:
+    """A root of x^2 = D (mod p), for an odd prime p with (D/p) = 1, by
+    Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).
 
-    sigma_1 is multiplicative: trial division factors n, each prime power
-    p^a contributes 1 + p + ... + p^a, and the cofactor m > 1 left once the
-    trial divisor k passes sqrt(m) is prime and contributes m + 1.
+    With p - 1 = q * 2^e and q odd, x = D^((q+1)/2) is a root up to the
+    factor D^q, an element of the 2-Sylow subgroup; each pass of the loop
+    halves that factor's order with a power of y, a generator of the
+    subgroup made from the least nonresidue.  For p = 3 (mod 4) the factor
+    is 1 and no nonresidue is needed.
     """
-    total = 1
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            term = power = 1
-            while n % k == 0:
-                n //= k
-                power *= k
-                term += power
-            total *= term
-        k += 1 if k == 2 else 2
-    if n > 1:
-        total *= n + 1
-    return total
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> e
+    x = pow(D, (q + 1) // 2, p)
+    b = pow(D, q, p)
+    if b == 1:
+        return x
+    z = 2
+    while kronecker_symbol(z, p) != -1:
+        z += 1
+    y = pow(z, q, p)
+    while b != 1:
+        m, b2 = 0, b
+        while b2 != 1:
+            b2 = b2 * b2 % p
+            m += 1
+        t = pow(y, 1 << (e - m - 1), p)
+        y = t * t % p
+        e = m
+        x = x * t % p
+        b = b * y % p
+    return x
 
 
 @functools.lru_cache(maxsize=ZETA_MEMO_SIZE)
@@ -83,26 +98,69 @@ def zeta_F_minus1(F: NumberField) -> SpecialValue:
     """Exact zeta_F(-1), memoized per field.
 
     Over Q the classical value -1/12.  Over a real quadratic field the
-    divisor sum above, the only place the O(D) sum runs; it is positive,
-    and the denominator divides 60.
+    divisor sum above, by one sieve pass over the values
+    m_t = (D - b^2)/4 with b = 2t + (D mod 2) >= 0.  Each m_t loses its
+    power of 2 by its trailing zeros.  An odd prime p divides m_t exactly
+    when b^2 = D (mod p): never when (D/p) = -1, at b = 0 (mod p) when p
+    divides D, and else at the two roots +-r, so the t it divides run
+    through t = (+-r - (D mod 2)) / 2 (mod p).  At each, the full power p^a
+    is divided out and sigma_1(p^a) multiplied in.  After every p <=
+    sqrt(D/4), what is left of m_t is 1 or a prime, which contributes
+    m_t + 1.  Every b > 0 stands for b and -b.  The value is positive, and
+    its denominator divides 60.
     """
     if F.d is None:
         return SpecialValue(Fraction(-1, 12))
     D = F.discriminant
-    total = 0
-    b = 0
-    while b * b < D:
-        if (D - b * b) % 4 == 0:
-            # b and -b both contribute for b > 0
-            total += (2 if b else 1) * sum_of_divisors((D - b * b) // 4)
-        b += 1
-    return SpecialValue(Fraction(total, 60))
+    odd = D % 2
+    m = [(D - b * b) >> 2 for b in range(odd, math.isqrt(D) + 1, 2)]
+    twos = [(v & -v).bit_length() - 1 for v in m]
+    m = [v >> a for v, a in zip(m, twos)]
+    sigma = [(2 << a) - 1 for a in twos]
+    for p in primes_up_to(math.isqrt(D // 4))[1:]:
+        symbol = kronecker_symbol(D, p)
+        if symbol < 0:
+            continue
+        r = _sqrt_mod(D, p) if symbol else 0
+        half = (p + 1) // 2  # the inverse of 2 mod p
+        for start in {(r - odd) * half % p, (-r - odd) * half % p}:
+            for t in range(start, len(m), p):
+                v, power = m[t] // p, p
+                term = 1 + p
+                while v % p == 0:
+                    v //= p
+                    power *= p
+                    term += power
+                m[t] = v
+                sigma[t] *= term
+    terms = [s * (v + 1) if v > 1 else s for s, v in zip(sigma, m)]
+    # b = 0, the one b without a partner -b, is t = 0 when D is even
+    return SpecialValue(Fraction(2 * sum(terms) - (0 if odd else terms[0]), 60))
 
 
 def quadratic_character_table(D: int) -> list[int]:
-    """chi_D(r) for 0 <= r < D: the quadratic character attached to the
-    fundamental discriminant D, periodic mod D."""
-    return [kronecker_symbol(D, r) for r in range(D)]
+    """chi_D(r) for 0 <= r <= D/2: the quadratic character attached to the
+    fundamental discriminant D > 1 over half its period.  chi_D is even,
+    so chi_D(r) = chi_D(D - r) gives the other half.
+
+    chi_D is completely multiplicative, so the table is sieved from its
+    values at primes: the Kronecker symbol at each prime p <= D/2 zeroes the
+    multiples of p when p divides D, and when chi_D(p) = -1 flips the sign
+    on the multiples of every power p^k.
+    """
+    half = D // 2
+    chi = [1] * (half + 1)
+    chi[0] = 0
+    for p in primes_up_to(half):
+        symbol = kronecker_symbol(D, p)
+        if symbol == 0:
+            chi[p::p] = [0] * (half // p)
+        elif symbol < 0:
+            q = p
+            while q <= half:
+                chi[q::q] = [-c for c in chi[q::q]]
+                q *= p
+    return chi
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -172,12 +230,12 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> mpmath.mpf:
     c, s = libmp.to_fixed(cos, wp), libmp.to_fixed(sin, wp)
     one = 1 << (3 * wp)
     x, y = c, s
+    chi = quadratic_character_table(D)
     total = 0
     for r in range(1, (D + 1) // 2):
-        chi = kronecker_symbol(D, r)
-        if chi > 0:
+        if chi[r] > 0:
             total += one // (y * y)
-        elif chi:
+        elif chi[r]:
             total -= one // (y * y)
         x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
     pi4 = libmp.mpf_pow_int(libmp.mpf_pi(wp), 4, wp)
@@ -205,7 +263,8 @@ def zeta_F_2_euler_product(F: NumberField, primes: list[int]) -> float:
     chi = quadratic_character_table(D)
     product = 1.0
     for p in primes:
-        c = chi[p % D]
+        r = p % D
+        c = chi[min(r, D - r)]
         if c:
             product *= 1.0 / (1.0 - c / (p * p))
     return math.pi**2 / 6 * product

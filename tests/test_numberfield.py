@@ -371,6 +371,14 @@ def test_place_validation():
         build_S(parse_field("Q"), [2.5])
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, True, "3"])
+def test_non_int_prime_leaves_the_splitting_memo_alone(p):
+    numberfield._splitting.cache_clear()
+    with pytest.raises(ValueError):
+        decompose_prime(parse_field("Q(sqrt 5)"), p)
+    assert numberfield._splitting.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize(
     "field, places",
     [

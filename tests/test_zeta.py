@@ -1,4 +1,5 @@
 import math
+import random
 import signal
 from fractions import Fraction
 
@@ -8,13 +9,12 @@ from mpmath import libmp
 
 from sarithdim import zeta
 from sarithdim.errors import ToleranceTooTight
-from sarithdim.numberfield import NumberField, parse_field
+from sarithdim.numberfield import MAX_RADICAND, NumberField, is_squarefree, kronecker_symbol, parse_field
 from sarithdim.zeta import (
     SpecialValue,
     functional_equation_check,
     primes_up_to,
     quadratic_character_table,
-    sum_of_divisors,
     zeta_F_2_euler_product,
     zeta_F_2_numeric,
     zeta_F_minus1,
@@ -25,6 +25,8 @@ def real_quadratic_fields_with_disc_up_to(limit):
     """All real quadratic fields with fundamental discriminant <= limit."""
     fields = []
     for d in range(2, limit + 1):
+        if (d if d % 4 == 1 else 4 * d) > limit:
+            continue
         if any(d % (k * k) == 0 for k in range(2, int(d**0.5) + 1)):
             continue
         F = NumberField(d)
@@ -120,6 +122,64 @@ def naive_lattice_sum(D):
     return Fraction(total, 60)
 
 
+def trial_division_sigma(n):
+    """sigma_1(n) for n >= 1 by trial division: each prime power p^a found
+    contributes 1 + p + ... + p^a, and the cofactor m > 1 left once the
+    trial divisor k passes sqrt(m) is prime and contributes m + 1."""
+    total = 1
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            term = power = 1
+            while n % k == 0:
+                n //= k
+                power *= k
+                term += power
+            total *= term
+        k += 1 if k == 2 else 2
+    if n > 1:
+        total *= n + 1
+    return total
+
+
+def trial_division_lattice_sum(D, sigma=trial_division_sigma):
+    """60 * zeta_F(-1) as the lattice sum with each value (D - b^2)/4 factored
+    on its own: the oracle for the sieve of zeta_F_minus1."""
+    total = 0
+    b = 0
+    while b * b < D:
+        if (D - b * b) % 4 == 0:
+            # b and -b both contribute for b > 0
+            total += (2 if b else 1) * sigma((D - b * b) // 4)
+        b += 1
+    return total
+
+
+def sieve_branches(D):
+    """The branches of the sieve in zeta_F_minus1 that the discriminant D takes."""
+    values = [(D - b * b) // 4 for b in range(D % 2, math.isqrt(D) + 1, 2)]
+    odd_primes = primes_up_to(math.isqrt(D // 4))[1:]
+    branches = {"D odd" if D % 2 else "D even"}
+    if any(D % p == 0 for p in odd_primes):
+        branches.add("p divides D")
+    if any(m % 8 == 0 for m in values):
+        branches.add("2^a with a >= 3")
+    if any(m % (p * p) == 0 for p in odd_primes for m in values):
+        branches.add("odd square factor")
+    for p in odd_primes:
+        # p - 1 = q * 2^e: the Tonelli-Shanks loop runs when D^q != 1 (mod p)
+        q = (p - 1) >> (((p - 1) & (1 - p)).bit_length() - 1)
+        if p % 8 == 1 and kronecker_symbol(D, p) == 1 and pow(D, q, p) != 1:
+            branches.add("Tonelli-Shanks loop at p = 1 mod 8")
+    for m in values:
+        for p in [2] + odd_primes:
+            while m % p == 0:
+                m //= p
+        if m > 1:
+            branches.add("prime cofactor above sqrt(D/4)")
+    return branches
+
+
 class TestZetaMinusOne:
     def test_rationals(self):
         sv = zeta_F_minus1(parse_field("Q"))
@@ -143,21 +203,72 @@ class TestZetaMinusOne:
     def test_matches_bernoulli_route(self):
         fields = real_quadratic_fields_with_disc_up_to(500)
         # d = 100001 = 1 (mod 4) has D = d, and d = 100003 has D = 4d
-        fields += [parse_field(f"Q(sqrt {d})") for d in (1001, 10007, 100001, 100003)]
+        # D = 100001 = 1 and D = 100005 = 5 (mod 8); 100003 = 3 (mod 4) has D = 4d;
+        # 25006 = 2 (mod 4) has D = 8 * 12503
+        fields += [parse_field(f"Q(sqrt {d})") for d in (1001, 10007, 100001, 100005, 100003, 25006)]
         for F in fields:
             assert zeta_F_minus1(F).value == bernoulli_route_zeta_minus1(F.discriminant), F
 
 
-def test_sum_of_divisors_brute_force():
+def test_trial_division_sigma_brute_force():
     for n in range(1, 1000):
-        assert sum_of_divisors(n) == naive_divisor_sum(n)
+        assert trial_division_sigma(n) == naive_divisor_sum(n)
     # prime powers: sigma_1(p^a) = (p^(a+1) - 1) / (p - 1)
     for p, a in ((2, 40), (3, 25), (101, 4), (10007, 2), (999983, 1)):
-        assert sum_of_divisors(p**a) == (p ** (a + 1) - 1) // (p - 1), (p, a)
+        assert trial_division_sigma(p**a) == (p ** (a + 1) - 1) // (p - 1), (p, a)
     # products of two large primes: one found by trial division, one left as the cofactor
     for p, q in ((10007, 999983), (999983, 1000003), (2, 1000003), (999983, 999983)):
         expected = 1 + p + p * p if p == q else (1 + p) * (1 + q)
-        assert sum_of_divisors(p * q) == expected, (p, q)
+        assert trial_division_sigma(p * q) == expected, (p, q)
+
+
+class TestSiegelSieve:
+    def test_matches_trial_division_for_every_discriminant_to_20000(self):
+        # sigma_1 of every value (D - b^2)/4 <= 5000, each by trial division once
+        sigma = [0] + [trial_division_sigma(n) for n in range(1, 20000 // 4 + 1)]
+        fields = real_quadratic_fields_with_disc_up_to(20000)
+        assert len(fields) == 6081
+        for F in fields:
+            assert zeta_F_minus1(F).value * 60 == trial_division_lattice_sum(F.discriminant, sigma.__getitem__), F
+
+    def test_matches_trial_division_at_large_discriminants(self):
+        rng = random.Random(13)
+        radicands = []
+        while len(radicands) < 20:
+            d = round(math.exp(rng.uniform(math.log(10**5 / 4), math.log(MAX_RADICAND))))
+            if is_squarefree(d) and 10**5 <= NumberField(d).discriminant:
+                radicands.append(d)
+        # within 100 of the cap: D = d = 1 (mod 4) and D = 4d for d = 2 and 3 (mod 4)
+        radicands += [999901, 999942, 999995, 999997]
+        for d in radicands:
+            D = NumberField(d).discriminant
+            assert 10**5 <= D <= 4 * MAX_RADICAND
+            assert zeta_F_minus1(NumberField(d)).value * 60 == trial_division_lattice_sum(D), d
+
+    @pytest.mark.parametrize(
+        "branch, d",
+        [
+            ("D odd", 1001),
+            ("D even", 1155),
+            ("p divides D", 1155),  # D = 4 * 3 * 5 * 7 * 11
+            ("2^a with a >= 3", 1001),  # (1001 - 3^2)/4 = 8 * 31
+            ("odd square factor", 1001),  # (1001 - 1)/4 = 2 * 5^3
+            ("Tonelli-Shanks loop at p = 1 mod 8", 1155),
+            ("prime cofactor above sqrt(D/4)", 1001),
+        ],
+    )
+    def test_branch(self, branch, d):
+        D = NumberField(d).discriminant
+        assert branch in sieve_branches(D)
+        assert zeta_F_minus1(NumberField(d)).value * 60 == trial_division_lattice_sum(D)
+
+    def test_square_root_mod_every_odd_prime_below_300(self):
+        for p in primes_up_to(300)[1:]:
+            for a in range(1, p):
+                if kronecker_symbol(a, p) == 1:
+                    assert zeta._sqrt_mod(a, p) ** 2 % p == a, (a, p)
+                    # a residue given above p, as the sieve passes D
+                    assert zeta._sqrt_mod(a + 7 * p, p) ** 2 % p == a, (a, p)
 
 
 class TestZetaTwoNumeric:
@@ -269,8 +380,13 @@ class TestEulerProduct:
             assert abs(truncated - reference) < 1e-7, spec
 
     def test_character_table_periodic_values(self):
-        table = quadratic_character_table(5)
-        assert table == [0, 1, -1, -1, 1]
+        # half a period, 0 <= r <= D/2
+        assert quadratic_character_table(5) == [0, 1, -1]
+
+    def test_character_table_is_the_kronecker_symbol(self):
+        for F in real_quadratic_fields_with_disc_up_to(3000):
+            D = F.discriminant
+            assert quadratic_character_table(D) == [kronecker_symbol(D, r) for r in range(D // 2 + 1)], D
 
 
 class TestFunctionalEquation:
