@@ -20,12 +20,10 @@ from .formal_degree import LocalRepDatum
 from .numberfield import MAX_PRIME, is_prime, parse_field, build_S
 from .quaternion import pdx_candidates
 from .vndim import check_identities, jl_ratio_pgl, jl_ratio_sl, module_vn_dim, steinberg_vn_dim
-from .zeta import functional_equation_check, zeta_F_minus1
+from .zeta import MAX_PRECISION_BITS, functional_equation_check, zeta_F_minus1
 
 DEFAULT_TOL = 1e-8
 DEFAULT_PRECISION_BITS = 128
-#: Largest accepted --working-precision.
-MAX_PRECISION_BITS = 4096
 
 GRID_FIELD_SPECS = ("Q", "Q(sqrt 2)", "Q(sqrt 3)", "Q(sqrt 5)", "Q(sqrt 13)")
 GRID_PRIMES = (2, 3, 5, 7, 11, 13)

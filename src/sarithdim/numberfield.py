@@ -65,11 +65,6 @@ _PSI = (
     3317044064679887385961981,
 )
 
-#: (field, prime) pairs whose splitting type is memoized.  Building an
-#: S-set asks for each prime's splitting twice, once to make its places and
-#: once to check them; a small bound keeps both answers of one build.
-SPLITTING_MEMO_SIZE = 32
-
 _QUADRATIC_RE = re.compile(r"Q\(sqrt (-?)(\d+)\)")
 
 
@@ -276,11 +271,9 @@ def kronecker_symbol(D: int, m: int) -> int:
     return result if n == 1 else 0
 
 
-@functools.lru_cache(maxsize=SPLITTING_MEMO_SIZE)
 def _splitting(F: NumberField, p: int) -> tuple[int, int, int]:
     """(e, f, g) of the prime p in F: ramification index, inertia degree and
-    number of places over p, from the sign of (D/p); e * f * g = degree(F).
-    Memoized per (F, p)."""
+    number of places over p, from the sign of (D/p); e * f * g = degree(F)."""
     if F.d is None:
         return 1, 1, 1
     sym = kronecker_symbol(F.discriminant, p)
@@ -294,9 +287,9 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
 
     The returned places always satisfy sum(e*f) = degree(F).  Over a split
     prime the two places differ only by ``index``.  A p that is not an int
-    raises ValueError before its splitting is computed or memoized; a p
-    above MAX_PRIME raises UnsupportedPrime; a composite p raises ValueError
-    from the primality check of :class:`Place`.
+    raises ValueError before its splitting is computed; a p above MAX_PRIME
+    raises UnsupportedPrime; a composite p raises ValueError from the
+    primality check of :class:`Place`.
     """
     if type(p) is not int:
         raise ValueError(f"place data must be ints, got p={p!r}")

@@ -134,7 +134,7 @@ def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
     """
     if not validate_ramification(S):
         raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
-    if not isinstance(pd_order, int) or pd_order < 1:
+    if type(pd_order) is not int or pd_order < 1:
         raise ValueError(f"pd_order must be an int >= 1, got {pd_order!r}")
     return pd_order * _pgl_monomial(invariants(F, S))
 

@@ -54,6 +54,10 @@ ZETA_MEMO_SIZE = 256
 #: 70 bits.
 PRECISION_CONTEXTS = 8
 
+#: Largest accepted working precision of the functional-equation check: at
+#: Q(sqrt 997) its numeric side takes 0.11 s at 4,096 bits, 1.6 s at 20,000.
+MAX_PRECISION_BITS = 4096
+
 
 @dataclass(frozen=True)
 class SpecialValue:
@@ -285,15 +289,19 @@ def functional_equation_check(
     """Check zeta_F(2) numerically against the image of zeta_F(-1) under the
     functional equation, to absolute tolerance tol.
 
-    This is the one place a tolerance is validated and sized: tol must be
-    finite and at least 1e-12, else ToleranceTooTight.  The working
-    precision is twice the target bits max(-log2(tol), 1), rounded up, plus
-    16 guard bits, and at least 64 and at least ``precision_bits``.
+    This is the one place a tolerance is validated and sized: tol must lie
+    in [1e-12, 1), else ToleranceTooTight (zeta_F(2) > 1 passes any looser
+    check), and ``precision_bits`` must be None or an int in [1,
+    MAX_PRECISION_BITS], else ValueError.  The working precision is twice
+    the target bits max(-log2(tol), 1), rounded up, plus 16 guard bits, and
+    at least 64 and at least ``precision_bits``.
     """
-    if not math.isfinite(tol):
-        raise ToleranceTooTight(f"tolerance {tol} is not a finite number")
+    if not tol < 1:  # nan and +inf included
+        raise ToleranceTooTight(f"tolerance {tol} is not below 1, so the check has no teeth")
     if tol < 1e-12:
         raise ToleranceTooTight(f"tolerance {tol} below the supported floor of 1e-12")
+    if precision_bits is not None and not (type(precision_bits) is int and 1 <= precision_bits <= MAX_PRECISION_BITS):
+        raise ValueError(f"precision_bits must be None or an int in [1, {MAX_PRECISION_BITS}], got {precision_bits!r}")
     bits = max(math.ceil(2 * max(-math.log2(tol), 1.0)) + 16, precision_bits or 0, 64)
     n = F.degree
     ctx = _context(bits)

@@ -1,11 +1,13 @@
 """Golden digests of the default CLI output.
 
-About 1,480 requests go through ``cli.run``: ``check --grid``; at each of
+About 1,970 requests go through ``cli.run``: ``check --grid``; at each of
 the 210 grid points ``check``, ``covolume --group pgl``, ``jl-ratio --group
 pgl``, ``steinberg-dim --group psl``, ``module-dim --group sl`` (weight 3 at
 each real place, dimension 2 at each finite place), ``jl-ratio --group sl``
 (whose odd-|S| points give the ODD_CARDINALITY error) and ``covolume --group
-sl --format table``; and ``zeta`` and ``candidates`` for each grid field.
+sl --format table``; ``zeta`` and ``candidates`` for each grid field; and
+``zeta --field`` over Q and the 242 squarefree d from 2 to 400, at the
+defaults and at ``--tol 1e-10 --working-precision 192``.
 Each request family gets one sha256 over the (argv, exit code, stdout,
 stderr) of its requests, in order, compared with the digest committed below.
 This pins the rule that the default output does not change by one byte.
@@ -19,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import math
 
 from sarithdim import cli
 
@@ -33,7 +36,13 @@ GOLDEN = {
     "module-dim --group sl": "95bc1bfdad32f53dfa18893288f1a28a7040daaa10c5b27ab40ca80e15280c13",
     "jl-ratio --group sl": "f33f02fb0ead86ded82b0a1fac767823d246181fd9d7e8c1bc073be519fdffc0",
     "covolume --group sl --format table": "8a071729b669a587ab9fb85620225bc3c83a5033420d4b445bb151eca8620440",
+    "zeta, d <= 400": "359d434c0fe2022979d266ab547a86bd744351852104e7e2be3968160fe3eb9d",
 }
+
+#: Q and the real quadratic fields of squarefree radicand 2 <= d <= 400.
+ZETA_FIELD_SPECS = ("Q",) + tuple(
+    f"Q(sqrt {d})" for d in range(2, 401) if all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
+)
 
 
 def _requests():
@@ -54,6 +63,9 @@ def _requests():
     for spec in cli.GRID_FIELD_SPECS:
         yield "zeta", ["zeta", "--field", spec]
         yield "candidates", ["candidates", "--field", spec]
+    for spec in ZETA_FIELD_SPECS:
+        yield "zeta, d <= 400", ["zeta", "--field", spec]
+        yield "zeta, d <= 400", ["zeta", "--field", spec, "--tol", "1e-10", "--working-precision", "192"]
 
 
 def digests() -> dict[str, str]:

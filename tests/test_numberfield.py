@@ -312,22 +312,21 @@ class TestBuildS:
         calls = []
         original = numberfield.kronecker_symbol
         monkeypatch.setattr(numberfield, "kronecker_symbol", lambda D, m: calls.append(m) or original(D, m))
-        numberfield._splitting.cache_clear()
         return calls
 
-    def test_one_kronecker_symbol_per_prime(self, monkeypatch):
+    def test_one_kronecker_symbol_per_prime_and_per_kept_place(self, monkeypatch):
         calls = self.count_kronecker_symbols(monkeypatch)
+        # decompose_prime reads each prime's splitting once, and SSet checks
+        # each kept place once: 19:both keeps two places
         build_S(parse_field("Q(sqrt 5)"), [2, 11, (19, "both"), 5])
-        assert sorted(calls) == [2, 5, 11, 19]
+        assert sorted(calls) == [2, 2, 5, 5, 11, 11, 19, 19, 19]
 
-    def test_grid_reads_each_kronecker_symbol_at_most_once_per_prime(self, monkeypatch):
+    def test_grid_reads_two_kronecker_symbols_per_prime_entry(self, monkeypatch):
         calls = self.count_kronecker_symbols(monkeypatch)
         assert len(list(grid_points())) == 210
-        # 384 is the number of (quadratic field, prime) entries over the grid
-        assert len(calls) <= 384
-
-    def test_splitting_memo_bound_is_the_module_constant(self):
-        assert numberfield._splitting.cache_info().maxsize == numberfield.SPLITTING_MEMO_SIZE
+        # each of the 384 (quadratic field, prime) entries of the grid keeps
+        # one place: one symbol to decompose the prime, one to check the place
+        assert len(calls) == 2 * 384
 
 
 class TestDelta2:
@@ -372,11 +371,13 @@ def test_place_validation():
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, True, "3"])
-def test_non_int_prime_leaves_the_splitting_memo_alone(p):
-    numberfield._splitting.cache_clear()
+def test_non_int_prime_leaves_the_splitting_memo_alone(p, monkeypatch):
+    """A non-int p is refused before the splitting law evaluates a single
+    Kronecker symbol on it."""
+    calls = TestBuildS.count_kronecker_symbols(monkeypatch)
     with pytest.raises(ValueError):
         decompose_prime(parse_field("Q(sqrt 5)"), p)
-    assert numberfield._splitting.cache_info().currsize == 0
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize(

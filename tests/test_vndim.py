@@ -233,7 +233,7 @@ class TestJLRatios:
         assert jl_ratio_pgl(F5, build_S(F5, []), 60) == 1
         assert jl_ratio_pgl(F, build_S(F, [2])) == Fraction(1, 24)
 
-    @pytest.mark.parametrize("pd_order", [0, -1, 1.5, 24.0])
+    @pytest.mark.parametrize("pd_order", [0, -1, 1.5, 24.0, True])
     def test_pgl_order_below_one(self, pd_order):
         F = parse_field("Q")
         with pytest.raises(ValueError):

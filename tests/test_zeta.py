@@ -11,6 +11,7 @@ from sarithdim import zeta
 from sarithdim.errors import ToleranceTooTight
 from sarithdim.numberfield import MAX_RADICAND, NumberField, is_squarefree, kronecker_symbol, parse_field
 from sarithdim.zeta import (
+    MAX_PRECISION_BITS,
     SpecialValue,
     functional_equation_check,
     primes_up_to,
@@ -309,6 +310,21 @@ class TestZetaTwoNumeric:
         for spec in ("Q", "Q(sqrt 5)"):
             with pytest.raises(ToleranceTooTight):
                 functional_equation_check(parse_field(spec), tol)
+
+    @pytest.mark.parametrize("tol", [1.0, 5.0])
+    def test_tolerance_without_teeth(self, tol):
+        # a tolerance as large as zeta_F(2) > 1 itself gives the check no teeth
+        with pytest.raises(ToleranceTooTight):
+            functional_equation_check(parse_field("Q(sqrt 5)"), tol)
+
+    @pytest.mark.parametrize("bits", [100.5, "128", True, 0, -5, MAX_PRECISION_BITS + 1])
+    def test_precision_bits_outside_the_cli_range(self, bits):
+        with pytest.raises(ValueError):
+            functional_equation_check(parse_field("Q(sqrt 5)"), 1e-8, precision_bits=bits)
+
+    @pytest.mark.parametrize("bits", [None, 1, MAX_PRECISION_BITS])
+    def test_precision_bits_in_the_cli_range(self, bits):
+        assert functional_equation_check(parse_field("Q(sqrt 5)"), 1e-8, precision_bits=bits).ok
 
     def test_matches_hurwitz_route(self):
         # the 128-bit reference is good to about D * 2^-128, far inside 2^-100
