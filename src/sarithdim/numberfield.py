@@ -31,10 +31,10 @@ from .errors import (
 
 #: Largest accepted radicand d of Q(sqrt d).  Above it the trial-division
 #: squarefree test, O(sqrt d), and the numeric zeta layer stop being desk
-#: scale: the numeric zeta_F(2) oracle takes one fixed-point rotation per
+#: scale: the numeric zeta_F(2) oracle takes one fixed-point multiply per
 #: residue below D/2, O(D), while the exact Siegel sum is a sieve, about
 #: sqrt(D) * log log D (about 1.5 ms at the cap).  At the cap (D up to
-#: 4 * 10^6) ``zeta --field`` takes about 3 s on a busy 2-CPU Xeon, nearly
+#: 4 * 10^6) ``zeta --field`` takes about 2 s on a busy 2-CPU Xeon, nearly
 #: all of it in the numeric oracle.
 MAX_RADICAND = 10**6
 
@@ -211,6 +211,18 @@ class SSet:
     @functools.cached_property
     def places(self) -> tuple[Place, ...]:
         return tuple(Place(index=i) for i in range(self.field.degree)) + self.finite_places
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # the field enters by its discriminant: the cached hash travels with a
+        # pickled S-set, and hash(None), which Q's would read, differs between
+        # processes before Python 3.12
+        return hash((self.field.discriminant, self.finite_places))
+
+    def __hash__(self) -> int:
+        # memo lookups hash (F, S) often; the dataclass hash would recurse
+        # into the field and every place each time
+        return self._hash
 
     @property
     def size(self) -> int:

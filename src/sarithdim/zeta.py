@@ -21,11 +21,12 @@ which is the residue-class regrouping of the L-series folded in half by the
 trigamma reflection formula (DLMF 5.15.6), and a truncated Euler product
 used for cross-checks.  Both read chi_D from one half-period table, sieved
 from its values at primes.  The cosecant sum runs as a fixed-point integer
-kernel: exp(i pi r / D) is stepped by one complex multiply in Python ints
-per residue, with 2 * D.bit_length() + 8 guard bits, and only the total
-becomes an mpmath number, within one ulp of zeta_F(2) at the working
-precision; it is O(D).  Each working precision has one mpmath context,
-cloned once and never mutated.  The functional equation
+kernel: sin(pi r / D) is stepped by the three-term Chebyshev recurrence,
+one multiply in Python ints per residue, with 2b + b.bit_length() + 8
+guard bits for b = D.bit_length(), and only the total becomes an mpmath
+number, within one ulp of zeta_F(2) at the working precision; it is
+O(D).  Each working precision has one mpmath context, cloned once and
+never mutated.  The functional equation
 
     zeta_F(2) = (2 pi)^(2n) / 2^n * d_F^(-3/2) * |zeta_F(-1)|
 
@@ -208,20 +209,27 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> mpmath.mpf:
     are exact, so the only error is evaluation error.
 
     The sum is a fixed-point integer kernel at wp = bits + g bits, with
-    g = 2 * D.bit_length() + 8 guard bits on top of ``bits``.  cos(pi/D) and
-    sin(pi/D) are computed once, as integers scaled by 2^wp; each step
-    rotates z_r = exp(i pi r / D) by one complex multiply in Python ints,
-    and chi(r) * floor(2^(3 wp) / (Im z_r)^2), which is csc^2(pi r / D)
-    scaled by 2^wp, goes into an integer total.  The residues are summed in
-    fixed ascending order, so results are reproducible bit for bit.
+    g = 2b + b.bit_length() + 8 guard bits for b = D.bit_length().  With
+    theta = pi/D, t = 2 cos(theta) and y_1 = sin(theta) are computed once,
+    as integers scaled by 2^wp, and y_0 = 0; each step is one multiply of
+    the Chebyshev recurrence y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1), so
+    y_r is sin(r theta) scaled by 2^wp, and
+    chi(r) * floor(2^(3 wp) / y_r^2), which is csc^2(r theta) scaled by
+    2^wp, goes into an integer total.  The residues are summed in fixed
+    ascending order, so results are reproducible bit for bit.
 
-    Error bound, with eps = 2^-wp: the truncated cos and sin and each
-    truncating step put z_r within 3 r eps of exp(i pi r / D).  Since
-    sin(pi r / D) >= 2r/D below D/2, every csc^2 term is off by a relative
-    3 D eps at most, and the half-range sum of csc^2 is below D^2/6, so the
-    total is off by at most D^3 eps / 2 (the floors add at most D eps / 2).
-    Scaled by pi^4 / (6 D^2), that is 8.2 D eps, below 2^-(bits + 4) times
-    2^-D.bit_length(); as zeta_F(2) > 1, the value rounded to ``bits`` is
+    Error bound, with eps = 2^-wp: t and y_1 are each within 1.01 eps, and
+    each step adds at most 2.01 eps (the error in t times |y_r| <= 1, and
+    eps for the floor).  An error made at step k reaches y_r multiplied by
+    U_(r-1-k)(cos theta), the Chebyshev polynomial of the second kind, and
+    |U_m| <= m + 1, so y_r is within 1.01 r eps + 1.005 r (r - 1) eps <=
+    1.51 r^2 eps of sin(r theta).  Since sin(r theta) >= 2r/D below D/2,
+    the csc^2 term at r is off by at most 0.38 D^3 eps / r, and the terms
+    below D/2 together by at most 0.38 D^3 eps (ln D + 0.31); the floors
+    add at most D eps / 2.  Scaled by pi^4 / (6 D^2), with the roundings of
+    pi^4 and of the product, that is below 8 D (ln D + 0.31) eps, and as
+    D < 2^b and ln D + 0.31 < b < 2^b.bit_length(), below
+    2^-(bits + 4 + b).  As zeta_F(2) > 1, the value rounded to ``bits`` is
     within one ulp of zeta_F(2).
     """
     ctx = _context(bits)
@@ -229,19 +237,19 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> mpmath.mpf:
         pi2 = libmp.mpf_pow_int(libmp.mpf_pi(bits + 8), 2, bits + 8)
         return ctx.make_mpf(libmp.mpf_div(pi2, libmp.from_int(6), bits, libmp.round_nearest))
     D = F.discriminant
-    wp = bits + 2 * D.bit_length() + 8
+    b = D.bit_length()
+    wp = bits + 2 * b + b.bit_length() + 8
     cos, sin = libmp.mpf_cos_sin_pi(libmp.from_rational(1, D, wp + 8), wp + 8, libmp.round_nearest)
-    c, s = libmp.to_fixed(cos, wp), libmp.to_fixed(sin, wp)
+    t, y = libmp.to_fixed(cos, wp + 1), libmp.to_fixed(sin, wp)
     one = 1 << (3 * wp)
-    x, y = c, s
-    chi = quadratic_character_table(D)
+    previous = 0
     total = 0
-    for r in range(1, (D + 1) // 2):
-        if chi[r] > 0:
+    for c in quadratic_character_table(D)[1 : (D + 1) // 2]:
+        if c > 0:
             total += one // (y * y)
-        elif chi[r]:
+        elif c:
             total -= one // (y * y)
-        x, y = (x * c - y * s) >> wp, (x * s + y * c) >> wp
+        previous, y = y, ((t * y) >> wp) - previous
     pi4 = libmp.mpf_pow_int(libmp.mpf_pi(wp), 4, wp)
     value = libmp.mpf_mul(libmp.from_man_exp(total, -wp), pi4, wp)
     return ctx.make_mpf(libmp.mpf_div(value, libmp.from_int(6 * D * D), bits, libmp.round_nearest))
@@ -304,16 +312,15 @@ def functional_equation_check(
         raise ValueError(f"precision_bits must be None or an int in [1, {MAX_PRECISION_BITS}], got {precision_bits!r}")
     bits = max(math.ceil(2 * max(-math.log2(tol), 1.0)) + 16, precision_bits or 0, 64)
     n = F.degree
-    ctx = _context(bits)
+    D = F.discriminant
     numeric_side = zeta_F_2_numeric(F, bits)
     z = abs(zeta_F_minus1(F).value)
-    rational_side = (
-        (2 * ctx.pi) ** (2 * n)
-        / 2**n
-        * ctx.mpf(F.discriminant) ** ctx.mpf("-1.5")
-        * ctx.mpf(z.numerator)
-        / z.denominator
-    )
+    # (2 pi)^(2n) / 2^n * D^(-3/2) * z = 2^n pi^(2n) z / (D sqrt D), at 16
+    # guard bits and rounded once
+    wp = bits + 16
+    top = libmp.mpf_mul(libmp.mpf_pow_int(libmp.mpf_pi(wp), 2 * n, wp), libmp.from_int(z.numerator << n), wp)
+    bottom = libmp.mpf_mul(libmp.mpf_sqrt(libmp.from_int(D), wp), libmp.from_int(D * z.denominator), wp)
+    rational_side = _context(bits).make_mpf(libmp.mpf_div(top, bottom, bits, libmp.round_nearest))
     difference = abs(numeric_side - rational_side)
     ok = bool(difference < tol)
     return FunctionalEquationReport(ok, float(numeric_side), float(rational_side), float(difference), tol)

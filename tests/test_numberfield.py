@@ -1,4 +1,9 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -297,6 +302,39 @@ class TestBuildS:
         assert S.places is S.places
         # the cached tuple is not part of equality or the hash
         assert S == build_S(F, [11]) and hash(S) == hash(build_S(F, [11]))
+
+    def test_equal_sets_are_one_dict_key(self):
+        # built separately, so neither shares the other's cached hash
+        F, G = parse_field("Q(sqrt 5)"), parse_field("Q(sqrt 5)")
+        S, T = build_S(F, [11, (19, "both")]), build_S(G, [11, (19, "both")])
+        assert S is not T and S == T and hash(S) == hash(T)
+        assert {S: "S"}[T] == "S" and {T: "T"}[S] == "T"
+        assert S != build_S(F, [11]) and build_S(F, [11]) not in {S: "S"}
+
+    def test_pickled_set_is_a_dict_key_in_another_process(self):
+        # an S-set keeps its hash once computed, and pickles it with itself;
+        # the child's equal S-sets must still find the pickled ones, over Q too
+        sets = [build_S(parse_field(spec), [3]) for spec in ("Q", "Q(sqrt 5)")]
+        for S in sets:
+            hash(S)
+        child = (
+            "import pickle, sys\n"
+            "from sarithdim.numberfield import build_S, parse_field\n"
+            "sets = pickle.loads(sys.stdin.buffer.read())\n"
+            "table = dict.fromkeys(sets)\n"
+            "print(all(build_S(parse_field(spec), [3]) in table for spec in ('Q', 'Q(sqrt 5)')))\n"
+        )
+        source_root = str(Path(numberfield.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", child],
+            input=pickle.dumps(sets),
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == b"True"
 
     def test_one_primality_test_per_place(self, monkeypatch):
         calls = []

@@ -349,8 +349,11 @@ class TestZetaTwoNumeric:
     def test_kernel_error_bound(self, bits):
         # before its final rounding the kernel is within 2^-(bits + 4 + D.bit_length())
         # of zeta_F(2) relatively, so the result is within that plus half an ulp;
-        # the reference has 64 more bits than the result
-        for F in real_quadratic_fields_with_disc_up_to(500):
+        # the reference has 64 more bits than the result.  The recurrence's error
+        # grows like D^3 log D, so the largest D tested carry the most weight.
+        fields = real_quadratic_fields_with_disc_up_to(500)
+        fields += [parse_field("Q(sqrt 2993)"), parse_field("Q(sqrt 10007)")]  # D = 2993, 40028
+        for F in fields:
             D = F.discriminant
             value = zeta_F_2_numeric(F, bits)
             reference = sine_route_zeta_F_2(D, bits + 64)
@@ -405,9 +408,28 @@ class TestEulerProduct:
             assert quadratic_character_table(D) == [kronecker_symbol(D, r) for r in range(D // 2 + 1)], D
 
 
+def power_route_rational_side(F, bits):
+    """(2 pi)^(2n) / 2^n * D^(-3/2) * |zeta_F(-1)|, the image of zeta_F(-1)
+    under the functional equation, as the mpmath expression reads, at
+    ``bits`` of precision."""
+    ctx = mpmath.mp.clone()
+    ctx.prec = bits
+    n = F.degree
+    z = abs(zeta_F_minus1(F).value)
+    return (2 * ctx.pi) ** (2 * n) / 2**n * ctx.mpf(F.discriminant) ** ctx.mpf(-1.5) * z.numerator / z.denominator
+
+
 class TestFunctionalEquation:
     def test_rationals(self):
         assert functional_equation_check(parse_field("Q"), 1e-8).ok
+
+    @pytest.mark.parametrize("tol, bits", [(1e-8, 128), (1e-10, 192)])
+    def test_rational_side_matches_power_route(self, tol, bits, monkeypatch):
+        # the numeric side is tested above; a stand-in keeps 910 fields cheap
+        monkeypatch.setattr(zeta, "zeta_F_2_numeric", lambda F, bits: mpmath.mpf(1))
+        for F in [parse_field("Q")] + real_quadratic_fields_with_disc_up_to(3000):
+            report = functional_equation_check(F, tol, bits)
+            assert report.rational_side == float(power_route_rational_side(F, bits + 64)), F
 
     def test_sqrt5(self):
         report = functional_equation_check(parse_field("Q(sqrt 5)"), 1e-8)
@@ -443,4 +465,4 @@ class TestFunctionalEquation:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert report.ok
-        assert report.difference < 1e-30
+        assert report.difference < 2**-120
