@@ -11,22 +11,20 @@ are factored together by one quadratic sieve: each odd prime p <= sqrt(D/4)
 divides exactly the values whose b is a square root of D mod p, found by
 Tonelli-Shanks, so it is stepped to in arithmetic progressions rather than
 tried on every value.  The sum costs about sqrt(D) * log log D.
-zeta_F(2) = zeta(2) * L(2, chi_D) is evaluated numerically by two
-independent routes: an elementary cosecant sum good to any working
-precision,
+zeta_F(2) = zeta(2) * L(2, chi_D) is evaluated numerically by an
+elementary cosecant sum good to any working precision,
 
     L(2, chi_D) = (pi^2 / D^2) * sum_{1 <= r < D/2} chi_D(r) * csc^2(pi r / D),
 
 which is the residue-class regrouping of the L-series folded in half by the
-trigamma reflection formula (DLMF 5.15.6), and a truncated Euler product
-used for cross-checks.  Both read chi_D from one half-period table, sieved
-from its values at primes.  The cosecant sum runs as a fixed-point integer
-kernel: sin(pi r / D) is stepped by the three-term Chebyshev recurrence,
-one multiply in Python ints per residue, with 2b + b.bit_length() + 8
-guard bits for b = D.bit_length(), and only the total becomes an mpmath
-number, within one ulp of zeta_F(2) at the working precision; it is
-O(D).  Each working precision has one mpmath context, cloned once and
-never mutated.  The functional equation
+trigamma reflection formula (DLMF 5.15.6).  It reads chi_D from one
+half-period table, sieved from its values at primes.  The sum runs as a
+fixed-point integer kernel: sin(pi r / D) is stepped by the three-term
+Chebyshev recurrence, one multiply in Python ints per residue, with
+2b + b.bit_length() + 8 guard bits for b = D.bit_length(); it is O(D).
+Every numeric value is an exact dyadic Fraction, rounded once to its
+working precision; mpmath's libmp supplies only pi and cos/sin(pi/D) as
+fixed-point ints.  The functional equation
 
     zeta_F(2) = (2 pi)^(2n) / 2^n * d_F^(-3/2) * |zeta_F(-1)|
 
@@ -39,7 +37,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import libmp
 
 from .errors import ToleranceTooTight
@@ -49,11 +46,6 @@ from .numberfield import NumberField, kronecker_symbol
 #: for the value of one field many times; a bounded memo keeps long runs over
 #: many distinct fields at constant memory.
 ZETA_MEMO_SIZE = 256
-
-#: Working precisions whose mpmath context is kept.  Callers use a handful:
-#: the CLI asks for one per process, and the default tolerance alone gives
-#: 70 bits.
-PRECISION_CONTEXTS = 8
 
 #: Largest accepted working precision of the functional-equation check: at
 #: Q(sqrt 997) its numeric side takes 0.11 s at 4,096 bits, 1.6 s at 20,000.
@@ -180,20 +172,25 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, is_p in enumerate(flags) if is_p]
 
 
-@functools.lru_cache(maxsize=PRECISION_CONTEXTS)
-def _context(bits: int) -> mpmath.ctx_mp.MPContext:
-    """The mpmath context at ``bits`` of precision, cloned once per precision
-    and never mutated afterwards, so concurrent callers share it safely.
-    It is the ``.context`` of every mpf this module returns; callers must
-    not change its precision."""
-    ctx = mpmath.mp.clone()
-    ctx.prec = bits
-    return ctx
+def _rounded(num: int, den: int, bits: int) -> Fraction:
+    """The positive rational num/den rounded to ``bits`` significant bits,
+    ties to even: one integer division, by a shift chosen so that its
+    quotient has exactly ``bits`` bits (Brent and Zimmermann, Modern
+    Computer Arithmetic, 2010, ch. 3).  The denominator is a power of two."""
+    e = bits + den.bit_length() - num.bit_length()
+    num, den = (num << e, den) if e >= 0 else (num, den << -e)
+    if num >= den << bits:
+        e -= 1
+        den <<= 1
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return Fraction(q, 1 << e) if e >= 0 else Fraction(q << -e)
 
 
-def zeta_F_2_numeric(F: NumberField, bits: int) -> mpmath.mpf:
-    """zeta_F(2) within one ulp at ``bits`` of precision, as an mpf whose
-    ``.context`` is the shared context at ``bits``.
+def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
+    """zeta_F(2) within one ulp at ``bits`` of precision, as a dyadic
+    Fraction of at most ``bits`` significant bits.
 
     Over Q this is pi^2/6, squared from pi at 8 guard bits and rounded once
     to ``bits``.  Over a quadratic field of discriminant D,
@@ -216,7 +213,9 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> mpmath.mpf:
     y_r is sin(r theta) scaled by 2^wp, and
     chi(r) * floor(2^(3 wp) / y_r^2), which is csc^2(r theta) scaled by
     2^wp, goes into an integer total.  The residues are summed in fixed
-    ascending order, so results are reproducible bit for bit.
+    ascending order, so results are reproducible bit for bit.  The total
+    times pi^4 / (6 D^2), with pi scaled by 2^wp, is rounded once to
+    ``bits``.
 
     Error bound, with eps = 2^-wp: t and y_1 are each within 1.01 eps, and
     each step adds at most 2.01 eps (the error in t times |y_r| <= 1, and
@@ -226,16 +225,16 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> mpmath.mpf:
     1.51 r^2 eps of sin(r theta).  Since sin(r theta) >= 2r/D below D/2,
     the csc^2 term at r is off by at most 0.38 D^3 eps / r, and the terms
     below D/2 together by at most 0.38 D^3 eps (ln D + 0.31); the floors
-    add at most D eps / 2.  Scaled by pi^4 / (6 D^2), with the roundings of
-    pi^4 and of the product, that is below 8 D (ln D + 0.31) eps, and as
-    D < 2^b and ln D + 0.31 < b < 2^b.bit_length(), below
-    2^-(bits + 4 + b).  As zeta_F(2) > 1, the value rounded to ``bits`` is
-    within one ulp of zeta_F(2).
+    add at most D eps / 2.  Scaled by pi^4 / (6 D^2), with pi within eps,
+    that is below 8 D (ln D + 0.31) eps, and as D < 2^b and
+    ln D + 0.31 < b < 2^b.bit_length(), below 2^-(bits + 4 + b).  As
+    zeta_F(2) > 1, the value rounded to ``bits`` is within one ulp of
+    zeta_F(2).
     """
-    ctx = _context(bits)
     if F.d is None:
-        pi2 = libmp.mpf_pow_int(libmp.mpf_pi(bits + 8), 2, bits + 8)
-        return ctx.make_mpf(libmp.mpf_div(pi2, libmp.from_int(6), bits, libmp.round_nearest))
+        wp = bits + 8
+        pi = libmp.pi_fixed(wp)
+        return _rounded(pi * pi, 6 << 2 * wp, bits)
     D = F.discriminant
     b = D.bit_length()
     wp = bits + 2 * b + b.bit_length() + 8
@@ -250,36 +249,7 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> mpmath.mpf:
         elif c:
             total -= one // (y * y)
         previous, y = y, ((t * y) >> wp) - previous
-    pi4 = libmp.mpf_pow_int(libmp.mpf_pi(wp), 4, wp)
-    value = libmp.mpf_mul(libmp.from_man_exp(total, -wp), pi4, wp)
-    return ctx.make_mpf(libmp.mpf_div(value, libmp.from_int(6 * D * D), bits, libmp.round_nearest))
-
-
-def zeta_F_2_euler_product(F: NumberField, primes: list[int]) -> float:
-    """Truncated Euler-product route to zeta_F(2), for cross-checks.
-
-    The factor common to every field, prod_p (1 - p^-2)^-1 = zeta(2), is
-    folded into its closed form pi^2/6; only the character factors
-    (1 - chi(p) p^-2)^-1 are truncated, to the ascending list ``primes``.
-    Truncating the common factor as well would plateau near 7e-8 over the
-    primes below 10^6, while the character tail oscillates and is orders of
-    magnitude smaller (measured < 2e-10 for every discriminant <= 200 over
-    those primes), so this split is what makes a desk-scale prime list
-    usable.  Factors are multiplied in ascending-prime order;
-    double-precision rounding (~1e-13) is negligible against the truncation
-    term.
-    """
-    if F.d is None:
-        return math.pi**2 / 6
-    D = F.discriminant
-    chi = quadratic_character_table(D)
-    product = 1.0
-    for p in primes:
-        r = p % D
-        c = chi[min(r, D - r)]
-        if c:
-            product *= 1.0 / (1.0 - c / (p * p))
-    return math.pi**2 / 6 * product
+    return _rounded(total * libmp.pi_fixed(wp) ** 4, 6 * D * D << 5 * wp, bits)
 
 
 @dataclass(frozen=True)
@@ -295,7 +265,8 @@ def functional_equation_check(
     F: NumberField, tol: float, precision_bits: int | None = None
 ) -> FunctionalEquationReport:
     """Check zeta_F(2) numerically against the image of zeta_F(-1) under the
-    functional equation, to absolute tolerance tol.
+    functional equation, to absolute tolerance tol, and check that the
+    numeric side pins 60 * zeta_F(-1) as an integer.
 
     This is the one place a tolerance is validated and sized: tol must lie
     in [1e-12, 1), else ToleranceTooTight (zeta_F(2) > 1 passes any looser
@@ -303,6 +274,21 @@ def functional_equation_check(
     MAX_PRECISION_BITS], else ValueError.  The working precision is twice
     the target bits max(-log2(tol), 1), rounded up, plus 16 guard bits, and
     at least 64 and at least ``precision_bits``.
+
+    Both sides are dyadic Fractions rounded to those bits, and their
+    difference is exact.  The rational side is c * z, with
+    c = 2^n pi^(2n) / (D sqrt D) and z = |zeta_F(-1)|, formed in ints from
+    pi and sqrt(D) scaled by 2^(bits + 16) and rounded once.  As 60 z is an
+    integer, a wrong z moves it by at least c / 60, so the check passes only
+    when the difference is below tol and below c / 120, which is
+    rational_side / (120 z) whatever z is claimed: the recovery
+    nint(60 * numeric_side / c) = 60 z as one exact inequality.  It is the
+    same computation as the tolerance check, made exact, not a third route.
+    With valid input the difference is at most the numeric side's ulp plus
+    half an ulp and 2^-(bits + 8) relative of the rational side, below
+    zeta_F(2) * 2^(2 - bits), so the integer bound holds whenever
+    bits >= (60 z).bit_length() + 4; below MAX_RADICAND, 60 z has at most
+    31 bits, and bits >= 64.
     """
     if not tol < 1:  # nan and +inf included
         raise ToleranceTooTight(f"tolerance {tol} is not below 1, so the check has no teeth")
@@ -315,12 +301,11 @@ def functional_equation_check(
     D = F.discriminant
     numeric_side = zeta_F_2_numeric(F, bits)
     z = abs(zeta_F_minus1(F).value)
-    # (2 pi)^(2n) / 2^n * D^(-3/2) * z = 2^n pi^(2n) z / (D sqrt D), at 16
-    # guard bits and rounded once
+    # 2^n pi^(2n) z / (D sqrt D), with pi and sqrt D scaled by 2^wp
     wp = bits + 16
-    top = libmp.mpf_mul(libmp.mpf_pow_int(libmp.mpf_pi(wp), 2 * n, wp), libmp.from_int(z.numerator << n), wp)
-    bottom = libmp.mpf_mul(libmp.mpf_sqrt(libmp.from_int(D), wp), libmp.from_int(D * z.denominator), wp)
-    rational_side = _context(bits).make_mpf(libmp.mpf_div(top, bottom, bits, libmp.round_nearest))
+    top = (z.numerator << n) * libmp.pi_fixed(wp) ** (2 * n)
+    bottom = D * z.denominator * math.isqrt(D << 2 * wp) << (2 * n - 1) * wp
+    rational_side = _rounded(top, bottom, bits)
     difference = abs(numeric_side - rational_side)
-    ok = bool(difference < tol)
+    ok = difference < tol and 120 * z * difference < rational_side
     return FunctionalEquationReport(ok, float(numeric_side), float(rational_side), float(difference), tol)

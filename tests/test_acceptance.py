@@ -19,11 +19,8 @@ from sarithdim.covolume import pgl2_covolume
 from sarithdim.formal_degree import steinberg_global_degree
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
 from sarithdim.vndim import atiyah_schmid_dim, jl_ratio_pgl, jl_ratio_sl, steinberg_vn_dim
-from sarithdim.zeta import (
-    primes_up_to,
-    zeta_F_2_euler_product,
-    zeta_F_minus1,
-)
+from sarithdim.zeta import primes_up_to, zeta_F_minus1
+from test_zeta import zeta_F_2_euler_product
 
 PRIMES_TO_100 = [p for p in range(2, 101) if all(p % k for k in range(2, p))]
 
