@@ -14,26 +14,19 @@ places of S) the covolumes are the monomials
 
 both exact rationals, each formed as one Fraction of integer products.
 S must be an S-set of F: :func:`invariants`, the entry point of F's data
-into every closed form, raises ValueError otherwise.  The record is
-memoized per (F, S), as ``zeta_F_minus1`` is per field, because one
-computation at a point asks for it many times; no route's output is
-cached, so every cross-check recomputes its value on every call.  A
-:class:`Covolume` carries the value only, not (F, S).
+into every closed form, raises ValueError otherwise.  The record is built
+once per S-set and kept on it, because one computation at a point asks for
+it many times; no route's output is kept, so every cross-check recomputes
+its value on every call.  A :class:`Covolume` carries the value only, not
+(F, S).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .numberfield import NumberField, SSet, delta_2
 from .zeta import zeta_F_minus1
-
-#: (F, S) points whose :class:`Invariants` record is memoized.  The routes at
-#: one point ask for the same record about 18 times in a row, so a small
-#: bound keeps every repeat and long runs over many points at constant
-#: memory.
-INVARIANTS_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -48,20 +41,28 @@ class Invariants:
     prod_q_plus_1: int  # prod (q_v + 1) over the finite places of S
 
 
-@functools.lru_cache(maxsize=INVARIANTS_MEMO_SIZE)
 def invariants(F: NumberField, S: SSet) -> Invariants:
-    """The :class:`Invariants` record of (F, S), memoized per point;
-    ValueError unless S is an S-set of F."""
+    """The :class:`Invariants` record of (F, S); ValueError unless S is an
+    S-set of F.
+
+    The record is built on first use and kept in S's instance dict, where
+    ``SSet.places`` is kept too, so it lives and pickles with S and an equal
+    S-set builds its own.  Two threads that use a fresh S-set at once may
+    both build it; the records are equal, and either one is kept.
+    """
     if S.field != F:
         raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")
-    return Invariants(
-        abs(zeta_F_minus1(F).value),
-        F.degree,
-        S.size,
-        delta_2(S),
-        math.prod(v.q - 1 for v in S.finite_places),
-        math.prod(v.q + 1 for v in S.finite_places),
-    )
+    record = S.__dict__.get("invariants")
+    if record is None:
+        record = S.__dict__["invariants"] = Invariants(
+            abs(zeta_F_minus1(F).value),
+            F.degree,
+            S.size,
+            delta_2(S),
+            math.prod(v.q - 1 for v in S.finite_places),
+            math.prod(v.q + 1 for v in S.finite_places),
+        )
+    return record
 
 
 @dataclass(frozen=True)

@@ -212,18 +212,6 @@ class SSet:
     def places(self) -> tuple[Place, ...]:
         return tuple(Place(index=i) for i in range(self.field.degree)) + self.finite_places
 
-    @functools.cached_property
-    def _hash(self) -> int:
-        # the field enters by its discriminant: the cached hash travels with a
-        # pickled S-set, and hash(None), which Q's would read, differs between
-        # processes before Python 3.12
-        return hash((self.field.discriminant, self.finite_places))
-
-    def __hash__(self) -> int:
-        # memo lookups hash (F, S) often; the dataclass hash would recurse
-        # into the field and every place each time
-        return self._hash
-
     @property
     def size(self) -> int:
         return self.field.degree + len(self.finite_places)

@@ -40,17 +40,6 @@ class VnDimension:
     value: Fraction
 
 
-def atiyah_schmid_dim(covolume, formal_degree) -> Fraction:
-    """Dimension of a square-integrable module over the lattice's algebra:
-    covolume times formal degree, a Fraction whatever the argument types."""
-    if covolume <= 0:
-        raise ValueError("covolume must be positive")
-    if formal_degree < 0:
-        raise ValueError("formal degree must be >= 0")
-    product = covolume * formal_degree
-    return product if isinstance(product, Fraction) else Fraction(product)
-
-
 def vn_dim_finite_group(dim_C: int, group_order: int) -> Fraction:
     """Dimension over the algebra of a finite group: dim_C / order."""
     if group_order < 1:
@@ -66,9 +55,10 @@ def _pgl_monomial(inv: Invariants) -> Fraction:
 
 def _pgl_two_routes(F: NumberField, S: SSet) -> tuple[Fraction, Fraction]:
     """The Steinberg dimension over PGL(2, O_S) by its two routes: the closed
-    form 2 z Q- / 2^|S|, and covolume * global formal degree."""
+    form 2 z Q- / 2^|S|, and the Atiyah-Schmid formula, covolume * global
+    formal degree."""
     closed = _pgl_monomial(invariants(F, S))
-    return closed, atiyah_schmid_dim(pgl2_covolume(F, S).value, steinberg_global_degree(S))
+    return closed, pgl2_covolume(F, S).value * steinberg_global_degree(S)
 
 
 def _index_transfer(S: SSet, pgl: Fraction, group: str) -> Fraction:

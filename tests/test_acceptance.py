@@ -18,7 +18,7 @@ from sarithdim.numberfield import NumberField, build_S, decompose_prime, parse_f
 from sarithdim.covolume import pgl2_covolume
 from sarithdim.formal_degree import steinberg_global_degree
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
-from sarithdim.vndim import atiyah_schmid_dim, jl_ratio_pgl, jl_ratio_sl, steinberg_vn_dim
+from sarithdim.vndim import jl_ratio_pgl, jl_ratio_sl, steinberg_vn_dim
 from sarithdim.zeta import primes_up_to, zeta_F_minus1
 from test_zeta import zeta_F_2_euler_product
 
@@ -43,8 +43,10 @@ def report(name, started):
 def test_criterion_1_anchor_values():
     started = time.perf_counter()
     Q = parse_field("Q")
-    assert steinberg_vn_dim(Q, build_S(Q, []), "psl").value == Fraction(1, 6)
-    assert atiyah_schmid_dim(Fraction(1, 24), 2) == Fraction(1, 12)
+    S = build_S(Q, [])
+    assert steinberg_vn_dim(Q, S, "psl").value == Fraction(1, 6)
+    # weight 2 over the modular group: covolume 1/24 times formal degree 2
+    assert pgl2_covolume(Q, S).value * steinberg_global_degree(S) == Fraction(1, 12)
     report("1 anchor-value reproduction", started)
 
 

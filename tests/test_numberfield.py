@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from sarithdim import numberfield
+from sarithdim import covolume, numberfield
 from sarithdim.cli import grid_points
 from sarithdim.errors import (
     DuplicatePlace,
@@ -304,7 +304,7 @@ class TestBuildS:
         assert S == build_S(F, [11]) and hash(S) == hash(build_S(F, [11]))
 
     def test_equal_sets_are_one_dict_key(self):
-        # built separately, so neither shares the other's cached hash
+        # built from two equal fields, so the two S-sets share no object
         F, G = parse_field("Q(sqrt 5)"), parse_field("Q(sqrt 5)")
         S, T = build_S(F, [11, (19, "both")]), build_S(G, [11, (19, "both")])
         assert S is not T and S == T and hash(S) == hash(T)
@@ -312,17 +312,21 @@ class TestBuildS:
         assert S != build_S(F, [11]) and build_S(F, [11]) not in {S: "S"}
 
     def test_pickled_set_is_a_dict_key_in_another_process(self):
-        # an S-set keeps its hash once computed, and pickles it with itself;
-        # the child's equal S-sets must still find the pickled ones, over Q too
+        # an S-set pickles with what it keeps, its places and its Invariants
+        # record; the child's equal S-sets must still find the pickled ones,
+        # over Q too, and get records equal to the pickled ones
         sets = [build_S(parse_field(spec), [3]) for spec in ("Q", "Q(sqrt 5)")]
         for S in sets:
-            hash(S)
+            covolume.invariants(S.field, S)
         child = (
             "import pickle, sys\n"
+            "from sarithdim.covolume import invariants\n"
             "from sarithdim.numberfield import build_S, parse_field\n"
             "sets = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = [build_S(parse_field(spec), [3]) for spec in ('Q', 'Q(sqrt 5)')]\n"
             "table = dict.fromkeys(sets)\n"
-            "print(all(build_S(parse_field(spec), [3]) in table for spec in ('Q', 'Q(sqrt 5)')))\n"
+            "print(all(T in table for T in fresh))\n"
+            "print(all(invariants(S.field, S) == invariants(T.field, T) for S, T in zip(sets, fresh)))\n"
         )
         source_root = str(Path(numberfield.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
@@ -334,7 +338,7 @@ class TestBuildS:
             timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == b"True"
+        assert result.stdout.split() == [b"True", b"True"]
 
     def test_one_primality_test_per_place(self, monkeypatch):
         calls = []

@@ -14,7 +14,6 @@ from sarithdim.numberfield import build_S, parse_field
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
 from sarithdim.zeta import zeta_F_minus1
 from sarithdim.vndim import (
-    atiyah_schmid_dim,
     check_identities,
     jl_ratio_pgl,
     jl_ratio_sl,
@@ -56,21 +55,22 @@ def _module_vn_dim_sl(F, S):
 )
 def test_s_set_of_another_field_rejected(call):
     F = parse_field("Q(sqrt 5)")
-    S = build_S(parse_field("Q"), [2])  # |S| = 2 is even, so no parity error comes first
-    for _ in range(2):  # the invariants memo must not remember a rejected point
+    Q = parse_field("Q")
+    S = build_S(Q, [2])  # |S| = 2 is even, so no parity error comes first
+    covolume.invariants(Q, S)  # S now carries its own field's record
+    for _ in range(2):  # the record S carries must not answer for another field
         with pytest.raises(ValueError, match="not of Q\\(sqrt 5\\)"):
             call(F, S)
 
 
-class TestInvariantsMemo:
-    def test_bound_is_the_module_constant(self):
-        assert covolume.invariants.cache_info().maxsize == covolume.INVARIANTS_MEMO_SIZE
-
-    def test_built_once_per_fresh_point(self):
+class TestInvariantsRecord:
+    def test_built_once_per_fresh_point(self, monkeypatch):
+        built = []
+        original = covolume.delta_2
+        monkeypatch.setattr(covolume, "delta_2", lambda S: built.append(S) or original(S))
         F = parse_field("Q(sqrt 13)")
         S = build_S(F, [2, 3])
         assert S.size % 2 == 0
-        covolume.invariants.cache_clear()
         sl2_covolume(F, S)
         pgl2_covolume(F, S)
         for group in ("pgl", "psl", "sl"):
@@ -80,26 +80,13 @@ class TestInvariantsMemo:
         jl_ratio_pgl(F, S)
         zeta_D_leading_ratio_at_zero(F, S)
         assert check_identities(F, S).all_pass
-        assert covolume.invariants.cache_info().misses == 1
-
-
-class TestAtiyahSchmid:
-    def test_weight_two_over_modular_group(self):
-        assert atiyah_schmid_dim(Fraction(1, 24), 2) == Fraction(1, 12)
-
-    def test_zero_degree(self):
-        assert atiyah_schmid_dim(Fraction(1, 8), 0) == 0
-
-    def test_product(self):
-        assert atiyah_schmid_dim(Fraction(1, 8), Fraction(1, 6)) == Fraction(1, 48)
-
-    @pytest.mark.parametrize("covolume_value, degree", [(2, 3), (Fraction(1, 24), 2)])
-    def test_returns_a_fraction(self, covolume_value, degree):
-        assert type(atiyah_schmid_dim(covolume_value, degree)) is Fraction
-
-    def test_rejects_nonpositive_covolume(self):
-        with pytest.raises(ValueError):
-            atiyah_schmid_dim(0, 2)
+        assert len(built) == 1
+        assert covolume.invariants(F, S) is covolume.invariants(F, S)
+        # an equal S-set built anew gets an equal record of its own
+        T = build_S(F, [2, 3])
+        assert T == S and covolume.invariants(F, T) == covolume.invariants(F, S)
+        assert covolume.invariants(F, T) is not covolume.invariants(F, S)
+        assert len(built) == 2
 
 
 class TestFiniteGroup:
