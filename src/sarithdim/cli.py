@@ -15,7 +15,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .covolume import pgl2_covolume, sl2_covolume
-from .errors import CalcError, DatumPlaceMismatch, MissingDatum, UnsupportedPrime
+from .errors import CalcError, DatumPlaceMismatch, UnsupportedPrime
 from .formal_degree import LocalRepDatum
 from .numberfield import MAX_PRIME, is_prime, parse_field, build_S
 from .quaternion import pdx_candidates
@@ -127,18 +127,6 @@ def _diag(name: str, status: str, detail: str) -> dict:
     return {"name": name, "status": status, "detail": detail}
 
 
-def _build_local_data(S, entries):
-    places = S.places
-    if len(entries) < len(places):
-        raise MissingDatum(f"{len(places)} places in S but only {len(entries)} local data entries")
-    if len(entries) > len(places):
-        raise DatumPlaceMismatch(f"{len(entries)} local data entries for {len(places)} places")
-    for place, (kind, value) in zip(places, entries):
-        if place.is_real != (kind == "weight"):
-            raise DatumPlaceMismatch(f"entry {kind}:{value} does not fit place {place}")
-    return [LocalRepDatum(place, value) for place, (_, value) in zip(places, entries)]
-
-
 def _cmd_covolume(ns, F, S):
     cov = sl2_covolume(F, S) if ns.group == "sl" else pgl2_covolume(F, S)
     return f"covolume_{ns.group}", cov.value, []
@@ -164,9 +152,14 @@ def _cmd_steinberg_dim(ns, F, S):
 
 
 def _cmd_module_dim(ns, F, S):
-    data = _build_local_data(S, ns.local_data)
-    dim = module_vn_dim(F, S, ns.group, data)
-    return f"module_dim_{ns.group}", dim.value, []
+    # each datum checks its kind as it is built; module_vn_dim names uncovered places
+    if len(ns.local_data) > len(S.places):
+        raise DatumPlaceMismatch(f"{len(ns.local_data)} local data entries for {len(S.places)} places")
+    data = [
+        LocalRepDatum.archimedean(v, value) if kind == "weight" else LocalRepDatum.finite(v, value)
+        for v, (kind, value) in zip(S.places, ns.local_data)
+    ]
+    return f"module_dim_{ns.group}", module_vn_dim(F, S, ns.group, data).value, []
 
 
 def _cmd_jl_ratio(ns, F, S):

@@ -19,6 +19,7 @@ is the ``pgl_two_routes`` check of :mod:`~sarithdim.vndim`.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DatumPlaceMismatch
 from .numberfield import Place, SSet
 
 
@@ -29,7 +30,8 @@ class LocalRepDatum:
     At a real place ``value`` is the weight k >= 2 of the discrete series
     (weight 2 is the Steinberg-type one); at a finite place it is the
     complex dimension >= 1 of the matched factor pi'_v of the division
-    algebra.  Anything else is a ValueError.
+    algebra.  Any other value is a ValueError; :meth:`archimedean` at a
+    finite place or :meth:`finite` at a real one is a DatumPlaceMismatch.
     """
 
     place: Place
@@ -43,13 +45,13 @@ class LocalRepDatum:
     @classmethod
     def archimedean(cls, place: Place, weight: int) -> "LocalRepDatum":
         if not place.is_real:
-            raise ValueError(f"{place} is finite and takes a complex dimension, not a weight")
+            raise DatumPlaceMismatch(f"{place} is finite and takes a complex dimension, not a weight")
         return cls(place, weight)
 
     @classmethod
     def finite(cls, place: Place, complex_dim: int) -> "LocalRepDatum":
         if place.is_real:
-            raise ValueError(f"{place} is real and takes a weight, not a complex dimension")
+            raise DatumPlaceMismatch(f"{place} is real and takes a weight, not a complex dimension")
         return cls(place, complex_dim)
 
 
@@ -64,8 +66,8 @@ def steinberg_local_degree(v: Place) -> Fraction:
 
 def steinberg_global_degree(S: SSet) -> Fraction:
     """Formal degree of the Steinberg factor over all places of S: the
-    product of local degrees, their numerators and denominators multiplied
-    as integers and reduced once."""
+    product of the local degrees, each a reduced Fraction, their numerators
+    and denominators multiplied as integers and the product reduced once."""
     num = den = 1
     for v in S.places:
         local = steinberg_local_degree(v)

@@ -5,10 +5,12 @@ For a finite group the dimension is dim_C(H) / |Gamma|.  Group variants are
 linked by index transfer: passing from PGL(2, O_S) to the index-2^|S|
 subgroup PSL(2, O_S) multiplies the dimension by 2^|S|, and pushing down
 along SL -> SL/{+-1} = PSL halves it (every module in scope has trivial
-central character).  Headline values are computed by two routes and
-returned only on exact agreement.  :func:`check_identities` instead reports
-a disagreement of the routes it compares as a failed check and does not
-raise.
+central character).  :func:`steinberg_vn_dim` and :func:`module_vn_dim`
+compute their value by two routes and return it only on exact agreement;
+:func:`jl_ratio_sl` and :func:`jl_ratio_pgl`, like the covolumes, take one
+route, and only :func:`check_identities` compares them with others.  It
+reports a disagreement of the routes it compares as a failed check and does
+not raise.
 
 The group is one of the strings ``"pgl"``, ``"psl"`` and ``"sl"``; any other
 value is a ValueError.  S must be an S-set of F.  Result records carry the

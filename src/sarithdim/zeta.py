@@ -48,7 +48,9 @@ from .numberfield import NumberField, kronecker_symbol
 ZETA_MEMO_SIZE = 256
 
 #: Largest accepted working precision of the functional-equation check: at
-#: Q(sqrt 997) its numeric side takes 0.11 s at 4,096 bits, 1.6 s at 20,000.
+#: Q(sqrt 997) its numeric side takes 0.11 s at 4,096 bits, 1.6 s at 20,000,
+#: but at the radicand cap 13.7 s at 1,024 bits and 124 s at 4,096.  Nothing
+#: bounds that time yet; the work budget planned in ROADMAP.md item 3 will.
 MAX_PRECISION_BITS = 4096
 
 
@@ -272,8 +274,8 @@ def functional_equation_check(
     in [1e-12, 1), else ToleranceTooTight (zeta_F(2) > 1 passes any looser
     check), and ``precision_bits`` must be None or an int in [1,
     MAX_PRECISION_BITS], else ValueError.  The working precision is twice
-    the target bits max(-log2(tol), 1), rounded up, plus 16 guard bits, and
-    at least 64 and at least ``precision_bits``.
+    the target bits -log2(tol), rounded up, plus 16 guard bits, and at
+    least 64 and at least ``precision_bits``.
 
     Both sides are dyadic Fractions rounded to those bits, and their
     difference is exact.  The rational side is c * z, with
@@ -296,7 +298,7 @@ def functional_equation_check(
         raise ToleranceTooTight(f"tolerance {tol} below the supported floor of 1e-12")
     if precision_bits is not None and not (type(precision_bits) is int and 1 <= precision_bits <= MAX_PRECISION_BITS):
         raise ValueError(f"precision_bits must be None or an int in [1, {MAX_PRECISION_BITS}], got {precision_bits!r}")
-    bits = max(math.ceil(2 * max(-math.log2(tol), 1.0)) + 16, precision_bits or 0, 64)
+    bits = max(math.ceil(-2 * math.log2(tol)) + 16, precision_bits or 0, 64)
     n = F.degree
     D = F.discriminant
     numeric_side = zeta_F_2_numeric(F, bits)

@@ -2,12 +2,17 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import sarithdim
 from sarithdim import cli, vndim
 
 
@@ -15,6 +20,18 @@ def invoke(capsys, argv):
     code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: --local-data over S = {oo, 2} of Q -> (code, message).  The kind of each
+#: entry is checked as its datum is built, and module_vn_dim names a place left
+#: uncovered.
+INVALID_LOCAL_DATA = {
+    "weight:2": ("MISSING_DATUM", "no local datum for v0(p=2,e=1,f=1)"),
+    "dim:2": ("DATUM_PLACE_MISMATCH", "oo_0 is real and takes a weight, not a complex dimension"),
+    "dim:2,weight:2": ("DATUM_PLACE_MISMATCH", "oo_0 is real and takes a weight, not a complex dimension"),
+    "weight:2,weight:2": ("DATUM_PLACE_MISMATCH", "v0(p=2,e=1,f=1) is finite and takes a complex dimension, not a weight"),
+    "weight:2,dim:2,dim:1": ("DATUM_PLACE_MISMATCH", "3 local data entries for 2 places"),
+}
 
 
 class TestContractExamples:
@@ -138,21 +155,16 @@ class TestCommands:
         response = json.loads(out)
         assert response["value"] == {"num": "1", "den": "6"}
 
-    def test_module_dim_missing_datum(self, capsys):
-        code, out, _ = invoke(
+    @pytest.mark.parametrize("local_data", INVALID_LOCAL_DATA)
+    def test_module_dim_invalid_local_data(self, capsys, local_data):
+        code, out, err = invoke(
             capsys,
-            ["module-dim", "--field", "Q", "--s-primes", "2", "--group", "sl", "--local-data", "weight:2"],
+            ["module-dim", "--field", "Q", "--s-primes", "2", "--group", "sl", "--local-data", local_data],
         )
         assert code == 1
-        assert json.loads(out)["error"]["code"] == "MISSING_DATUM"
-
-    def test_module_dim_kind_mismatch(self, capsys):
-        code, out, _ = invoke(
-            capsys,
-            ["module-dim", "--field", "Q", "--s-primes", "2", "--group", "sl", "--local-data", "dim:2,weight:2"],
-        )
-        assert code == 1
-        assert json.loads(out)["error"]["code"] == "DATUM_PLACE_MISMATCH"
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert (error["code"], error["message"]) == INVALID_LOCAL_DATA[local_data]
 
     def test_check_single_point(self, capsys):
         code, out, _ = invoke(capsys, ["check", "--field", "Q", "--s-primes", "2"])
@@ -451,3 +463,19 @@ def test_zero_decimal_rendering():
 def test_decimal_twenty_significant_digits():
     assert cli.decimal_string(Fraction(1, 12)) == "0.083333333333333333333"
     assert cli.decimal_string(Fraction(1, 30)) == "0.033333333333333333333"
+
+
+def test_package_import_leaves_the_cli_out():
+    # the child imports the same package as this process, installed or not
+    source_root = str(Path(sarithdim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    child = "import sys, sarithdim\nprint(sorted({'sarithdim.cli', 'argparse'} & sys.modules.keys()))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -6,6 +6,7 @@ import pytest
 
 from sarithdim.cli import GRID_FIELD_SPECS, grid_points
 from sarithdim.covolume import invariants
+from sarithdim.errors import DatumPlaceMismatch
 from sarithdim.formal_degree import (
     LocalRepDatum,
     jl_degree_ratio,
@@ -110,11 +111,11 @@ class TestDegreeRatio:
 
 class TestDatumValidation:
     def test_weight_on_finite_place(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DatumPlaceMismatch):
             LocalRepDatum.archimedean(Place(2, 1, 1), 2)
 
     def test_dim_on_real_place(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DatumPlaceMismatch):
             LocalRepDatum.finite(Place(), 1)
 
     def test_weight_must_be_at_least_two(self):
