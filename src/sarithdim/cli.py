@@ -50,8 +50,6 @@ def _s_primes_arg(text: str):
         selector = "one"
         if ":" in chunk:
             chunk, selector = (part.strip() for part in chunk.split(":", 1))
-        if selector not in ("one", "both"):
-            raise argparse.ArgumentTypeError(f"selector must be 'one' or 'both', got {selector!r}")
         # int() refuses more than 4300 digits, leading zeros included
         digits = chunk.lstrip("0")
         if digits.isdecimal() and len(digits) > len(str(MAX_PRIME)):
@@ -85,9 +83,9 @@ def _tol_arg(text: str) -> float:
         tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    # a non-finite tolerance, or one as large as zeta_F(2) > 1 itself, gives the check no teeth
-    if not (math.isfinite(tol) and 0 < tol < 1):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and in (0, 1), got {text!r}")
+    # the JSON echo cannot hold nan or inf; functional_equation_check owns the range
+    if not math.isfinite(tol):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text!r}")
     return tol
 
 
@@ -301,7 +299,7 @@ def _request_echo(ns) -> dict:
     if getattr(ns, "field", None) is not None:
         echo["field"] = ns.field
     if hasattr(ns, "s_primes"):
-        echo["s_primes"] = [str(p) if sel == "one" else f"{p}:both" for p, sel in ns.s_primes]
+        echo["s_primes"] = [str(p) if sel == "one" else f"{p}:{sel}" for p, sel in ns.s_primes]
     for key in ("group", "pd_order", "tol", "working_precision"):
         if getattr(ns, key, None) is not None:
             echo[key] = getattr(ns, key)

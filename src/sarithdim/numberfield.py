@@ -11,7 +11,7 @@ a place is real exactly when its prime p is None, and the real places of an
 S-set are the field's degree many.  Build fields and S-sets with
 :func:`parse_field` and :func:`build_S`, or with the dataclasses themselves
 (``NumberField(d)``, ``Place(p, e, f, index)``); an :class:`SSet` rejects a
-finite place that is not a place of its field.
+finite place that is not a place of its field, and a repeated place.
 """
 
 import bisect
@@ -66,6 +66,15 @@ _PSI = (
 )
 
 _QUADRATIC_RE = re.compile(r"Q\(sqrt (-?)(\d+)\)")
+
+
+def _decimal(n: int) -> str:
+    """n in decimal for an error message, or its size where str() refuses
+    an int of more than 4300 digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<int of {n.bit_length()} bits>"
 
 
 def is_prime(n: int) -> bool:
@@ -123,9 +132,9 @@ class NumberField:
         if type(self.d) is not int:
             raise ValueError(f"the radicand must be an int, got {self.d!r}")
         if self.d <= 1:
-            raise NotTotallyReal(f"Q(sqrt {self.d}) is not a totally real quadratic field")
+            raise NotTotallyReal(f"Q(sqrt {_decimal(self.d)}) is not a totally real quadratic field")
         if self.d > MAX_RADICAND:
-            raise UnsupportedField(f"radicand {self.d} exceeds the supported maximum {MAX_RADICAND}")
+            raise UnsupportedField(f"radicand {_decimal(self.d)} exceeds the supported maximum {MAX_RADICAND}")
         if not is_squarefree(self.d):
             raise NotSquarefree(f"{self.d} is not squarefree")
 
@@ -167,9 +176,9 @@ class Place:
         if not type(self.p) is type(self.e) is type(self.f) is int:
             raise ValueError(f"place data must be ints, got {self!r}")
         if self.p > MAX_PRIME:
-            raise ValueError(f"prime {self.p} exceeds the supported maximum {MAX_PRIME}")
+            raise ValueError(f"prime {_decimal(self.p)} exceeds the supported maximum {MAX_PRIME}")
         if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise ValueError(f"{_decimal(self.p)} is not prime")
         if self.e < 1 or self.f < 1:
             raise ValueError("e and f must be >= 1")
 
@@ -199,14 +208,14 @@ class SSet:
     finite_places: tuple[Place, ...] = ()
 
     def __post_init__(self):
-        for v in self.finite_places:
+        for i, v in enumerate(self.finite_places):
             if v.is_real:
                 raise ValueError("finite_places must all be finite")
             e, f, g = _splitting(self.field, v.p)
             if (v.e, v.f) != (e, f) or not 0 <= v.index < g:
                 raise ValueError(f"{v} is not a place of {self.field}")
-        if len(set(self.finite_places)) != len(self.finite_places):
-            raise DuplicatePlace("repeated place in S")
+            if v in self.finite_places[:i]:
+                raise DuplicatePlace(f"repeated place {v} in S")
 
     @functools.cached_property
     def places(self) -> tuple[Place, ...]:
@@ -248,7 +257,7 @@ def kronecker_symbol(D: int, m: int) -> int:
     and at an odd prime p it is +1 exactly when D is a nonzero square mod p.
     """
     if m < 0:
-        raise ValueError(f"the Kronecker symbol needs m >= 0, got {m}")
+        raise ValueError(f"the Kronecker symbol needs m >= 0, got {_decimal(m)}")
     if m == 0:
         return 1 if abs(D) == 1 else 0
     result = 1
@@ -294,7 +303,7 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
     if type(p) is not int:
         raise ValueError(f"place data must be ints, got p={p!r}")
     if p > MAX_PRIME:
-        raise UnsupportedPrime(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
+        raise UnsupportedPrime(f"prime {_decimal(p)} exceeds the supported maximum {MAX_PRIME}")
     e, f, g = _splitting(F, p)
     return [Place(p, e, f, i) for i in range(g)]
 
@@ -305,14 +314,11 @@ def build_S(F: NumberField, finite_primes) -> SSet:
     All real places are included automatically.  Each entry is a prime or a
     (prime, selector) pair; selector ``"one"`` (the default) picks a single
     place over the prime, ``"both"`` picks both places over a split prime.
+    Every entry is decomposed before :class:`SSet` rejects a repeated place.
     """
-    seen: set[int] = set()
     chosen: list[Place] = []
     for entry in finite_primes:
         p, selector = entry if isinstance(entry, tuple) else (entry, "one")
-        if p in seen:
-            raise DuplicatePlace(f"prime {p} listed twice")
-        seen.add(p)
         places = decompose_prime(F, p)
         if selector == "both":
             if len(places) != 2:

@@ -30,11 +30,12 @@ class CandidateReport:
     bound: int
 
 
-def validate_ramification(S: SSet) -> bool:
-    """Whether a quaternion algebra over S.field ramified exactly at S exists (with
-    every real place ramified, which SSet guarantees structurally): iff |S|
-    is even.  The single home of the even-|S| rule."""
-    return S.size % 2 == 0
+def validate_ramification(S: SSet) -> None:
+    """Raise OddCardinality unless a quaternion algebra over S.field ramified
+    exactly at S (every real place included, as SSet guarantees) exists:
+    iff |S| is even.  The single home of the even-|S| rule."""
+    if S.size % 2:
+        raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
 
 
 def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
@@ -52,8 +53,7 @@ def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
     """
     if S.field != F:
         raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")
-    if not validate_ramification(S):
-        raise OddCardinality(f"|S| = {S.size} is odd; no quaternion algebra ramifies exactly at S")
+    validate_ramification(S)
     ratio = zeta_F_minus1(F).value
     for v in S.finite_places:
         ratio *= 1 - v.q

@@ -111,8 +111,7 @@ def module_vn_dim(F: NumberField, S: SSet, group: str, local: list[LocalRepDatum
 def jl_ratio_sl(F: NumberField, S: SSet) -> Fraction:
     """The SL-side dimension ratio |zeta_D(0)/zeta_F(0)| for the quaternion
     algebra ramified exactly at S: z * Q-."""
-    if not validate_ramification(S):
-        raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
+    validate_ramification(S)
     inv = invariants(F, S)
     return inv.zeta * inv.prod_q_minus_1
 
@@ -124,8 +123,7 @@ def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
     The default N = 1 gives the coefficient; callers multiply by the group
     order once they know it.
     """
-    if not validate_ramification(S):
-        raise OddCardinality(f"|S| = {S.size} is odd; ramification sets of quaternion algebras have even size")
+    validate_ramification(S)
     if type(pd_order) is not int or pd_order < 1:
         raise ValueError(f"pd_order must be an int >= 1, got {pd_order!r}")
     return pd_order * _pgl_monomial(invariants(F, S))
@@ -168,8 +166,13 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
     checks.append(_compare("psl_transfer", psl, 2**S.size * closed, "PSL vs 2^|S| * PGL"))
     checks.append(_compare("sl_transfer", sl, psl / 2, "SL vs PSL/2"))
 
-    if validate_ramification(S):
+    try:
         ratio_sl = jl_ratio_sl(F, S)
+    except OddCardinality as err:
+        note = f"{err.code}: |S| = {S.size}"
+        for name in ("sl_quaternion_zeta_match", "sl_steinberg_match", "pgl_sl_transfer"):
+            checks.append(IdentityCheck(name, "skipped", note))
+    else:
         checks.append(
             _compare(
                 "sl_quaternion_zeta_match",
@@ -188,9 +191,5 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
                 "PGL coefficient * 2^|S| / 2 vs SL ratio",
             )
         )
-    else:
-        note = f"ODD_CARDINALITY: |S| = {S.size}"
-        for name in ("sl_quaternion_zeta_match", "sl_steinberg_match", "pgl_sl_transfer"):
-            checks.append(IdentityCheck(name, "skipped", note))
 
     return IdentityReport(tuple(checks))

@@ -22,15 +22,40 @@ def invoke(capsys, argv):
     return code, captured.out, captured.err
 
 
-#: --local-data over S = {oo, 2} of Q -> (code, message).  The kind of each
-#: entry is checked as its datum is built, and module_vn_dim names a place left
-#: uncovered.
+def rejection(argv):
+    """(error code, message) of the request argv: the domain error's code and
+    message at exit 1, or None and argparse's message at exit 2."""
+    code, out, err = run_bounded(argv)
+    if code == 2:
+        assert out == "" and "usage:" in err and "Traceback" not in err
+        return None, err.splitlines()[-1].partition(": error: ")[2]
+    assert code == 1 and err == ""
+    error = json.loads(out)["error"]
+    return error["code"], error["message"]
+
+
+#: --local-data over S = {oo, 2} of Q -> (code, message) as rejection() gives
+#: them.  The kind of each entry is checked as its datum is built, and
+#: module_vn_dim names a place left uncovered.
 INVALID_LOCAL_DATA = {
+    "weight:x": (None, "argument --local-data: 'x' is not an integer"),
     "weight:2": ("MISSING_DATUM", "no local datum for v0(p=2,e=1,f=1)"),
     "dim:2": ("DATUM_PLACE_MISMATCH", "oo_0 is real and takes a weight, not a complex dimension"),
     "dim:2,weight:2": ("DATUM_PLACE_MISMATCH", "oo_0 is real and takes a weight, not a complex dimension"),
     "weight:2,weight:2": ("DATUM_PLACE_MISMATCH", "v0(p=2,e=1,f=1) is finite and takes a complex dimension, not a weight"),
     "weight:2,dim:2,dim:1": ("DATUM_PLACE_MISMATCH", "3 local data entries for 2 places"),
+}
+
+#: zeta (flag, value) -> (code, message) as rejection() gives them.  A finite
+#: tolerance reaches functional_equation_check, the one home of its range; the
+#: JSON echo cannot hold a non-finite one.
+OUT_OF_RANGE_ZETA_FLAGS = {
+    **{("--tol", v): (None, f"argument --tol: tolerance must be finite, got {v!r}") for v in ("nan", "inf", "-inf")},
+    ("--tol", "abc"): (None, "argument --tol: 'abc' is not a number"),
+    ("--tol", "1"): ("TOLERANCE_TOO_TIGHT", "tolerance 1.0 is not below 1, so the check has no teeth"),
+    **{("--tol", v): ("TOLERANCE_TOO_TIGHT", f"tolerance {float(v)} below the supported floor of 1e-12") for v in ("0", "-5")},
+    **{("--working-precision", v): (None, f"argument --working-precision: {v!r} is not an integer") for v in ("nan", "inf")},
+    **{("--working-precision", v): (None, f"argument --working-precision: must be in [1, 4096], got {v}") for v in ("0", "-5", "4097")},
 }
 
 
@@ -115,6 +140,22 @@ class TestResponseShape:
         assert "sl_quaternion_zeta_match: pass" in err
         assert "sl_steinberg_match: fail" in err
 
+    def test_grid_reports_each_failed_point(self, capsys, monkeypatch):
+        original = vndim.pgl2_covolume
+        monkeypatch.setattr(
+            vndim, "pgl2_covolume", lambda F, S: dataclasses.replace(original(F, S), value=2 * original(F, S).value)
+        )
+        code, out, err = invoke(capsys, ["check", "--grid"])
+        assert code == 0
+        response = json.loads(out)
+        assert response["value"] == {"num": "0", "den": "1"}
+        assert response["decimal"] == "0.0000000000000000000"
+        assert response["diagnostics"][0] == cli._diag("grid", "fail", "0/210 points pass")
+        assert err.startswith("grid: fail (0/210 points pass)\n")
+        first = cli._diag("Q|S(Q; oo x1)|pgl_two_routes", "fail", "covolume*degree vs closed form: 1/6 vs 1/12")
+        assert response["diagnostics"][1] == first
+        assert sum(d["name"].endswith("|pgl_two_routes") for d in response["diagnostics"]) == 210
+
 
 class TestTable:
     def test_row_format(self, capsys):
@@ -156,15 +197,9 @@ class TestCommands:
         assert response["value"] == {"num": "1", "den": "6"}
 
     @pytest.mark.parametrize("local_data", INVALID_LOCAL_DATA)
-    def test_module_dim_invalid_local_data(self, capsys, local_data):
-        code, out, err = invoke(
-            capsys,
-            ["module-dim", "--field", "Q", "--s-primes", "2", "--group", "sl", "--local-data", local_data],
-        )
-        assert code == 1
-        assert err == ""
-        error = json.loads(out)["error"]
-        assert (error["code"], error["message"]) == INVALID_LOCAL_DATA[local_data]
+    def test_module_dim_invalid_local_data(self, local_data):
+        argv = ["module-dim", "--field", "Q", "--s-primes", "2", "--group", "sl", "--local-data", local_data]
+        assert rejection(argv) == INVALID_LOCAL_DATA[local_data]
 
     def test_check_single_point(self, capsys):
         code, out, _ = invoke(capsys, ["check", "--field", "Q", "--s-primes", "2"])
@@ -204,9 +239,17 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     def test_bad_selector(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.run(["covolume", "--field", "Q", "--s-primes", "5:all", "--group", "sl"])
-        assert err.value.code == 2
+        code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", "5:all", "--group", "sl"])
+        assert code == 1
+        response = json.loads(out)
+        assert response["s_primes"] == ["5:all"]
+        assert response["error"] == {"code": "INVALID_SELECTOR", "message": "unknown place selector 'all'"}
+
+    def test_entries_are_decomposed_before_repeats_are_rejected(self, capsys):
+        code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", "2,2,3:both", "--group", "sl"])
+        assert (code, json.loads(out)["error"]["code"]) == (1, "INVALID_SELECTOR")
+        code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", "2,2", "--group", "sl"])
+        assert (code, json.loads(out)["error"]) == (1, {"code": "DUPLICATE_PLACE", "message": "repeated place v0(p=2,e=1,f=1) in S"})
 
     def test_check_needs_field_or_grid(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -226,18 +269,10 @@ class TestUsageErrors:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "DUPLICATE_PLACE"
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--tol", v) for v in ("nan", "inf", "-inf", "1", "0", "-5")]
-        + [("--working-precision", v) for v in ("nan", "inf", "0", "-5", "4097")],
-    )
-    def test_zeta_numeric_flag_out_of_range(self, capsys, flag, value):
-        with pytest.raises(SystemExit) as err:
-            cli.run(["zeta", "--field", "Q(sqrt 5)", flag, value])
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "usage:" in captured.err and "Traceback" not in captured.err
+    @pytest.mark.parametrize("flag, value", OUT_OF_RANGE_ZETA_FLAGS)
+    def test_zeta_numeric_flag_out_of_range(self, flag, value):
+        # as a separate word, -inf reads as an option and never reaches the flag's parser
+        assert rejection(["zeta", "--field", "Q(sqrt 5)", f"{flag}={value}"]) == OUT_OF_RANGE_ZETA_FLAGS[flag, value]
 
     def test_tolerance_below_floor_is_domain_error(self, capsys):
         code, out, _ = invoke(capsys, ["zeta", "--field", "Q", "--tol", "1e-13"])

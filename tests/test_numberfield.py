@@ -276,7 +276,7 @@ class TestBuildS:
         assert len(S.finite_places) == 2
 
     def test_duplicate_prime(self):
-        with pytest.raises(DuplicatePlace):
+        with pytest.raises(DuplicatePlace, match=r"^repeated place v0\(p=2,e=1,f=1\) in S$"):
             build_S(parse_field("Q"), [2, 2])
 
     def test_both_on_inert_prime(self):
@@ -429,6 +429,7 @@ def test_non_int_prime_leaves_the_splitting_memo_alone(p, monkeypatch):
         ("Q", (Place(2, 1, 2),)),  # every prime of Q has f = 1
         ("Q", (Place(2, 1, 1, 1),)),  # one place over each prime of Q
         ("Q", (Place(2, 1, 1, 0), Place(2, 1, 1, 1))),
+        ("Q", (Place(),)),  # real places are implied, never listed
     ],
 )
 def test_s_set_rejects_a_place_not_of_its_field(field, places):
@@ -436,11 +437,42 @@ def test_s_set_rejects_a_place_not_of_its_field(field, places):
         SSet(parse_field(field), places)
 
 
+def test_s_set_names_a_repeated_place():
+    F = parse_field("Q(sqrt 5)")
+    v, w = decompose_prime(F, 11)
+    with pytest.raises(DuplicatePlace, match=r"^repeated place v1\(p=11,e=1,f=1\) in S$"):
+        SSet(F, (w, v, w))
+
+
 def test_s_set_accepts_every_decomposed_place():
     for F in TEST_FIELDS:
         for p in PRIMES_TO_100:
             places = tuple(decompose_prime(F, p))
             assert SSet(F, places).finite_places == places, (F, p)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: NumberField(10**5000), UnsupportedField),
+        (lambda: NumberField(-(10**5000)), NotTotallyReal),
+        (lambda: build_S(parse_field("Q"), [10**5000]), UnsupportedPrime),
+        (lambda: decompose_prime(parse_field("Q(sqrt 5)"), 10**5000), UnsupportedPrime),
+        (lambda: Place(10**5000, 1, 1), ValueError),
+    ],
+    ids=["radicand", "negative_radicand", "build_S", "decompose_prime", "Place"],
+)
+def test_int_beyond_str_conversion_limit(build, error):
+    # str() refuses ints of more than 4300 digits, so the message gives the size
+    with pytest.raises(error, match="<int of 16610 bits>"):
+        build()
+
+
+def test_int_at_str_conversion_limit_is_named_in_full():
+    p = 10**4299  # 4300 digits
+    with pytest.raises(UnsupportedPrime) as raised:
+        decompose_prime(parse_field("Q"), p)
+    assert str(raised.value) == f"prime {p} exceeds the supported maximum {MAX_PRIME}"
 
 
 def test_numberfield_validation():

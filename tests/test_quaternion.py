@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -18,15 +19,17 @@ from sarithdim.quaternion import (
 class TestValidate:
     def test_even(self):
         F = parse_field("Q")
-        assert validate_ramification(build_S(F, [2])) is True
+        assert validate_ramification(build_S(F, [2])) is None
 
     def test_odd(self):
         F = parse_field("Q")
-        assert validate_ramification(build_S(F, [])) is False
+        message = "|S| = 1 is odd; ramification sets of quaternion algebras have even size"
+        with pytest.raises(OddCardinality, match=re.escape(message)):
+            validate_ramification(build_S(F, []))
 
     def test_quadratic_archimedean(self):
         F = parse_field("Q(sqrt 5)")
-        assert validate_ramification(build_S(F, [])) is True
+        assert validate_ramification(build_S(F, [])) is None
 
 
 class TestZetaRatio:
@@ -44,7 +47,7 @@ class TestZetaRatio:
 
     def test_odd_rejected(self):
         F = parse_field("Q")
-        with pytest.raises(OddCardinality):
+        with pytest.raises(OddCardinality, match="ramification sets of quaternion algebras have even size"):
             zeta_D_leading_ratio_at_zero(F, build_S(F, []))
 
     def test_positive_on_even_grid(self):
