@@ -155,7 +155,8 @@ class NumberField:
 @dataclass(frozen=True)
 class Place:
     """One place of a field: real when p is None, else finite over the prime p
-    with ramification index e and inertia degree f.
+    with ramification index e and inertia degree f.  A p above MAX_PRIME
+    raises UnsupportedPrime; a composite p, or data not ints, ValueError.
 
     ``index`` distinguishes the two places over a split prime (and the real
     places of a quadratic field); it carries no arithmetic content.
@@ -167,16 +168,14 @@ class Place:
     index: int = 0
 
     def __post_init__(self):
-        if type(self.index) is not int:
-            raise ValueError(f"place data must be ints, got {self!r}")
-        if self.p is None and self.e is None and self.f is None:
+        if self.p is self.e is self.f is None and type(self.index) is int:
             return
-        if self.p is None or self.e is None or self.f is None:
-            raise ValueError("finite places need p, e, f")
-        if not type(self.p) is type(self.e) is type(self.f) is int:
-            raise ValueError(f"place data must be ints, got {self!r}")
+        if not type(self.p) is type(self.e) is type(self.f) is type(self.index) is int:
+            # named by type: the repr of a huge p would hit str()'s digit limit
+            types = ", ".join(type(x).__name__ for x in (self.p, self.e, self.f, self.index))
+            raise ValueError(f"place data (p, e, f, index) must be ints, or p, e, f all None; got types ({types})")
         if self.p > MAX_PRIME:
-            raise ValueError(f"prime {_decimal(self.p)} exceeds the supported maximum {MAX_PRIME}")
+            raise UnsupportedPrime(f"prime {_decimal(self.p)} exceeds the supported maximum {MAX_PRIME}")
         if not is_prime(self.p):
             raise ValueError(f"{_decimal(self.p)} is not prime")
         if self.e < 1 or self.f < 1:
@@ -296,14 +295,12 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
 
     The returned places always satisfy sum(e*f) = degree(F).  Over a split
     prime the two places differ only by ``index``.  A p that is not an int
-    raises ValueError before its splitting is computed; a p above MAX_PRIME
-    raises UnsupportedPrime; a composite p raises ValueError from the
-    primality check of :class:`Place`.
+    raises ValueError before its splitting is computed; :class:`Place` then
+    raises UnsupportedPrime for a p above MAX_PRIME and ValueError for a
+    composite p.
     """
     if type(p) is not int:
         raise ValueError(f"place data must be ints, got p={p!r}")
-    if p > MAX_PRIME:
-        raise UnsupportedPrime(f"prime {_decimal(p)} exceeds the supported maximum {MAX_PRIME}")
     e, f, g = _splitting(F, p)
     return [Place(p, e, f, i) for i in range(g)]
 

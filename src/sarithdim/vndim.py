@@ -186,7 +186,7 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
         checks.append(
             _compare(
                 "pgl_sl_transfer",
-                jl_ratio_pgl(F, S) * 2**S.size / 2,
+                _index_transfer(S, jl_ratio_pgl(F, S), "sl"),
                 ratio_sl,
                 "PGL coefficient * 2^|S| / 2 vs SL ratio",
             )

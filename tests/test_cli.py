@@ -449,7 +449,13 @@ def cli_argv(draw):
     flags = {flag: draw(_FLAG_VALUES[flag][flag == arbitrary]) for flag in present}
     argv = [command]
     for flag, value in draw(st.permutations(list(flags.items()))):
-        argv += [flag] if value is None else [flag, value]
+        if value is None:
+            argv.append(flag)
+        elif value.startswith("-"):
+            # as a word of its own, argparse would read -1e-8 as an option
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
     return argv, flags.get("--format", "json")
 
 

@@ -20,7 +20,6 @@ so in CHANGES.md.
 import contextlib
 import hashlib
 import io
-import itertools
 import math
 
 from sarithdim import cli
@@ -47,19 +46,17 @@ ZETA_FIELD_SPECS = ("Q",) + tuple(
 
 def _requests():
     yield "check --grid", ["check", "--grid"]
-    for spec in cli.GRID_FIELD_SPECS:
-        weights = ["weight:3"] * (1 if spec == "Q" else 2)
-        for k in range(cli.GRID_MAX_FINITE + 1):
-            for subset in itertools.combinations(cli.GRID_PRIMES, k):
-                common = ["--field", spec, "--s-primes", ",".join(map(str, subset))]
-                local_data = ",".join(weights + ["dim:2"] * k)
-                yield "check", ["check", *common]
-                yield "covolume", ["covolume", *common, "--group", "pgl"]
-                yield "jl-ratio", ["jl-ratio", *common, "--group", "pgl"]
-                yield "steinberg-dim --group psl", ["steinberg-dim", *common, "--group", "psl"]
-                yield "module-dim --group sl", ["module-dim", *common, "--group", "sl", "--local-data", local_data]
-                yield "jl-ratio --group sl", ["jl-ratio", *common, "--group", "sl"]
-                yield "covolume --group sl --format table", ["covolume", *common, "--group", "sl", "--format", "table"]
+    for F, S in cli.grid_points():
+        primes = [v.p for v in S.finite_places]
+        common = ["--field", str(F), "--s-primes", ",".join(map(str, primes))]
+        local_data = ",".join(["weight:3"] * F.degree + ["dim:2"] * len(primes))
+        yield "check", ["check", *common]
+        yield "covolume", ["covolume", *common, "--group", "pgl"]
+        yield "jl-ratio", ["jl-ratio", *common, "--group", "pgl"]
+        yield "steinberg-dim --group psl", ["steinberg-dim", *common, "--group", "psl"]
+        yield "module-dim --group sl", ["module-dim", *common, "--group", "sl", "--local-data", local_data]
+        yield "jl-ratio --group sl", ["jl-ratio", *common, "--group", "sl"]
+        yield "covolume --group sl --format table", ["covolume", *common, "--group", "sl", "--format", "table"]
     for spec in cli.GRID_FIELD_SPECS:
         yield "zeta", ["zeta", "--field", spec]
         yield "candidates", ["candidates", "--field", spec]

@@ -171,7 +171,7 @@ class TestPrimality:
                 decompose_prime(parse_field("Q(sqrt 5)"), p)
             with pytest.raises(UnsupportedPrime):
                 build_S(parse_field("Q"), [p])
-            with pytest.raises(ValueError):
+            with pytest.raises(UnsupportedPrime, match=rf"^prime {p} exceeds the supported maximum {MAX_PRIME}$"):
                 Place(p, 1, 1)
 
 
@@ -458,7 +458,7 @@ def test_s_set_accepts_every_decomposed_place():
         (lambda: NumberField(-(10**5000)), NotTotallyReal),
         (lambda: build_S(parse_field("Q"), [10**5000]), UnsupportedPrime),
         (lambda: decompose_prime(parse_field("Q(sqrt 5)"), 10**5000), UnsupportedPrime),
-        (lambda: Place(10**5000, 1, 1), ValueError),
+        (lambda: Place(10**5000, 1, 1), UnsupportedPrime),
     ],
     ids=["radicand", "negative_radicand", "build_S", "decompose_prime", "Place"],
 )
@@ -466,6 +466,12 @@ def test_int_beyond_str_conversion_limit(build, error):
     # str() refuses ints of more than 4300 digits, so the message gives the size
     with pytest.raises(error, match="<int of 16610 bits>"):
         build()
+
+
+def test_place_data_of_the_wrong_type_is_named_by_type():
+    # a huge p beside a float e: the message names types, never formats p
+    with pytest.raises(ValueError, match=r"^place data .* got types \(int, float, int, int\)$"):
+        Place(10**5000, 1.0, 1)
 
 
 def test_int_at_str_conversion_limit_is_named_in_full():
