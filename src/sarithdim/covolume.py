@@ -22,15 +22,14 @@ its value on every call.  A :class:`Covolume` carries the value only, not
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numberfield import NumberField, SSet, delta_2
 from .zeta import zeta_F_minus1
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     """The invariants of (F, S) that the closed forms are monomials in."""
 
     zeta: Fraction  # |zeta_F(-1)|
@@ -65,8 +64,7 @@ def invariants(F: NumberField, S: SSet) -> Invariants:
     return record
 
 
-@dataclass(frozen=True)
-class Covolume:
+class Covolume(NamedTuple):
     value: Fraction
 
 

@@ -16,15 +16,14 @@ d(St_S) equals the Steinberg PGL monomial 2 z Q- / 2^|S|, and that equality
 is the ``pgl_two_routes`` check of :mod:`~sarithdim.vndim`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DatumPlaceMismatch
-from .numberfield import Place, SSet
+from .numberfield import Place, SSet, _Validated
 
 
-@dataclass(frozen=True)
-class LocalRepDatum:
+class LocalRepDatum(_Validated, namedtuple("LocalRepDatum", "place value")):
     """One local factor pi_v of pi = (x) pi_v, as one int that its place reads.
 
     At a real place ``value`` is the weight k >= 2 of the discrete series
@@ -34,13 +33,13 @@ class LocalRepDatum:
     finite place or :meth:`finite` at a real one is a DatumPlaceMismatch.
     """
 
-    place: Place
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        least = 2 if self.place.is_real else 1
-        if type(self.value) is not int or self.value < least:
-            raise ValueError(f"the datum at {self.place} must be an int >= {least}, got {self.value!r}")
+    def __new__(cls, place: Place, value: int):
+        least = 2 if place.is_real else 1
+        if type(value) is not int or value < least:
+            raise ValueError(f"the datum at {place} must be an int >= {least}, got {value!r}")
+        return super().__new__(cls, place, value)
 
     @classmethod
     def archimedean(cls, place: Place, weight: int) -> "LocalRepDatum":

@@ -9,15 +9,16 @@ part determines the ring of S-integers.
 Each fact is stored once: a field is Q exactly when its radicand d is None,
 a place is real exactly when its prime p is None, and the real places of an
 S-set are the field's degree many.  Build fields and S-sets with
-:func:`parse_field` and :func:`build_S`, or with the dataclasses themselves
+:func:`parse_field` and :func:`build_S`, or with the records themselves
 (``NumberField(d)``, ``Place(p, e, f, index)``); an :class:`SSet` rejects a
-finite place that is not a place of its field, and a repeated place.
+finite place that is not a place of its field, and a repeated place.  The
+records are named tuples whose ``__new__`` checks them, ``_replace`` too.
 """
 
 import bisect
 import functools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DuplicatePlace,
@@ -120,23 +121,33 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NumberField:
+class _Validated:
+    """Base of the records that check their fields in ``__new__``: ``_make``,
+    and so ``_replace``, builds through the constructor, which namedtuple's skips."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class NumberField(_Validated, namedtuple("NumberField", "d")):
     """Q (d is None), or the real quadratic field of squarefree radicand d > 1."""
 
-    d: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d is None:
-            return
-        if type(self.d) is not int:
-            raise ValueError(f"the radicand must be an int, got {self.d!r}")
-        if self.d <= 1:
-            raise NotTotallyReal(f"Q(sqrt {_decimal(self.d)}) is not a totally real quadratic field")
-        if self.d > MAX_RADICAND:
-            raise UnsupportedField(f"radicand {_decimal(self.d)} exceeds the supported maximum {MAX_RADICAND}")
-        if not is_squarefree(self.d):
-            raise NotSquarefree(f"{self.d} is not squarefree")
+    def __new__(cls, d: int | None = None):
+        if d is not None:
+            if type(d) is not int:
+                raise ValueError(f"the radicand must be an int, got {d!r}")
+            if d <= 1:
+                raise NotTotallyReal(f"Q(sqrt {_decimal(d)}) is not a totally real quadratic field")
+            if d > MAX_RADICAND:
+                raise UnsupportedField(f"radicand {_decimal(d)} exceeds the supported maximum {MAX_RADICAND}")
+            if not is_squarefree(d):
+                raise NotSquarefree(f"{d} is not squarefree")
+        return super().__new__(cls, d)
 
     @property
     def degree(self) -> int:
@@ -152,8 +163,7 @@ class NumberField:
         return "Q" if self.d is None else f"Q(sqrt {self.d})"
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(_Validated, namedtuple("Place", "p e f index")):
     """One place of a field: real when p is None, else finite over the prime p
     with ramification index e and inertia degree f.  A p above MAX_PRIME
     raises UnsupportedPrime; a composite p, or data not ints, ValueError.
@@ -162,24 +172,21 @@ class Place:
     places of a quadratic field); it carries no arithmetic content.
     """
 
-    p: int | None = None
-    e: int | None = None
-    f: int | None = None
-    index: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p is self.e is self.f is None and type(self.index) is int:
-            return
-        if not type(self.p) is type(self.e) is type(self.f) is type(self.index) is int:
-            # named by type: the repr of a huge p would hit str()'s digit limit
-            types = ", ".join(type(x).__name__ for x in (self.p, self.e, self.f, self.index))
-            raise ValueError(f"place data (p, e, f, index) must be ints, or p, e, f all None; got types ({types})")
-        if self.p > MAX_PRIME:
-            raise UnsupportedPrime(f"prime {_decimal(self.p)} exceeds the supported maximum {MAX_PRIME}")
-        if not is_prime(self.p):
-            raise ValueError(f"{_decimal(self.p)} is not prime")
-        if self.e < 1 or self.f < 1:
-            raise ValueError("e and f must be >= 1")
+    def __new__(cls, p: int | None = None, e: int | None = None, f: int | None = None, index: int = 0):
+        if not (p is e is f is None and type(index) is int):
+            if not type(p) is type(e) is type(f) is type(index) is int:
+                # named by type: the repr of a huge p would hit str()'s digit limit
+                types = ", ".join(type(x).__name__ for x in (p, e, f, index))
+                raise ValueError(f"place data (p, e, f, index) must be ints, or p, e, f all None; got types ({types})")
+            if p > MAX_PRIME:
+                raise UnsupportedPrime(f"prime {_decimal(p)} exceeds the supported maximum {MAX_PRIME}")
+            if not is_prime(p):
+                raise ValueError(f"{_decimal(p)} is not prime")
+            if e < 1 or f < 1:
+                raise ValueError("e and f must be >= 1")
+        return super().__new__(cls, p, e, f, index)
 
     @property
     def is_real(self) -> bool:
@@ -198,23 +205,21 @@ class Place:
         return f"v{self.index}(p={self.p},e={self.e},f={self.f})"
 
 
-@dataclass(frozen=True)
-class SSet:
+class SSet(_Validated, namedtuple("SSet", "field finite_places")):
     """A finite set of places of the field containing every real place: each
     finite place has the (e, f) of its prime and an index below its g."""
 
-    field: NumberField
-    finite_places: tuple[Place, ...] = ()
-
-    def __post_init__(self):
-        for i, v in enumerate(self.finite_places):
+    # no __slots__: ``places`` and the Invariants record are kept in the instance dict
+    def __new__(cls, field: NumberField, finite_places: tuple[Place, ...] = ()):
+        for i, v in enumerate(finite_places):
             if v.is_real:
                 raise ValueError("finite_places must all be finite")
-            e, f, g = _splitting(self.field, v.p)
+            e, f, g = _splitting(field, v.p)
             if (v.e, v.f) != (e, f) or not 0 <= v.index < g:
-                raise ValueError(f"{v} is not a place of {self.field}")
-            if v in self.finite_places[:i]:
+                raise ValueError(f"{v} is not a place of {field}")
+            if v in finite_places[:i]:
                 raise DuplicatePlace(f"repeated place {v} in S")
+        return super().__new__(cls, field, finite_places)
 
     @functools.cached_property
     def places(self) -> tuple[Place, ...]:
@@ -315,7 +320,8 @@ def build_S(F: NumberField, finite_primes) -> SSet:
     """
     chosen: list[Place] = []
     for entry in finite_primes:
-        p, selector = entry if isinstance(entry, tuple) else (entry, "one")
+        # a record is a tuple too: a Place entry goes on to fail as a non-int prime
+        p, selector = entry if type(entry) is tuple else (entry, "one")
         places = decompose_prime(F, p)
         if selector == "both":
             if len(places) != 2:

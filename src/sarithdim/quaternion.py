@@ -4,8 +4,8 @@ definite algebra.  The zeta ratio is factored place by place and never reads
 :class:`~sarithdim.covolume.Invariants`, so it stays an independent route.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import OddCardinality
 from .numberfield import NumberField, SSet
@@ -16,8 +16,7 @@ from .zeta import zeta_F_minus1
 _EXTRA_COSINE_ORDERS = {2: (8,), 3: (12,), 5: (5, 10)}
 
 
-@dataclass(frozen=True)
-class CandidateReport:
+class CandidateReport(NamedTuple):
     """Necessary-condition superset of the finite groups PD*(O_S) can be.
 
     Never an exact order computation: exactness would need unit-group

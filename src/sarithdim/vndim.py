@@ -27,8 +27,8 @@ where N is the order of the finite quaternion S-unit group; the Steinberg
 PGL dimension is the jl_ratio_pgl monomial at N = 1, for every |S|.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .covolume import Invariants, invariants, pgl2_covolume, pgl_psl_index
 from .errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality
@@ -37,8 +37,7 @@ from .numberfield import NumberField, SSet
 from .quaternion import validate_ramification, zeta_D_leading_ratio_at_zero
 
 
-@dataclass(frozen=True)
-class VnDimension:
+class VnDimension(NamedTuple):
     value: Fraction
 
 
@@ -129,15 +128,13 @@ def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
     return pd_order * _pgl_monomial(invariants(F, S))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checks: tuple[IdentityCheck, ...]
 
     @property

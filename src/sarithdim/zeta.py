@@ -34,8 +34,8 @@ a tolerance becomes a working precision.
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import libmp
 
@@ -50,12 +50,11 @@ ZETA_MEMO_SIZE = 256
 #: Largest accepted working precision of the functional-equation check: at
 #: Q(sqrt 997) its numeric side takes 0.11 s at 4,096 bits, 1.6 s at 20,000,
 #: but at the radicand cap 13.7 s at 1,024 bits and 124 s at 4,096.  Nothing
-#: bounds that time yet; the work budget planned in ROADMAP.md item 3 will.
+#: bounds that time yet; the work budget planned in ROADMAP.md item 2 will.
 MAX_PRECISION_BITS = 4096
 
 
-@dataclass(frozen=True)
-class SpecialValue:
+class SpecialValue(NamedTuple):
     value: Fraction
 
 
@@ -254,8 +253,7 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     return _rounded(total * libmp.pi_fixed(wp) ** 4, 6 * D * D << 5 * wp, bits)
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
+class FunctionalEquationReport(NamedTuple):
     ok: bool
     numeric_side: float
     rational_side: float

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -132,7 +131,7 @@ class TestResponseShape:
     def test_route_disagreement_is_a_failed_diagnostic(self, capsys, monkeypatch):
         original = vndim.pgl2_covolume
         monkeypatch.setattr(
-            vndim, "pgl2_covolume", lambda F, S: dataclasses.replace(original(F, S), value=2 * original(F, S).value)
+            vndim, "pgl2_covolume", lambda F, S: original(F, S)._replace(value=2 * original(F, S).value)
         )
         code, out, err = invoke(capsys, ["jl-ratio", "--field", "Q", "--s-primes", "2", "--group", "sl"])
         assert code == 0
@@ -143,7 +142,7 @@ class TestResponseShape:
     def test_grid_reports_each_failed_point(self, capsys, monkeypatch):
         original = vndim.pgl2_covolume
         monkeypatch.setattr(
-            vndim, "pgl2_covolume", lambda F, S: dataclasses.replace(original(F, S), value=2 * original(F, S).value)
+            vndim, "pgl2_covolume", lambda F, S: original(F, S)._replace(value=2 * original(F, S).value)
         )
         code, out, err = invoke(capsys, ["check", "--grid"])
         assert code == 0
@@ -506,11 +505,20 @@ def test_decimal_twenty_significant_digits():
     assert cli.decimal_string(Fraction(1, 30)) == "0.033333333333333333333"
 
 
-def test_package_import_leaves_the_cli_out():
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        ("sarithdim", ("sarithdim.cli", "argparse")),
+        # the records are named tuples: a CLI process creates no dataclass
+        ("sarithdim.cli", ("dataclasses", "inspect")),
+    ],
+    ids=["package", "cli"],
+)
+def test_package_import_leaves_the_cli_out(module, absent):
     # the child imports the same package as this process, installed or not
     source_root = str(Path(sarithdim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    child = "import sys, sarithdim\nprint(sorted({'sarithdim.cli', 'argparse'} & sys.modules.keys()))\n"
+    child = f"import sys, {module}\nprint(sorted({set(absent)!r} & sys.modules.keys()))\n"
     result = subprocess.run(
         [sys.executable, "-c", child],
         capture_output=True,

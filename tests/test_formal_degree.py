@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -132,7 +131,7 @@ class TestDatumValidation:
                 LocalRepDatum(place, value)
 
     def test_one_value_read_by_its_place(self):
-        assert [f.name for f in dataclasses.fields(LocalRepDatum)] == ["place", "value"]
+        assert LocalRepDatum._fields == ("place", "value")
         assert LocalRepDatum.archimedean(Place(), 3) == LocalRepDatum(Place(), 3)
         assert LocalRepDatum.finite(Place(3, 1, 1), 2) == LocalRepDatum(Place(3, 1, 1), 2)
         assert LocalRepDatum(Place(3, 1, 1), 1).value == 1

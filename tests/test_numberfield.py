@@ -410,6 +410,8 @@ def test_place_validation():
             Place(*args)
     with pytest.raises(ValueError):
         build_S(parse_field("Q"), [2.5])
+    with pytest.raises(ValueError, match=r"^place data must be ints, got p=Place\(p=3, e=1, f=1, index=0\)$"):
+        build_S(parse_field("Q"), [Place(3, 1, 1)])
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, True, "3"])
