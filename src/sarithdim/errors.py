@@ -54,6 +54,12 @@ class ToleranceTooTight(CalcError):
     code = "TOLERANCE_TOO_TIGHT"
 
 
+class OutOfRange(CalcError):
+    """An int argument outside its range: ``precision_bits`` or ``pd_order``."""
+
+    code = "OUT_OF_RANGE"
+
+
 class OddCardinality(CalcError):
     """The place set has odd size; quaternion ramification sets are even."""
 

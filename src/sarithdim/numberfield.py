@@ -69,11 +69,11 @@ _PSI = (
 _QUADRATIC_RE = re.compile(r"Q\(sqrt (-?)(\d+)\)")
 
 
-def _decimal(n: int) -> str:
-    """n in decimal for an error message, or its size where str() refuses
-    an int of more than 4300 digits."""
+def _decimal(n) -> str:
+    """repr(n) for an error message (an int in decimal), or the size of an
+    int of more than 4300 digits, which repr() refuses."""
     try:
-        return str(n)
+        return repr(n)
     except ValueError:
         return f"{'-' if n < 0 else ''}<int of {n.bit_length()} bits>"
 

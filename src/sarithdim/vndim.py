@@ -1,11 +1,10 @@
 """Von Neumann dimensions of discrete-series modules over S-arithmetic groups.
 
 The engine is the lattice formula: dimension = covolume * formal degree.
-For a finite group the dimension is dim_C(H) / |Gamma|.  Group variants are
-linked by index transfer: passing from PGL(2, O_S) to the index-2^|S|
-subgroup PSL(2, O_S) multiplies the dimension by 2^|S|, and pushing down
-along SL -> SL/{+-1} = PSL halves it (every module in scope has trivial
-central character).  :func:`steinberg_vn_dim` and :func:`module_vn_dim`
+Group variants are linked by index transfer: passing from PGL(2, O_S) to
+the index-2^|S| subgroup PSL(2, O_S) multiplies the dimension by 2^|S|, and
+pushing down along SL -> SL/{+-1} = PSL halves it (every module in scope
+has trivial central character).  :func:`steinberg_vn_dim` and :func:`module_vn_dim`
 compute their value by two routes and return it only on exact agreement;
 :func:`jl_ratio_sl` and :func:`jl_ratio_pgl`, like the covolumes, take one
 route, and only :func:`check_identities` compares them with others.  It
@@ -31,21 +30,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .covolume import Invariants, invariants, pgl2_covolume, pgl_psl_index
-from .errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality
+from .errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality, OutOfRange
 from .formal_degree import LocalRepDatum, jl_degree_ratio, steinberg_global_degree
-from .numberfield import NumberField, SSet
+from .numberfield import NumberField, SSet, _decimal
 from .quaternion import validate_ramification, zeta_D_leading_ratio_at_zero
 
 
 class VnDimension(NamedTuple):
     value: Fraction
-
-
-def vn_dim_finite_group(dim_C: int, group_order: int) -> Fraction:
-    """Dimension over the algebra of a finite group: dim_C / order."""
-    if group_order < 1:
-        raise ValueError("group order must be >= 1")
-    return Fraction(dim_C, group_order)
 
 
 def _pgl_monomial(inv: Invariants) -> Fraction:
@@ -120,11 +112,12 @@ def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
     is the order of the finite S-unit group on the quaternion side.
 
     The default N = 1 gives the coefficient; callers multiply by the group
-    order once they know it.
+    order once they know it.  An S of odd size is OddCardinality, then an N
+    that is not an int >= 1 is OutOfRange.
     """
     validate_ramification(S)
     if type(pd_order) is not int or pd_order < 1:
-        raise ValueError(f"pd_order must be an int >= 1, got {pd_order!r}")
+        raise OutOfRange(f"pd_order must be an int >= 1, got {_decimal(pd_order)}")
     return pd_order * _pgl_monomial(invariants(F, S))
 
 

@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 from mpmath import libmp
 
-from .errors import ToleranceTooTight
-from .numberfield import NumberField, kronecker_symbol
+from .errors import OutOfRange, ToleranceTooTight
+from .numberfield import NumberField, _decimal, kronecker_symbol
 
 #: Fields whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
 #: for the value of one field many times; a bounded memo keeps long runs over
@@ -271,7 +271,7 @@ def functional_equation_check(
     This is the one place a tolerance is validated and sized: tol must lie
     in [1e-12, 1), else ToleranceTooTight (zeta_F(2) > 1 passes any looser
     check), and ``precision_bits`` must be None or an int in [1,
-    MAX_PRECISION_BITS], else ValueError.  The working precision is twice
+    MAX_PRECISION_BITS], else OutOfRange.  The working precision is twice
     the target bits -log2(tol), rounded up, plus 16 guard bits, and at
     least 64 and at least ``precision_bits``.
 
@@ -295,7 +295,7 @@ def functional_equation_check(
     if tol < 1e-12:
         raise ToleranceTooTight(f"tolerance {tol} below the supported floor of 1e-12")
     if precision_bits is not None and not (type(precision_bits) is int and 1 <= precision_bits <= MAX_PRECISION_BITS):
-        raise ValueError(f"precision_bits must be None or an int in [1, {MAX_PRECISION_BITS}], got {precision_bits!r}")
+        raise OutOfRange(f"precision_bits must be None or an int in [1, {MAX_PRECISION_BITS}], got {_decimal(precision_bits)}")
     bits = max(math.ceil(-2 * math.log2(tol)) + 16, precision_bits or 0, 64)
     n = F.degree
     D = F.discriminant

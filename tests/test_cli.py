@@ -46,15 +46,18 @@ INVALID_LOCAL_DATA = {
 }
 
 #: zeta (flag, value) -> (code, message) as rejection() gives them.  A finite
-#: tolerance reaches functional_equation_check, the one home of its range; the
-#: JSON echo cannot hold a non-finite one.
+#: tolerance and any int precision reach functional_equation_check, the one
+#: home of each range; the JSON echo cannot hold a non-finite tolerance.
 OUT_OF_RANGE_ZETA_FLAGS = {
     **{("--tol", v): (None, f"argument --tol: tolerance must be finite, got {v!r}") for v in ("nan", "inf", "-inf")},
     ("--tol", "abc"): (None, "argument --tol: 'abc' is not a number"),
     ("--tol", "1"): ("TOLERANCE_TOO_TIGHT", "tolerance 1.0 is not below 1, so the check has no teeth"),
     **{("--tol", v): ("TOLERANCE_TOO_TIGHT", f"tolerance {float(v)} below the supported floor of 1e-12") for v in ("0", "-5")},
-    **{("--working-precision", v): (None, f"argument --working-precision: {v!r} is not an integer") for v in ("nan", "inf")},
-    **{("--working-precision", v): (None, f"argument --working-precision: must be in [1, 4096], got {v}") for v in ("0", "-5", "4097")},
+    **{("--working-precision", v): (None, f"argument --working-precision: invalid int value: {v!r}") for v in ("nan", "inf")},
+    **{
+        ("--working-precision", v): ("OUT_OF_RANGE", f"precision_bits must be None or an int in [1, 4096], got {v}")
+        for v in ("0", "-5", "4097")
+    },
 }
 
 
@@ -278,11 +281,19 @@ class TestUsageErrors:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "TOLERANCE_TOO_TIGHT"
 
-    def test_pd_order_below_one(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.run(["jl-ratio", "--field", "Q", "--s-primes", "2", "--group", "pgl", "--pd-order", "0"])
-        assert err.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+    def test_pd_order_below_one(self):
+        # jl_ratio_pgl owns the range, after the ramification check
+        argv = ["jl-ratio", "--field", "Q", "--group", "pgl", "--pd-order=-3"]
+        assert rejection([*argv, "--s-primes", "2"]) == ("OUT_OF_RANGE", "pd_order must be an int >= 1, got -3")
+        assert rejection([*argv, "--s-primes", "2,3"])[0] == "ODD_CARDINALITY"
+
+    def test_pd_order_zero_is_read_only_under_pgl(self, capsys):
+        # 0 is not an omitted N = 1; --group sl never reads N
+        argv = ["jl-ratio", "--field", "Q", "--s-primes", "2", "--pd-order", "0", "--group"]
+        assert rejection([*argv, "pgl"]) == ("OUT_OF_RANGE", "pd_order must be an int >= 1, got 0")
+        code, out, _ = invoke(capsys, [*argv, "sl"])
+        assert code == 0
+        assert json.loads(out)["value"] == {"num": "1", "den": "12"}
 
     def test_malformed_field_is_domain_error(self, capsys):
         code, out, _ = invoke(capsys, ["zeta", "--field", "Q[sqrt 5]"])

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from sarithdim import covolume, vndim
 from sarithdim.cli import grid_points
 from sarithdim.covolume import pgl2_covolume, sl2_covolume
-from sarithdim.errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality
+from sarithdim.errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality, OutOfRange
 from sarithdim.formal_degree import LocalRepDatum
 from sarithdim.numberfield import build_S, parse_field
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
@@ -18,7 +19,6 @@ from sarithdim.vndim import (
     jl_ratio_sl,
     module_vn_dim,
     steinberg_vn_dim,
-    vn_dim_finite_group,
 )
 
 def two_adic_valuation(x: Fraction) -> int:
@@ -86,17 +86,6 @@ class TestInvariantsRecord:
         assert T == S and covolume.invariants(F, T) == covolume.invariants(F, S)
         assert covolume.invariants(F, T) is not covolume.invariants(F, S)
         assert len(built) == 2
-
-
-class TestFiniteGroup:
-    def test_examples(self):
-        assert vn_dim_finite_group(2, 24) == Fraction(1, 12)
-        assert vn_dim_finite_group(1, 1) == 1
-        assert vn_dim_finite_group(4, 120) == Fraction(1, 30)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            vn_dim_finite_group(1, 0)
 
 
 class TestSteinbergDim:
@@ -222,8 +211,14 @@ class TestJLRatios:
     @pytest.mark.parametrize("pd_order", [0, -1, 1.5, 24.0, True])
     def test_pgl_order_below_one(self, pd_order):
         F = parse_field("Q")
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match=rf"^pd_order must be an int >= 1, got {re.escape(repr(pd_order))}$"):
             jl_ratio_pgl(F, build_S(F, [2]), pd_order)
+
+    def test_pgl_order_of_more_than_4300_digits(self):
+        # repr() refuses such an int, so the message gives its size
+        F = parse_field("Q")
+        with pytest.raises(OutOfRange, match=r"^pd_order must be an int >= 1, got -<int of 16610 bits>$"):
+            jl_ratio_pgl(F, build_S(F, [2]), -(10**5000))
 
     def test_pgl_odd_cardinality(self):
         F = parse_field("Q")

@@ -2,6 +2,7 @@ import ast
 import functools
 import math
 import random
+import re
 import signal
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from mpmath import libmp
 
 from sarithdim import zeta
-from sarithdim.errors import ToleranceTooTight
+from sarithdim.errors import OutOfRange, ToleranceTooTight
 from sarithdim.numberfield import MAX_RADICAND, NumberField, is_squarefree, kronecker_symbol, parse_field
 from sarithdim.zeta import (
     MAX_PRECISION_BITS,
@@ -364,8 +365,14 @@ class TestZetaTwoNumeric:
 
     @pytest.mark.parametrize("bits", [100.5, "128", True, 0, -5, MAX_PRECISION_BITS + 1])
     def test_precision_bits_outside_the_cli_range(self, bits):
-        with pytest.raises(ValueError):
+        message = rf"^precision_bits must be None or an int in \[1, 4096\], got {re.escape(repr(bits))}$"
+        with pytest.raises(OutOfRange, match=message):
             functional_equation_check(parse_field("Q(sqrt 5)"), 1e-8, precision_bits=bits)
+
+    def test_precision_bits_of_more_than_4300_digits(self):
+        # repr() refuses such an int, so the message gives its size
+        with pytest.raises(OutOfRange, match=r"^precision_bits must be None or an int in \[1, 4096\], got <int of 16610 bits>$"):
+            functional_equation_check(parse_field("Q(sqrt 5)"), 1e-8, precision_bits=10**5000)
 
     @pytest.mark.parametrize("bits", [None, 1, MAX_PRECISION_BITS])
     def test_precision_bits_in_the_cli_range(self, bits):
