@@ -13,6 +13,9 @@ places of S) the covolumes are the monomials
     PGL(2, O_S):  2^(delta_2 + 1) * z * Q+ / 2^(2n)
 
 both exact rationals, each formed as one Fraction of integer products.
+PGL(2, O_S) is GL(2, O_S)/O_S^x, of index |O_S^x/O_S^x2| = 2^|S| over PSL
+(:func:`pgl_psl_index`).  The scheme-theoretic PGL_2(O_S) is larger by |Pic(O_S)[2]|:
+by 2 over Q(sqrt 10) with S its real places, by 1 over every grid field (class number 1).
 S must be an S-set of F: :func:`invariants`, the entry point of F's data
 into every closed form, raises ValueError otherwise.  The record is built
 once per S-set and kept on it, because one computation at a point asks for

@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DatumPlaceMismatch
-from .numberfield import Place, SSet, _Validated
+from .numberfield import Place, SSet, _Validated, _repr
 
 
 class LocalRepDatum(_Validated, namedtuple("LocalRepDatum", "place value")):
@@ -38,7 +38,7 @@ class LocalRepDatum(_Validated, namedtuple("LocalRepDatum", "place value")):
     def __new__(cls, place: Place, value: int):
         least = 2 if place.is_real else 1
         if type(value) is not int or value < least:
-            raise ValueError(f"the datum at {place} must be an int >= {least}, got {value!r}")
+            raise ValueError(f"the datum at {place} must be an int >= {least}, got {_repr(value)}")
         return super().__new__(cls, place, value)
 
     @classmethod

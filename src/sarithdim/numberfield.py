@@ -69,13 +69,14 @@ _PSI = (
 _QUADRATIC_RE = re.compile(r"Q\(sqrt (-?)(\d+)\)")
 
 
-def _decimal(n) -> str:
-    """repr(n) for an error message (an int in decimal), or the size of an
-    int of more than 4300 digits, which repr() refuses."""
+def _repr(x) -> str:
+    """repr(x) for an error message, or past str()'s digit limit an int's size or x's type."""
     try:
-        return repr(n)
+        return repr(x)
     except ValueError:
-        return f"{'-' if n < 0 else ''}<int of {n.bit_length()} bits>"
+        if isinstance(x, int):
+            return f"{'-' if x < 0 else ''}<int of {x.bit_length()} bits>"
+        return f"<{type(x).__name__} too large to print>"
 
 
 def is_prime(n: int) -> bool:
@@ -140,13 +141,13 @@ class NumberField(_Validated, namedtuple("NumberField", "d")):
     def __new__(cls, d: int | None = None):
         if d is not None:
             if type(d) is not int:
-                raise ValueError(f"the radicand must be an int, got {d!r}")
+                raise ValueError(f"the radicand must be an int, got {_repr(d)}")
             if d <= 1:
-                raise NotTotallyReal(f"Q(sqrt {_decimal(d)}) is not a totally real quadratic field")
+                raise NotTotallyReal(f"Q(sqrt {_repr(d)}) is not a totally real quadratic field")
             if d > MAX_RADICAND:
-                raise UnsupportedField(f"radicand {_decimal(d)} exceeds the supported maximum {MAX_RADICAND}")
+                raise UnsupportedField(f"radicand {_repr(d)} exceeds the supported maximum {MAX_RADICAND}")
             if not is_squarefree(d):
-                raise NotSquarefree(f"{d} is not squarefree")
+                raise NotSquarefree(f"{_repr(d)} is not squarefree")
         return super().__new__(cls, d)
 
     @property
@@ -177,13 +178,12 @@ class Place(_Validated, namedtuple("Place", "p e f index")):
     def __new__(cls, p: int | None = None, e: int | None = None, f: int | None = None, index: int = 0):
         if not (p is e is f is None and type(index) is int):
             if not type(p) is type(e) is type(f) is type(index) is int:
-                # named by type: the repr of a huge p would hit str()'s digit limit
-                types = ", ".join(type(x).__name__ for x in (p, e, f, index))
-                raise ValueError(f"place data (p, e, f, index) must be ints, or p, e, f all None; got types ({types})")
+                got = ", ".join(_repr(x) for x in (p, e, f, index))
+                raise ValueError(f"place data (p, e, f, index) must be ints, or p, e, f all None; got ({got})")
             if p > MAX_PRIME:
-                raise UnsupportedPrime(f"prime {_decimal(p)} exceeds the supported maximum {MAX_PRIME}")
+                raise UnsupportedPrime(f"prime {_repr(p)} exceeds the supported maximum {MAX_PRIME}")
             if not is_prime(p):
-                raise ValueError(f"{_decimal(p)} is not prime")
+                raise ValueError(f"{_repr(p)} is not prime")
             if e < 1 or f < 1:
                 raise ValueError("e and f must be >= 1")
         return super().__new__(cls, p, e, f, index)
@@ -241,7 +241,7 @@ def parse_field(spec: str) -> NumberField:
         return NumberField()
     m = _QUADRATIC_RE.fullmatch(text)
     if m is None:
-        raise MalformedSpec(f"cannot parse field spec {spec!r}: expected 'Q' or 'Q(sqrt <d>)'")
+        raise MalformedSpec(f"cannot parse field spec {_repr(spec)}: expected 'Q' or 'Q(sqrt <d>)'")
     sign, digits = m.group(1), m.group(2).lstrip("0") or "0"
     if len(digits) > len(str(MAX_RADICAND)):
         # out of range by its length alone, and int() refuses more than 4300 digits
@@ -261,7 +261,7 @@ def kronecker_symbol(D: int, m: int) -> int:
     and at an odd prime p it is +1 exactly when D is a nonzero square mod p.
     """
     if m < 0:
-        raise ValueError(f"the Kronecker symbol needs m >= 0, got {_decimal(m)}")
+        raise ValueError(f"the Kronecker symbol needs m >= 0, got {_repr(m)}")
     if m == 0:
         return 1 if abs(D) == 1 else 0
     result = 1
@@ -300,12 +300,11 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
 
     The returned places always satisfy sum(e*f) = degree(F).  Over a split
     prime the two places differ only by ``index``.  A p that is not an int
-    raises ValueError before its splitting is computed; :class:`Place` then
-    raises UnsupportedPrime for a p above MAX_PRIME and ValueError for a
-    composite p.
+    raises ValueError before its splitting is computed, any other bad p the
+    error of :class:`Place`.
     """
     if type(p) is not int:
-        raise ValueError(f"place data must be ints, got p={p!r}")
+        raise ValueError(f"place data must be ints, got p={_repr(p)}")
     e, f, g = _splitting(F, p)
     return [Place(p, e, f, i) for i in range(g)]
 
@@ -325,12 +324,12 @@ def build_S(F: NumberField, finite_primes) -> SSet:
         places = decompose_prime(F, p)
         if selector == "both":
             if len(places) != 2:
-                raise InvalidSelector(f"'both' requires a split prime, but {p} is not split in {F}")
+                raise InvalidSelector(f"'both' requires a split prime, but {_repr(p)} is not split in {F}")
             chosen.extend(places)
         elif selector == "one":
             chosen.append(places[0])
         else:
-            raise InvalidSelector(f"unknown place selector {selector!r}")
+            raise InvalidSelector(f"unknown place selector {_repr(selector)}")
     return SSet(F, tuple(chosen))
 
 

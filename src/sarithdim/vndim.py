@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .covolume import Invariants, invariants, pgl2_covolume, pgl_psl_index
 from .errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality, OutOfRange
 from .formal_degree import LocalRepDatum, jl_degree_ratio, steinberg_global_degree
-from .numberfield import NumberField, SSet, _decimal
+from .numberfield import NumberField, SSet, _repr
 from .quaternion import validate_ramification, zeta_D_leading_ratio_at_zero
 
 
@@ -60,7 +60,7 @@ def _index_transfer(S: SSet, pgl: Fraction, group: str) -> Fraction:
     if group == "pgl":
         return pgl
     if group not in ("psl", "sl"):
-        raise ValueError(f"group must be 'pgl', 'psl' or 'sl', got {group!r}")
+        raise ValueError(f"group must be 'pgl', 'psl' or 'sl', got {_repr(group)}")
     psl = pgl_psl_index(S) * pgl
     return psl if group == "psl" else psl / 2
 
@@ -117,7 +117,7 @@ def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
     """
     validate_ramification(S)
     if type(pd_order) is not int or pd_order < 1:
-        raise OutOfRange(f"pd_order must be an int >= 1, got {_decimal(pd_order)}")
+        raise OutOfRange(f"pd_order must be an int >= 1, got {_repr(pd_order)}")
     return pd_order * _pgl_monomial(invariants(F, S))
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 from mpmath import libmp
 
 from .errors import OutOfRange, ToleranceTooTight
-from .numberfield import NumberField, _decimal, kronecker_symbol
+from .numberfield import NumberField, _repr, kronecker_symbol
 
 #: Fields whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
 #: for the value of one field many times; a bounded memo keeps long runs over
@@ -291,11 +291,11 @@ def functional_equation_check(
     31 bits, and bits >= 64.
     """
     if not tol < 1:  # nan and +inf included
-        raise ToleranceTooTight(f"tolerance {tol} is not below 1, so the check has no teeth")
+        raise ToleranceTooTight(f"tolerance {_repr(tol)} is not below 1, so the check has no teeth")
     if tol < 1e-12:
-        raise ToleranceTooTight(f"tolerance {tol} below the supported floor of 1e-12")
+        raise ToleranceTooTight(f"tolerance {_repr(tol)} below the supported floor of 1e-12")
     if precision_bits is not None and not (type(precision_bits) is int and 1 <= precision_bits <= MAX_PRECISION_BITS):
-        raise OutOfRange(f"precision_bits must be None or an int in [1, {MAX_PRECISION_BITS}], got {_decimal(precision_bits)}")
+        raise OutOfRange(f"precision_bits must be None or an int in [1, {MAX_PRECISION_BITS}], got {_repr(precision_bits)}")
     bits = max(math.ceil(-2 * math.log2(tol)) + 16, precision_bits or 0, 64)
     n = F.degree
     D = F.discriminant

@@ -1,8 +1,10 @@
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,9 +18,12 @@ from sarithdim.errors import (
     MalformedSpec,
     NotSquarefree,
     NotTotallyReal,
+    OutOfRange,
+    ToleranceTooTight,
     UnsupportedField,
     UnsupportedPrime,
 )
+from sarithdim.formal_degree import LocalRepDatum
 from sarithdim.numberfield import (
     MAX_PRIME,
     MAX_RADICAND,
@@ -33,6 +38,10 @@ from sarithdim.numberfield import (
     kronecker_symbol,
     parse_field,
 )
+from sarithdim.vndim import jl_ratio_pgl, steinberg_vn_dim
+from sarithdim.zeta import functional_equation_check
+
+Q = parse_field("Q")
 
 PRIMES_TO_100 = [p for p in range(2, 101) if all(p % k for k in range(2, p))]
 
@@ -415,7 +424,7 @@ def test_place_validation():
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, True, "3"])
-def test_non_int_prime_leaves_the_splitting_memo_alone(p, monkeypatch):
+def test_non_int_prime_is_refused_before_any_kronecker_symbol(p, monkeypatch):
     """A non-int p is refused before the splitting law evaluates a single
     Kronecker symbol on it."""
     calls = TestBuildS.count_kronecker_symbols(monkeypatch)
@@ -453,26 +462,57 @@ def test_s_set_accepts_every_decomposed_place():
             assert SSet(F, places).finite_places == places, (F, p)
 
 
+BITS = "<int of 16610 bits>"  # 10**5000
+FRACTION = "<Fraction too large to print>"
+
+
 @pytest.mark.parametrize(
-    "build, error",
+    "build, error, stand_in",
     [
-        (lambda: NumberField(10**5000), UnsupportedField),
-        (lambda: NumberField(-(10**5000)), NotTotallyReal),
-        (lambda: build_S(parse_field("Q"), [10**5000]), UnsupportedPrime),
-        (lambda: decompose_prime(parse_field("Q(sqrt 5)"), 10**5000), UnsupportedPrime),
-        (lambda: Place(10**5000, 1, 1), UnsupportedPrime),
+        (lambda: NumberField(10**5000), UnsupportedField, BITS),
+        (lambda: NumberField(-(10**5000)), NotTotallyReal, "-" + BITS),
+        (lambda: build_S(parse_field("Q"), [10**5000]), UnsupportedPrime, BITS),
+        (lambda: decompose_prime(parse_field("Q(sqrt 5)"), 10**5000), UnsupportedPrime, BITS),
+        (lambda: Place(10**5000, 1, 1), UnsupportedPrime, BITS),
+        (lambda: jl_ratio_pgl(Q, build_S(Q, [2]), Fraction(10**5000)), OutOfRange, FRACTION),
+        (lambda: functional_equation_check(Q, 1e-8, precision_bits=Fraction(10**5000)), OutOfRange, FRACTION),
+        (lambda: functional_equation_check(Q, Fraction(10**5000)), ToleranceTooTight, FRACTION),
+        (lambda: functional_equation_check(Q, -(10**5000)), ToleranceTooTight, "-" + BITS),
+        (lambda: build_S(Q, [(5, 10**5000)]), InvalidSelector, BITS),
+        (lambda: NumberField(Fraction(10**5000)), ValueError, FRACTION),
+        (lambda: decompose_prime(Q, Fraction(10**5000)), ValueError, FRACTION),
+        (lambda: LocalRepDatum(Place(), -(10**5000)), ValueError, "-" + BITS),
+        (lambda: LocalRepDatum(Place(), Fraction(10**5000)), ValueError, FRACTION),
+        (lambda: steinberg_vn_dim(Q, build_S(Q, [2]), 10**5000), ValueError, BITS),
     ],
-    ids=["radicand", "negative_radicand", "build_S", "decompose_prime", "Place"],
+    ids=[
+        "radicand",
+        "negative_radicand",
+        "build_S",
+        "decompose_prime",
+        "Place",
+        "pd_order_fraction",
+        "precision_bits_fraction",
+        "tol_fraction",
+        "tol_negative",
+        "selector",
+        "radicand_fraction",
+        "decompose_prime_fraction",
+        "datum_negative",
+        "datum_fraction",
+        "group",
+    ],
 )
-def test_int_beyond_str_conversion_limit(build, error):
-    # str() refuses ints of more than 4300 digits, so the message gives the size
-    with pytest.raises(error, match="<int of 16610 bits>"):
+def test_int_beyond_str_conversion_limit(build, error, stand_in):
+    # repr() refuses a value of more than 4300 digits, so the message gives
+    # the size of an int, signed, or the type of anything else
+    with pytest.raises(error, match=rf"(?<!-){re.escape(stand_in)}"):
         build()
 
 
-def test_place_data_of_the_wrong_type_is_named_by_type():
-    # a huge p beside a float e: the message names types, never formats p
-    with pytest.raises(ValueError, match=r"^place data .* got types \(int, float, int, int\)$"):
+def test_place_data_of_the_wrong_type_is_named_by_value():
+    # a huge p beside a float e: the message names each value, p by its size
+    with pytest.raises(ValueError, match=r"^place data .* got \(<int of 16610 bits>, 1\.0, 1, 0\)$"):
         Place(10**5000, 1.0, 1)
 
 
