@@ -19,7 +19,7 @@ from .errors import CalcError, DatumPlaceMismatch, UnsupportedPrime
 from .formal_degree import LocalRepDatum
 from .numberfield import MAX_PRIME, is_prime, parse_field, build_S
 from .quaternion import pdx_candidates
-from .vndim import check_identities, jl_ratio_pgl, jl_ratio_sl, module_vn_dim, steinberg_vn_dim
+from .vndim import SL_ROWS, check_identities, jl_ratio_pgl, jl_ratio_sl, module_vn_dim, steinberg_vn_dim
 from .zeta import MAX_PRECISION_BITS, functional_equation_check, zeta_F_minus1
 
 DEFAULT_TOL = 1e-8
@@ -103,8 +103,6 @@ def _local_data_arg(text: str):
         # cli_mix's "--local-data weight:1" request pins this exit 2
         if kind == "weight" and value < 2:
             raise argparse.ArgumentTypeError("weights must be >= 2")
-        if kind == "dim" and value < 1:
-            raise argparse.ArgumentTypeError("dimensions must be >= 1")
         entries.append((kind, value))
     return entries
 
@@ -138,7 +136,7 @@ def _cmd_steinberg_dim(ns, F, S):
 
 
 def _cmd_module_dim(ns, F, S):
-    # each datum checks its kind as it is built; module_vn_dim names uncovered places
+    # each datum checks its kind and range as it is built; module_vn_dim names uncovered places
     if len(ns.local_data) > len(S.places):
         raise DatumPlaceMismatch(f"{len(ns.local_data)} local data entries for {len(S.places)} places")
     data = [
@@ -157,13 +155,7 @@ def _cmd_jl_ratio(ns, F, S):
         return "jl_ratio_pgl", value, diagnostics
     value = jl_ratio_sl(F, S)
     status = {c.name: c.status for c in check_identities(F, S).checks}
-    diagnostics = [
-        _diag(name, status[name], detail)
-        for name, detail in (
-            ("sl_quaternion_zeta_match", "SL ratio vs zeta_D factorization route"),
-            ("sl_steinberg_match", "SL ratio vs Steinberg SL dimension"),
-        )
-    ]
+    diagnostics = [_diag(name, status[name], detail) for name, detail in SL_ROWS[:2]]
     return "jl_ratio_sl", value, diagnostics
 
 

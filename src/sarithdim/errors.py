@@ -13,7 +13,7 @@ class CalcError(Exception):
 
 
 class MalformedSpec(CalcError):
-    """Field spec string does not match the accepted grammar."""
+    """Field spec is not a str matching the accepted grammar."""
 
     code = "MALFORMED_SPEC"
 
@@ -51,11 +51,14 @@ class UnsupportedPrime(CalcError):
 
 
 class ToleranceTooTight(CalcError):
+    """A tolerance outside [1e-12, 1), or not a real number."""
+
     code = "TOLERANCE_TOO_TIGHT"
 
 
 class OutOfRange(CalcError):
-    """An int argument outside its range: ``precision_bits`` or ``pd_order``."""
+    """An int argument outside its range, or not an int: ``precision_bits``,
+    ``pd_order`` or the value of a local datum."""
 
     code = "OUT_OF_RANGE"
 

@@ -19,7 +19,7 @@ is the ``pgl_two_routes`` check of :mod:`~sarithdim.vndim`.
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DatumPlaceMismatch
+from .errors import DatumPlaceMismatch, OutOfRange
 from .numberfield import Place, SSet, _Validated, _repr
 
 
@@ -29,7 +29,7 @@ class LocalRepDatum(_Validated, namedtuple("LocalRepDatum", "place value")):
     At a real place ``value`` is the weight k >= 2 of the discrete series
     (weight 2 is the Steinberg-type one); at a finite place it is the
     complex dimension >= 1 of the matched factor pi'_v of the division
-    algebra.  Any other value is a ValueError; :meth:`archimedean` at a
+    algebra.  Any other value is OutOfRange; :meth:`archimedean` at a
     finite place or :meth:`finite` at a real one is a DatumPlaceMismatch.
     """
 
@@ -38,7 +38,7 @@ class LocalRepDatum(_Validated, namedtuple("LocalRepDatum", "place value")):
     def __new__(cls, place: Place, value: int):
         least = 2 if place.is_real else 1
         if type(value) is not int or value < least:
-            raise ValueError(f"the datum at {place} must be an int >= {least}, got {_repr(value)}")
+            raise OutOfRange(f"the datum at {place} must be an int >= {least}, got {_repr(value)}")
         return super().__new__(cls, place, value)
 
     @classmethod

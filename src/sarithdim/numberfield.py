@@ -235,8 +235,9 @@ class SSet(_Validated, namedtuple("SSet", "field finite_places")):
 
 
 def parse_field(spec: str) -> NumberField:
-    """Parse a field spec: ``Q``, or ``Q(sqrt <d>)`` with d squarefree and > 1."""
-    text = spec.strip()
+    """Parse a field spec: ``Q``, or ``Q(sqrt <d>)`` with d squarefree and > 1.
+    Anything else, a spec that is not a str included, is MalformedSpec."""
+    text = spec.strip() if type(spec) is str else ""
     if text == "Q":
         return NumberField()
     m = _QUADRATIC_RE.fullmatch(text)

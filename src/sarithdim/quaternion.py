@@ -71,14 +71,10 @@ def pdx_candidates(F: NumberField) -> CandidateReport:
     dihedral groups of order 2m need the condition for m.  The tetrahedral
     and octahedral groups A4 and S4 have element orders up to 4 and pass
     over every field (over Q, the Hurwitz units and norm-2 elements give
-    S4); the icosahedral group A5 needs sqrt(5).  The bound covers the
-    largest dihedral candidate and the order-60 icosahedral group.
+    S4); the icosahedral group A5 needs sqrt(5).  The bound is 60 over every
+    field: the candidates are cyclic (order <= 12), dihedral (<= 24), A4, S4
+    and A5, so A5's order bounds them all.
     """
     orders = sorted([1, 2, 3, 4, 6, *_EXTRA_COSINE_ORDERS.get(F.d, ())])
     exceptional = ("A4", "S4", "A5") if F.d == 5 else ("A4", "S4")
-    return CandidateReport(
-        tuple(orders),
-        tuple(2 * m for m in orders),
-        exceptional,
-        max(2 * orders[-1], 60),
-    )
+    return CandidateReport(tuple(orders), tuple(2 * m for m in orders), exceptional, 60)

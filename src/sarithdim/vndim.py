@@ -102,8 +102,8 @@ def module_vn_dim(F: NumberField, S: SSet, group: str, local: list[LocalRepDatum
 def jl_ratio_sl(F: NumberField, S: SSet) -> Fraction:
     """The SL-side dimension ratio |zeta_D(0)/zeta_F(0)| for the quaternion
     algebra ramified exactly at S: z * Q-."""
-    validate_ramification(S)
     inv = invariants(F, S)
+    validate_ramification(S)
     return inv.zeta * inv.prod_q_minus_1
 
 
@@ -112,13 +112,25 @@ def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
     is the order of the finite S-unit group on the quaternion side.
 
     The default N = 1 gives the coefficient; callers multiply by the group
-    order once they know it.  An S of odd size is OddCardinality, then an N
-    that is not an int >= 1 is OutOfRange.
+    order once they know it.  An S-set of another field is a ValueError,
+    then an S of odd size is OddCardinality, then an N that is not an
+    int >= 1 is OutOfRange.
     """
+    inv = invariants(F, S)
     validate_ramification(S)
     if type(pd_order) is not int or pd_order < 1:
         raise OutOfRange(f"pd_order must be an int >= 1, got {_repr(pd_order)}")
-    return pd_order * _pgl_monomial(invariants(F, S))
+    return pd_order * _pgl_monomial(inv)
+
+
+#: (name, description) of the quaternion-side rows of :func:`check_identities`,
+#: in report order: the SL ratio against the zeta_D factorization and against
+#: the Steinberg SL dimension, and the PGL coefficient carried down to SL.
+SL_ROWS = (
+    ("sl_quaternion_zeta_match", "SL ratio vs zeta_D factorization route"),
+    ("sl_steinberg_match", "SL ratio vs Steinberg SL dimension"),
+    ("pgl_sl_transfer", "PGL coefficient * 2^|S| / 2 vs SL ratio"),
+)
 
 
 class IdentityCheck(NamedTuple):
@@ -160,26 +172,13 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
         ratio_sl = jl_ratio_sl(F, S)
     except OddCardinality as err:
         note = f"{err.code}: |S| = {S.size}"
-        for name in ("sl_quaternion_zeta_match", "sl_steinberg_match", "pgl_sl_transfer"):
-            checks.append(IdentityCheck(name, "skipped", note))
+        checks += [IdentityCheck(name, "skipped", note) for name, _ in SL_ROWS]
     else:
-        checks.append(
-            _compare(
-                "sl_quaternion_zeta_match",
-                ratio_sl,
-                zeta_D_leading_ratio_at_zero(F, S),
-                "SL ratio vs zeta_D factorization route",
-            )
+        sides = (
+            (ratio_sl, zeta_D_leading_ratio_at_zero(F, S)),
+            (ratio_sl, _index_transfer(S, via_cov, "sl")),
+            (_index_transfer(S, jl_ratio_pgl(F, S), "sl"), ratio_sl),
         )
-        sl_via_cov = _index_transfer(S, via_cov, "sl")
-        checks.append(_compare("sl_steinberg_match", ratio_sl, sl_via_cov, "SL ratio vs Steinberg SL dimension"))
-        checks.append(
-            _compare(
-                "pgl_sl_transfer",
-                _index_transfer(S, jl_ratio_pgl(F, S), "sl"),
-                ratio_sl,
-                "PGL coefficient * 2^|S| / 2 vs SL ratio",
-            )
-        )
+        checks += [_compare(name, lhs, rhs, detail) for (name, detail), (lhs, rhs) in zip(SL_ROWS, sides)]
 
     return IdentityReport(tuple(checks))

@@ -34,7 +34,9 @@ a tolerance becomes a working precision.
 
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple
 
 from mpmath import libmp
@@ -268,10 +270,10 @@ def functional_equation_check(
     functional equation, to absolute tolerance tol, and check that the
     numeric side pins 60 * zeta_F(-1) as an integer.
 
-    This is the one place a tolerance is validated and sized: tol must lie
-    in [1e-12, 1), else ToleranceTooTight (zeta_F(2) > 1 passes any looser
-    check), and ``precision_bits`` must be None or an int in [1,
-    MAX_PRECISION_BITS], else OutOfRange.  The working precision is twice
+    This is the one place a tolerance is validated and sized: tol must be a
+    real number (a Decimal included) in [1e-12, 1), else ToleranceTooTight
+    (zeta_F(2) > 1 passes any looser check), and ``precision_bits`` must be
+    None or an int in [1, MAX_PRECISION_BITS], else OutOfRange.  The working precision is twice
     the target bits -log2(tol), rounded up, plus 16 guard bits, and at
     least 64 and at least ``precision_bits``.
 
@@ -290,6 +292,8 @@ def functional_equation_check(
     bits >= (60 z).bit_length() + 4; below MAX_RADICAND, 60 z has at most
     31 bits, and bits >= 64.
     """
+    if not isinstance(tol, (Real, Decimal)):
+        raise ToleranceTooTight(f"tolerance {_repr(tol)} is not a real number")
     if not tol < 1:  # nan and +inf included
         raise ToleranceTooTight(f"tolerance {_repr(tol)} is not below 1, so the check has no teeth")
     if tol < 1e-12:

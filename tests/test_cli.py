@@ -34,8 +34,8 @@ def rejection(argv):
 
 
 #: --local-data over S = {oo, 2} of Q -> (code, message) as rejection() gives
-#: them.  The kind of each entry is checked as its datum is built, and
-#: module_vn_dim names a place left uncovered.
+#: them.  The kind and the range of each entry are checked as its datum is
+#: built, and module_vn_dim names a place left uncovered.
 INVALID_LOCAL_DATA = {
     "weight:x": (None, "argument --local-data: 'x' is not an integer"),
     "weight:2": ("MISSING_DATUM", "no local datum for v0(p=2,e=1,f=1)"),
@@ -43,6 +43,7 @@ INVALID_LOCAL_DATA = {
     "dim:2,weight:2": ("DATUM_PLACE_MISMATCH", "oo_0 is real and takes a weight, not a complex dimension"),
     "weight:2,weight:2": ("DATUM_PLACE_MISMATCH", "v0(p=2,e=1,f=1) is finite and takes a complex dimension, not a weight"),
     "weight:2,dim:2,dim:1": ("DATUM_PLACE_MISMATCH", "3 local data entries for 2 places"),
+    "weight:2,dim:0": ("OUT_OF_RANGE", "the datum at v0(p=2,e=1,f=1) must be an int >= 1, got 0"),
 }
 
 #: zeta (flag, value) -> (code, message) as rejection() gives them.  A finite

@@ -5,7 +5,7 @@ import pytest
 
 from sarithdim.cli import GRID_FIELD_SPECS, grid_points
 from sarithdim.covolume import invariants
-from sarithdim.errors import DatumPlaceMismatch
+from sarithdim.errors import DatumPlaceMismatch, OutOfRange
 from sarithdim.formal_degree import (
     LocalRepDatum,
     jl_degree_ratio,
@@ -118,22 +118,28 @@ class TestDatumValidation:
             LocalRepDatum.finite(Place(), 1)
 
     def test_weight_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match=r"^the datum at oo_0 must be an int >= 2, got 1$"):
             LocalRepDatum.archimedean(Place(), 1)
 
     def test_dim_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match=r"^the datum at v0\(p=3,e=1,f=1\) must be an int >= 1, got 0$"):
             LocalRepDatum.finite(Place(3, 1, 1), 0)
 
     def test_value_must_be_an_int(self):
-        for place, value in ((Place(), 2.5), (Place(), 3.0), (Place(3, 1, 1), 1.5), (Place(3, 1, 1), True)):
-            with pytest.raises(ValueError):
+        for place, value, message in (
+            (Place(), 2.5, "the datum at oo_0 must be an int >= 2, got 2.5"),
+            (Place(), 3.0, "the datum at oo_0 must be an int >= 2, got 3.0"),
+            (Place(3, 1, 1), 1.5, "the datum at v0(p=3,e=1,f=1) must be an int >= 1, got 1.5"),
+            (Place(3, 1, 1), True, "the datum at v0(p=3,e=1,f=1) must be an int >= 1, got True"),
+        ):
+            with pytest.raises(OutOfRange) as raised:
                 LocalRepDatum(place, value)
+            assert str(raised.value) == message
 
     def test_one_value_read_by_its_place(self):
         assert LocalRepDatum._fields == ("place", "value")
         assert LocalRepDatum.archimedean(Place(), 3) == LocalRepDatum(Place(), 3)
         assert LocalRepDatum.finite(Place(3, 1, 1), 2) == LocalRepDatum(Place(3, 1, 1), 2)
         assert LocalRepDatum(Place(3, 1, 1), 1).value == 1
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match=r"^the datum at oo_0 must be an int >= 2, got 1$"):
             LocalRepDatum(Place(), 1)

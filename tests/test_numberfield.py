@@ -101,6 +101,12 @@ class TestParseField:
         with pytest.raises(MalformedSpec):
             parse_field(bad)
 
+    @pytest.mark.parametrize("spec", [5, None, b"Q", ["Q"]])
+    def test_spec_that_is_not_a_str(self, spec):
+        message = rf"^cannot parse field spec {re.escape(repr(spec))}: expected 'Q' or 'Q\(sqrt <d>\)'$"
+        with pytest.raises(MalformedSpec, match=message):
+            parse_field(spec)
+
 
 def trial_division_is_prime(n):
     return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
@@ -481,8 +487,8 @@ FRACTION = "<Fraction too large to print>"
         (lambda: build_S(Q, [(5, 10**5000)]), InvalidSelector, BITS),
         (lambda: NumberField(Fraction(10**5000)), ValueError, FRACTION),
         (lambda: decompose_prime(Q, Fraction(10**5000)), ValueError, FRACTION),
-        (lambda: LocalRepDatum(Place(), -(10**5000)), ValueError, "-" + BITS),
-        (lambda: LocalRepDatum(Place(), Fraction(10**5000)), ValueError, FRACTION),
+        (lambda: LocalRepDatum(Place(), -(10**5000)), OutOfRange, "-" + BITS),
+        (lambda: LocalRepDatum(Place(), Fraction(10**5000)), OutOfRange, FRACTION),
         (lambda: steinberg_vn_dim(Q, build_S(Q, [2]), 10**5000), ValueError, BITS),
     ],
     ids=[

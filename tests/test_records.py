@@ -4,7 +4,7 @@ plain tuple of their fields, and checked on every route to a new record."""
 import pytest
 
 from sarithdim.covolume import invariants, sl2_covolume
-from sarithdim.errors import NotSquarefree
+from sarithdim.errors import NotSquarefree, OutOfRange
 from sarithdim.formal_degree import LocalRepDatum
 from sarithdim.numberfield import NumberField, Place, SSet, build_S, parse_field
 from sarithdim.quaternion import pdx_candidates
@@ -62,7 +62,7 @@ def test_only_the_s_set_has_an_instance_dict(record):
         (lambda: NumberField(5)._replace(d=4), NotSquarefree),
         (lambda: NumberField._make((4,)), NotSquarefree),
         (lambda: build_S(NumberField(5), [3])._replace(field=NumberField()), ValueError),  # 3 is inert
-        (lambda: LocalRepDatum(Place(), 2)._replace(value=1), ValueError),
+        (lambda: LocalRepDatum(Place(), 2)._replace(value=1), OutOfRange),
     ],
     ids=["Place-p", "Place-e", "Place-make", "NumberField", "NumberField-make", "SSet", "LocalRepDatum"],
 )

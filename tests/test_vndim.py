@@ -55,11 +55,12 @@ def _module_vn_dim_sl(F, S):
 def test_s_set_of_another_field_rejected(call):
     F = parse_field("Q(sqrt 5)")
     Q = parse_field("Q")
-    S = build_S(Q, [2])  # |S| = 2 is even, so no parity error comes first
-    covolume.invariants(Q, S)  # S now carries its own field's record
-    for _ in range(2):  # the record S carries must not answer for another field
-        with pytest.raises(ValueError, match="not of Q\\(sqrt 5\\)"):
-            call(F, S)
+    # the field is checked before the parity of |S|: |S| = 3 is no OddCardinality here
+    for S in (build_S(Q, [2]), build_S(Q, [2, 3])):
+        covolume.invariants(Q, S)  # S now carries its own field's record
+        for _ in range(2):  # the record S carries must not answer for another field
+            with pytest.raises(ValueError, match="not of Q\\(sqrt 5\\)"):
+                call(F, S)
 
 
 class TestInvariantsRecord:
@@ -177,7 +178,7 @@ class TestModuleDim:
         # a float weight would give a float dimension
         F = parse_field("Q")
         S = build_S(F, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match=r"^the datum at oo_0 must be an int >= 2, got 2\.5$"):
             module_vn_dim(F, S, "pgl", [LocalRepDatum.archimedean(S.places[0], 2.5)])
 
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=2, max_value=40))

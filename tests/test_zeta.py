@@ -4,6 +4,7 @@ import math
 import random
 import re
 import signal
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -356,6 +357,15 @@ class TestZetaTwoNumeric:
         for spec in ("Q", "Q(sqrt 5)"):
             with pytest.raises(ToleranceTooTight):
                 functional_equation_check(parse_field(spec), tol)
+
+    @pytest.mark.parametrize("tol", ["0.1", None, 1j, [1e-8]])
+    def test_tolerance_that_is_not_a_number(self, tol):
+        with pytest.raises(ToleranceTooTight, match=rf"^tolerance {re.escape(repr(tol))} is not a real number$"):
+            functional_equation_check(parse_field("Q"), tol)
+
+    @pytest.mark.parametrize("tol", [Decimal("1e-8"), Fraction(1, 10**8), 10**-8])
+    def test_tolerance_of_any_real_type(self, tol):
+        assert functional_equation_check(parse_field("Q(sqrt 5)"), tol).ok
 
     @pytest.mark.parametrize("tol", [1.0, 5.0])
     def test_tolerance_without_teeth(self, tol):
