@@ -35,7 +35,7 @@ from .errors import (
 #: scale: the numeric zeta_F(2) oracle takes one fixed-point multiply per
 #: residue below D/2, O(D), while the exact Siegel sum is a sieve, about
 #: sqrt(D) * log log D (about 1.5 ms at the cap).  At the cap (D up to
-#: 4 * 10^6) ``zeta --field`` takes about 2 s on a busy 2-CPU Xeon, nearly
+#: 4 * 10^6) ``zeta --field`` takes about 1.4 s on a busy 2-CPU Xeon, nearly
 #: all of it in the numeric oracle.
 MAX_RADICAND = 10**6
 

@@ -17,8 +17,10 @@ elementary cosecant sum good to any working precision,
     L(2, chi_D) = (pi^2 / D^2) * sum_{1 <= r < D/2} chi_D(r) * csc^2(pi r / D),
 
 which is the residue-class regrouping of the L-series folded in half by the
-trigamma reflection formula (DLMF 5.15.6).  It reads chi_D from one
-half-period table, sieved from its values at primes.  The sum runs as a
+trigamma reflection formula (DLMF 5.15.6).  It reads chi_D as a lazy
+product of the characters of the prime discriminants dividing D, each a
+short period: a Legendre symbol mod an odd prime q, or chi_-4, chi_8 or
+chi_-8, so the numeric route computes no Kronecker symbol.  The sum runs as a
 fixed-point integer kernel: sin(pi r / D) is stepped by the three-term
 Chebyshev recurrence, one multiply in Python ints per residue, with
 2b + b.bit_length() + 8 guard bits for b = D.bit_length(); it is O(D).
@@ -33,7 +35,11 @@ a tolerance becomes a working precision.
 """
 
 import functools
+import itertools
 import math
+import operator
+from array import array
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Real
@@ -50,14 +56,29 @@ from .numberfield import NumberField, _repr, kronecker_symbol
 ZETA_MEMO_SIZE = 256
 
 #: Largest accepted working precision of the functional-equation check: at
-#: Q(sqrt 997) its numeric side takes 0.11 s at 4,096 bits, 1.6 s at 20,000,
-#: but at the radicand cap 13.7 s at 1,024 bits and 124 s at 4,096.  Nothing
-#: bounds that time yet; the work budget planned in ROADMAP.md item 2 will.
+#: Q(sqrt 997) its numeric side takes 0.05 s at 4,096 bits, 0.9 s at 20,000,
+#: but at the radicand cap 10.8 s at 1,024 bits and 106 s at 4,096 (one run
+#: each, busy 2-CPU Xeon).  Nothing bounds that time yet; the work budget
+#: planned in ROADMAP.md item 2 will.
 MAX_PRECISION_BITS = 4096
+
+#: chi_-4, chi_8 and chi_-8 over one period, from r = 0: the characters of
+#: the 2-part of a fundamental discriminant.
+_TWO_PART_PERIOD = {-4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1), -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+
+#: Residues a character period is repeated to before it is read in a loop:
+#: each pass through a period costs one switch of iterators, so a period of 3
+#: read as it is would cost one per three values.
+_PERIOD_BLOCK = 4096
 
 
 class SpecialValue(NamedTuple):
     value: Fraction
+
+
+def _check_field(F: NumberField) -> None:
+    if not isinstance(F, NumberField):
+        raise ValueError(f"the field must be a NumberField, got {type(F).__name__} {_repr(F)}")
 
 
 def _sqrt_mod(D: int, p: int) -> int:
@@ -107,8 +128,10 @@ def zeta_F_minus1(F: NumberField) -> SpecialValue:
     is divided out and sigma_1(p^a) multiplied in.  After every p <=
     sqrt(D/4), what is left of m_t is 1 or a prime, which contributes
     m_t + 1.  Every b > 0 stands for b and -b.  The value is positive, and
-    its denominator divides 60.
+    its denominator divides 60.  An F that is not a NumberField is a
+    ValueError, checked past the memo so that a hit pays nothing.
     """
+    _check_field(F)
     if F.d is None:
         return SpecialValue(Fraction(-1, 12))
     D = F.discriminant
@@ -138,29 +161,45 @@ def zeta_F_minus1(F: NumberField) -> SpecialValue:
     return SpecialValue(Fraction(2 * sum(terms) - (0 if odd else terms[0]), 60))
 
 
-def quadratic_character_table(D: int) -> list[int]:
-    """chi_D(r) for 0 <= r <= D/2: the quadratic character attached to the
-    fundamental discriminant D > 1 over half its period.  chi_D is even,
-    so chi_D(r) = chi_D(D - r) gives the other half.
+def quadratic_character(D: int) -> Iterator[int]:
+    """chi_D(r) for r = 0, 1, 2, ...: the quadratic character attached to
+    the fundamental discriminant D > 1, as an endless iterator.
 
-    chi_D is completely multiplicative, so the table is sieved from its
-    values at primes: the Kronecker symbol at each prime p <= D/2 zeroes the
-    multiples of p when p divides D, and when chi_D(p) = -1 flips the sign
-    on the multiples of every power p^k.
+    A fundamental D is a product of prime discriminants: q* = +-q = 1
+    (mod 4) for each odd prime q dividing D, found by trial division, times
+    a 2-part 1, -4, 8 or -8.  So chi_D(r) is the product of the Legendre
+    symbols (r/q), a period of q read off the squares x^2 mod q, and of
+    chi_-4, chi_8 or chi_-8, the periods of 4 or 8 in _TWO_PART_PERIOD.
+    Each period is held one byte a residue, repeated to at least
+    _PERIOD_BLOCK residues, and read over and over; the factors are
+    multiplied lazily, so memory is about the sum of the q, not D.
     """
-    half = D // 2
-    chi = [1] * (half + 1)
-    chi[0] = 0
-    for p in primes_up_to(half):
-        symbol = kronecker_symbol(D, p)
-        if symbol == 0:
-            chi[p::p] = [0] * (half // p)
-        elif symbol < 0:
-            q = p
-            while q <= half:
-                chi[q::q] = [-c for c in chi[q::q]]
-                q *= p
-    return chi
+    odd = D >> (D & -D).bit_length() - 1
+    primes = []
+    q = 3
+    while q * q <= odd:
+        if odd % q == 0:
+            primes.append(q)
+            odd //= q
+        q += 2
+    if odd > 1:
+        primes.append(odd)
+    periods = []
+    two = D
+    for q in primes:
+        period = array("b", [-1]) * q
+        period[0] = 0
+        for x in range(1, (q + 1) // 2):
+            period[x * x % q] = 1
+        periods.append(period)
+        two //= q if q % 4 == 1 else -q
+    if two != 1:
+        periods.append(array("b", _TWO_PART_PERIOD[two]))
+    chars = []
+    for period in periods:
+        period *= -(-_PERIOD_BLOCK // len(period))
+        chars.append(itertools.chain.from_iterable(itertools.repeat(period)))
+    return functools.reduce(functools.partial(map, operator.mul), chars)
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -215,9 +254,11 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     the Chebyshev recurrence y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1), so
     y_r is sin(r theta) scaled by 2^wp, and
     chi(r) * floor(2^(3 wp) / y_r^2), which is csc^2(r theta) scaled by
-    2^wp, goes into an integer total.  The residues are summed in fixed
-    ascending order, so results are reproducible bit for bit.  The total
-    times pi^4 / (6 D^2), with pi scaled by 2^wp, is rounded once to
+    2^wp, goes into an integer total; chi(r) is read in step from
+    quadratic_character(D), the product of D's prime-discriminant
+    characters, so memory stays far below D.  The residues are summed in
+    fixed ascending order, so results are reproducible bit for bit.  The
+    total times pi^4 / (6 D^2), with pi scaled by 2^wp, is rounded once to
     ``bits``.
 
     Error bound, with eps = 2^-wp: t and y_1 are each within 1.01 eps, and
@@ -233,7 +274,10 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     ln D + 0.31 < b < 2^b.bit_length(), below 2^-(bits + 4 + b).  As
     zeta_F(2) > 1, the value rounded to ``bits`` is within one ulp of
     zeta_F(2).
+
+    An F that is not a NumberField is a ValueError.
     """
+    _check_field(F)
     if F.d is None:
         wp = bits + 8
         pi = libmp.pi_fixed(wp)
@@ -246,7 +290,7 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     one = 1 << (3 * wp)
     previous = 0
     total = 0
-    for c in quadratic_character_table(D)[1 : (D + 1) // 2]:
+    for c in itertools.islice(quadratic_character(D), 1, (D + 1) // 2):
         if c > 0:
             total += one // (y * y)
         elif c:
@@ -270,7 +314,8 @@ def functional_equation_check(
     functional equation, to absolute tolerance tol, and check that the
     numeric side pins 60 * zeta_F(-1) as an integer.
 
-    This is the one place a tolerance is validated and sized: tol must be a
+    An F that is not a NumberField is a ValueError.  This is the one place
+    a tolerance is validated and sized: tol must be a
     real number (a Decimal included) in [1e-12, 1), else ToleranceTooTight
     (zeta_F(2) > 1 passes any looser check), and ``precision_bits`` must be
     None or an int in [1, MAX_PRECISION_BITS], else OutOfRange.  The working precision is twice
@@ -292,6 +337,7 @@ def functional_equation_check(
     bits >= (60 z).bit_length() + 4; below MAX_RADICAND, 60 z has at most
     31 bits, and bits >= 64.
     """
+    _check_field(F)
     if not isinstance(tol, (Real, Decimal)):
         raise ToleranceTooTight(f"tolerance {_repr(tol)} is not a real number")
     if not tol < 1:  # nan and +inf included

@@ -1,9 +1,11 @@
 import ast
 import functools
+import itertools
 import math
 import random
 import re
 import signal
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +14,7 @@ import mpmath
 import pytest
 from mpmath import libmp
 
-from sarithdim import zeta
+from sarithdim import numberfield, zeta
 from sarithdim.errors import OutOfRange, ToleranceTooTight
 from sarithdim.numberfield import MAX_RADICAND, NumberField, is_squarefree, kronecker_symbol, parse_field
 from sarithdim.zeta import (
@@ -20,7 +22,7 @@ from sarithdim.zeta import (
     SpecialValue,
     functional_equation_check,
     primes_up_to,
-    quadratic_character_table,
+    quadratic_character,
     zeta_F_2_numeric,
     zeta_F_minus1,
 )
@@ -121,11 +123,12 @@ def zeta_F_2_euler_product(F: NumberField, primes: list[int]) -> float:
     if F.d is None:
         return math.pi**2 / 6
     D = F.discriminant
-    chi = quadratic_character_table(D)
+    # the Kronecker symbol (D/.) has period D, and is read directly rather
+    # than through the package's character, which the numeric route uses
+    chi = [kronecker_symbol(D, r) for r in range(D)]
     product = 1.0
     for p in primes:
-        r = p % D
-        c = chi[min(r, D - r)]
+        c = chi[p % D]
         if c:
             product *= 1.0 / (1.0 - c / (p * p))
     return math.pi**2 / 6 * product
@@ -468,6 +471,18 @@ class TestZetaTwoNumeric:
         assert zeta_F_2_numeric(F, 128) == zeta_F_2_numeric(F, 128)
 
 
+@pytest.mark.parametrize("F", [None, 5, "Q(sqrt 5)", Fraction(5)])
+@pytest.mark.parametrize(
+    "call",
+    [zeta_F_minus1, lambda F: zeta_F_2_numeric(F, 64), lambda F: functional_equation_check(F, 1e-8)],
+    ids=["zeta_F_minus1", "zeta_F_2_numeric", "functional_equation_check"],
+)
+def test_a_field_that_is_not_a_number_field(F, call):
+    message = rf"^the field must be a NumberField, got {type(F).__name__} {re.escape(repr(F))}$"
+    with pytest.raises(ValueError, match=message):
+        call(F)
+
+
 class TestEulerProduct:
     def test_agrees_with_numeric_route(self):
         primes = primes_up_to(10**5)
@@ -479,12 +494,72 @@ class TestEulerProduct:
 
     def test_character_table_periodic_values(self):
         # half a period, 0 <= r <= D/2
-        assert quadratic_character_table(5) == [0, 1, -1]
+        assert list(itertools.islice(quadratic_character(5), 3)) == [0, 1, -1]
 
     def test_character_table_is_the_kronecker_symbol(self):
         for F in real_quadratic_fields_with_disc_up_to(3000):
             D = F.discriminant
-            assert quadratic_character_table(D) == [kronecker_symbol(D, r) for r in range(D // 2 + 1)], D
+            half = list(itertools.islice(quadratic_character(D), D // 2 + 1))
+            assert half == [kronecker_symbol(D, r) for r in range(D // 2 + 1)], D
+
+
+class TestQuadraticCharacter:
+    @pytest.mark.parametrize(
+        "D, period",
+        [
+            (5, [0, 1, -1, -1, 1]),  # 2-part 1: (r/5)
+            (12, [0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1]),  # -4 * -3
+            (8, [0, 1, 0, -1, 0, -1, 0, 1]),  # 8: +1 at r = +-1 (mod 8)
+            (24, [0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1, 0, -1, 0, 0, 0, -1, 0, 1, 0, 0, 0, 1]),  # -8 * -3
+        ],
+    )
+    def test_each_two_part(self, D, period):
+        # three periods, so the values wrap round the period and every block
+        assert list(itertools.islice(quadratic_character(D), 3 * D)) == 3 * period
+        assert period == [kronecker_symbol(D, r) for r in range(D)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_residues_of_large_discriminants(self, seed):
+        # seed 0 takes D = 2042040 = 8 * 3 * 5 * 7 * 11 * 13 * 17, seven prime
+        # discriminants; the others draw a fundamental D within 5% of the cap
+        rng = random.Random(seed)
+        if seed == 0:
+            D = NumberField(510510).discriminant
+        else:
+            while True:
+                d = rng.randrange(MAX_RADICAND * 95 // 100, MAX_RADICAND + 1)
+                if is_squarefree(d):
+                    break
+            D = NumberField(d).discriminant
+        chi = quadratic_character(D)
+        taken = 0
+        for r in sorted(rng.sample(range(2 * D), 2000)):
+            assert next(itertools.islice(chi, r - taken, None)) == kronecker_symbol(D, r), (D, r)
+            taken = r + 1
+
+    def test_half_a_period_at_the_cap_in_under_a_megabyte(self):
+        # D = 3999980 = 4 * 5 * 199999: the periods take about 200 KB, where a
+        # list of D/2 values would take 16 MB
+        D = NumberField(999995).discriminant
+        assert D == 3999980
+        tracemalloc.start()
+        try:
+            total = sum(itertools.islice(quadratic_character(D), 1, (D + 1) // 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == 0  # chi_D is even and sums to 0 over a period, so over half of one
+        assert peak < 2**20, peak
+
+    def test_numeric_route_computes_no_kronecker_symbol(self, monkeypatch):
+        def refused(D, m):
+            raise AssertionError("the numeric route called kronecker_symbol")
+
+        fields = [parse_field(f"Q(sqrt {d})") for d in (2, 3, 5, 6, 1155, 510510)]
+        monkeypatch.setattr(zeta, "kronecker_symbol", refused)
+        monkeypatch.setattr(numberfield, "kronecker_symbol", refused)
+        for F in fields:
+            assert zeta_F_2_numeric(F, 64) > 1, F
 
 
 def power_route_rational_side(F, bits):
