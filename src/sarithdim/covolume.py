@@ -12,7 +12,9 @@ places of S) the covolumes are the monomials
     SL(2, O_S):   z * Q+ / 2^n
     PGL(2, O_S):  2^(delta_2 + 1) * z * Q+ / 2^(2n)
 
-both exact rationals, each formed as one Fraction of integer products.
+both exact rationals, each formed as one Fraction of integer products, as
+is every exact value of formal_degree, vndim and quaternion: no exact route
+does Fraction arithmetic.
 PGL(2, O_S) is GL(2, O_S)/O_S^x, of index |O_S^x/O_S^x2| = 2^|S| over PSL
 (:func:`pgl_psl_index`).  The scheme-theoretic PGL_2(O_S) is larger by |Pic(O_S)[2]|:
 by 2 over Q(sqrt 10) with S its real places, by 1 over every grid field (class number 1).

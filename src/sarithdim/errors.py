@@ -58,7 +58,8 @@ class ToleranceTooTight(CalcError):
 
 class OutOfRange(CalcError):
     """An int argument outside its range, or not an int: ``precision_bits``,
-    ``pd_order`` or the value of a local datum."""
+    the ``bits`` of zeta_F_2_numeric, ``pd_order`` or the value of a local
+    datum."""
 
     code = "OUT_OF_RANGE"
 

@@ -4,9 +4,9 @@ Locally, d(St_v) = 2 at a real place and (q_v - 1)/(2 (q_v + 1)) at a
 finite place, with an extra factor 2^(-e*f) at places of residue
 characteristic 2 (the unique assignment consistent with the aggregate
 below).  The global degree d(St_S) is the product of the local degrees over
-the places of S and never reads the invariants of (F, S).  In the fields of
-:class:`~sarithdim.covolume.Invariants` (n, |S|, delta_2, Q- = prod (q_v - 1),
-Q+ = prod (q_v + 1)) it equals
+the places of S, formed as one Fraction of integer products, and never reads
+the invariants of (F, S).  In the fields of :class:`~sarithdim.covolume.Invariants`
+(n, |S|, delta_2, Q- = prod (q_v - 1), Q+ = prod (q_v + 1)) it equals
 
     d(St_S) = 2^n * Q- / (2^(delta_2 + |S| - n) * Q+),
 
@@ -54,24 +54,30 @@ class LocalRepDatum(_Validated, namedtuple("LocalRepDatum", "place value")):
         return cls(place, complex_dim)
 
 
-def steinberg_local_degree(v: Place) -> Fraction:
-    """Formal degree of the local Steinberg representation at v."""
+def _local_degree_terms(v: Place) -> tuple[int, int]:
+    """The local Steinberg degree at v as an unreduced (numerator,
+    denominator) pair of ints: the one home of the local formula."""
     if v.is_real:
-        return Fraction(2)
+        return 2, 1
     q = v.q
     two_part = 2 ** (v.e * v.f) if v.p == 2 else 1
-    return Fraction(q - 1, 2 * (q + 1) * two_part)
+    return q - 1, 2 * (q + 1) * two_part
+
+
+def steinberg_local_degree(v: Place) -> Fraction:
+    """Formal degree of the local Steinberg representation at v."""
+    return Fraction(*_local_degree_terms(v))
 
 
 def steinberg_global_degree(S: SSet) -> Fraction:
     """Formal degree of the Steinberg factor over all places of S: the
-    product of the local degrees, each a reduced Fraction, their numerators
-    and denominators multiplied as integers and the product reduced once."""
+    product of the local degrees, their numerators and denominators
+    multiplied as integers and the product reduced once, into one Fraction."""
     num = den = 1
     for v in S.places:
-        local = steinberg_local_degree(v)
-        num *= local.numerator
-        den *= local.denominator
+        n, d = _local_degree_terms(v)
+        num *= n
+        den *= d
     return Fraction(num, den)
 
 

@@ -211,14 +211,16 @@ class SSet(_Validated, namedtuple("SSet", "field finite_places")):
 
     # no __slots__: ``places`` and the Invariants record are kept in the instance dict
     def __new__(cls, field: NumberField, finite_places: tuple[Place, ...] = ()):
-        for i, v in enumerate(finite_places):
+        seen = set()
+        for v in finite_places:
             if v.is_real:
                 raise ValueError("finite_places must all be finite")
             e, f, g = _splitting(field, v.p)
             if (v.e, v.f) != (e, f) or not 0 <= v.index < g:
                 raise ValueError(f"{v} is not a place of {field}")
-            if v in finite_places[:i]:
+            if v in seen:
                 raise DuplicatePlace(f"repeated place {v} in S")
+            seen.add(v)
         return super().__new__(cls, field, finite_places)
 
     @functools.cached_property

@@ -4,6 +4,7 @@ definite algebra.  The zeta ratio is factored place by place and never reads
 :class:`~sarithdim.covolume.Invariants`, so it stays an independent route.
 """
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -53,10 +54,8 @@ def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
     if S.field != F:
         raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")
     validate_ramification(S)
-    ratio = zeta_F_minus1(F).value
-    for v in S.finite_places:
-        ratio *= 1 - v.q
-    return abs(ratio)
+    z = zeta_F_minus1(F).value
+    return Fraction(abs(z.numerator) * math.prod(v.q - 1 for v in S.finite_places), z.denominator)
 
 
 def pdx_candidates(F: NumberField) -> CandidateReport:

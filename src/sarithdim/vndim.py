@@ -24,6 +24,11 @@ In the fields of :class:`~sarithdim.covolume.Invariants` (z = |zeta_F(-1)|,
 
 where N is the order of the finite quaternion S-unit group; the Steinberg
 PGL dimension is the jl_ratio_pgl monomial at N = 1, for every |S|.
+
+Every value is formed as one Fraction of integer products, never by
+Fraction arithmetic: the covolume route multiplies the numerators and the
+denominators of covolume and formal degree, and an index transfer scales
+the numerator by 2^|S| and, for SL, the denominator by 2.
 """
 
 from fractions import Fraction
@@ -40,10 +45,16 @@ class VnDimension(NamedTuple):
     value: Fraction
 
 
-def _pgl_monomial(inv: Invariants) -> Fraction:
-    """2 z Q- / 2^|S|, the PGL closed form at N = 1, defined for every |S|."""
+def _times(x: Fraction, num: int, den: int = 1) -> Fraction:
+    """x * num / den, formed as one Fraction of integer products."""
+    return Fraction(x.numerator * num, x.denominator * den)
+
+
+def _pgl_monomial(inv: Invariants, pd_order: int = 1) -> Fraction:
+    """2 z N Q- / 2^|S| with N = ``pd_order``, the PGL closed form, defined
+    for every |S|."""
     z = inv.zeta
-    return Fraction(2 * z.numerator * inv.prod_q_minus_1, z.denominator * 2**inv.size)
+    return Fraction(2 * pd_order * z.numerator * inv.prod_q_minus_1, z.denominator * 2**inv.size)
 
 
 def _pgl_two_routes(F: NumberField, S: SSet) -> tuple[Fraction, Fraction]:
@@ -51,7 +62,8 @@ def _pgl_two_routes(F: NumberField, S: SSet) -> tuple[Fraction, Fraction]:
     form 2 z Q- / 2^|S|, and the Atiyah-Schmid formula, covolume * global
     formal degree."""
     closed = _pgl_monomial(invariants(F, S))
-    return closed, pgl2_covolume(F, S).value * steinberg_global_degree(S)
+    cov, deg = pgl2_covolume(F, S).value, steinberg_global_degree(S)
+    return closed, Fraction(cov.numerator * deg.numerator, cov.denominator * deg.denominator)
 
 
 def _index_transfer(S: SSet, pgl: Fraction, group: str) -> Fraction:
@@ -61,8 +73,7 @@ def _index_transfer(S: SSet, pgl: Fraction, group: str) -> Fraction:
         return pgl
     if group not in ("psl", "sl"):
         raise ValueError(f"group must be 'pgl', 'psl' or 'sl', got {_repr(group)}")
-    psl = pgl_psl_index(S) * pgl
-    return psl if group == "psl" else psl / 2
+    return _times(pgl, pgl_psl_index(S), 2 if group == "sl" else 1)
 
 
 def steinberg_vn_dim(F: NumberField, S: SSet, group: str) -> VnDimension:
@@ -96,7 +107,7 @@ def module_vn_dim(F: NumberField, S: SSet, group: str, local: list[LocalRepDatum
         scale *= jl_degree_ratio(datum)
     if unmatched:
         raise MissingDatum(f"no local datum for {', '.join(str(v) for v in unmatched)}")
-    return VnDimension(base.value * scale)
+    return VnDimension(_times(base.value, scale))
 
 
 def jl_ratio_sl(F: NumberField, S: SSet) -> Fraction:
@@ -104,7 +115,7 @@ def jl_ratio_sl(F: NumberField, S: SSet) -> Fraction:
     algebra ramified exactly at S: z * Q-."""
     inv = invariants(F, S)
     validate_ramification(S)
-    return inv.zeta * inv.prod_q_minus_1
+    return _times(inv.zeta, inv.prod_q_minus_1)
 
 
 def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
@@ -120,7 +131,7 @@ def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
     validate_ramification(S)
     if type(pd_order) is not int or pd_order < 1:
         raise OutOfRange(f"pd_order must be an int >= 1, got {_repr(pd_order)}")
-    return pd_order * _pgl_monomial(inv)
+    return _pgl_monomial(inv, pd_order)
 
 
 #: (name, description) of the quaternion-side rows of :func:`check_identities`,
@@ -165,8 +176,8 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
 
     psl = _index_transfer(S, closed, "psl")
     sl = _index_transfer(S, closed, "sl")
-    checks.append(_compare("psl_transfer", psl, 2**S.size * closed, "PSL vs 2^|S| * PGL"))
-    checks.append(_compare("sl_transfer", sl, psl / 2, "SL vs PSL/2"))
+    checks.append(_compare("psl_transfer", psl, _times(closed, 2**S.size), "PSL vs 2^|S| * PGL"))
+    checks.append(_compare("sl_transfer", sl, _times(psl, 1, 2), "SL vs PSL/2"))
 
     try:
         ratio_sl = jl_ratio_sl(F, S)

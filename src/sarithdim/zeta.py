@@ -50,16 +50,16 @@ from mpmath import libmp
 from .errors import OutOfRange, ToleranceTooTight
 from .numberfield import NumberField, _repr, kronecker_symbol
 
-#: Fields whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
+#: Field discriminants whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
 #: for the value of one field many times; a bounded memo keeps long runs over
 #: many distinct fields at constant memory.
 ZETA_MEMO_SIZE = 256
 
-#: Largest accepted working precision of the functional-equation check: at
-#: Q(sqrt 997) its numeric side takes 0.05 s at 4,096 bits, 0.9 s at 20,000,
-#: but at the radicand cap 10.8 s at 1,024 bits and 106 s at 4,096 (one run
-#: each, busy 2-CPU Xeon).  Nothing bounds that time yet; the work budget
-#: planned in ROADMAP.md item 2 will.
+#: Largest accepted working precision of zeta_F_2_numeric and of the
+#: functional-equation check: at Q(sqrt 997) its numeric side takes 0.05 s at
+#: 4,096 bits, 0.9 s at 20,000, but at the radicand cap 10.8 s at 1,024 bits
+#: and 106 s at 4,096 (one run each, busy 2-CPU Xeon).  Nothing bounds that
+#: time yet; the work budget planned in ROADMAP.md item 2 will.
 MAX_PRECISION_BITS = 4096
 
 #: chi_-4, chi_8 and chi_-8 over one period, from r = 0: the characters of
@@ -114,27 +114,36 @@ def _sqrt_mod(D: int, p: int) -> int:
     return x
 
 
-@functools.lru_cache(maxsize=ZETA_MEMO_SIZE)
 def zeta_F_minus1(F: NumberField) -> SpecialValue:
-    """Exact zeta_F(-1), memoized per field.
+    """Exact zeta_F(-1), memoized per field discriminant: -1/12 over Q, over
+    a real quadratic field the divisor sum above.
 
-    Over Q the classical value -1/12.  Over a real quadratic field the
-    divisor sum above, by one sieve pass over the values
-    m_t = (D - b^2)/4 with b = 2t + (D mod 2) >= 0.  Each m_t loses its
-    power of 2 by its trailing zeros.  An odd prime p divides m_t exactly
-    when b^2 = D (mod p): never when (D/p) = -1, at b = 0 (mod p) when p
-    divides D, and else at the two roots +-r, so the t it divides run
-    through t = (+-r - (D mod 2)) / 2 (mod p).  At each, the full power p^a
-    is divided out and sigma_1(p^a) multiplied in.  After every p <=
-    sqrt(D/4), what is left of m_t is 1 or a prime, which contributes
-    m_t + 1.  Every b > 0 stands for b and -b.  The value is positive, and
-    its denominator divides 60.  An F that is not a NumberField is a
-    ValueError, checked past the memo so that a hit pays nothing.
+    An F that is not a NumberField is a ValueError, checked before the memo,
+    which is keyed on the discriminant, so an equal tuple or a list is
+    refused like any other value, whatever the memo holds.
     """
     _check_field(F)
-    if F.d is None:
+    return _zeta_minus1(F.discriminant)
+
+
+@functools.lru_cache(maxsize=ZETA_MEMO_SIZE)
+def _zeta_minus1(D: int) -> SpecialValue:
+    """zeta_F(-1) of the field of discriminant D (Q at D = 1), memoized for
+    :func:`zeta_F_minus1`.
+
+    Over a real quadratic field the divisor sum above, by one sieve pass
+    over the values m_t = (D - b^2)/4 with b = 2t + (D mod 2) >= 0.  Each
+    m_t loses its power of 2 by its trailing zeros.  An odd prime p divides
+    m_t exactly when b^2 = D (mod p): never when (D/p) = -1, at b = 0
+    (mod p) when p divides D, and else at the two roots +-r, so the t it
+    divides run through t = (+-r - (D mod 2)) / 2 (mod p).  At each, the
+    full power p^a is divided out and sigma_1(p^a) multiplied in.  After
+    every p <= sqrt(D/4), what is left of m_t is 1 or a prime, which
+    contributes m_t + 1.  Every b > 0 stands for b and -b.  The value is
+    positive, and its denominator divides 60.
+    """
+    if D == 1:
         return SpecialValue(Fraction(-1, 12))
-    D = F.discriminant
     odd = D % 2
     m = [(D - b * b) >> 2 for b in range(odd, math.isqrt(D) + 1, 2)]
     twos = [(v & -v).bit_length() - 1 for v in m]
@@ -275,9 +284,12 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     zeta_F(2) > 1, the value rounded to ``bits`` is within one ulp of
     zeta_F(2).
 
-    An F that is not a NumberField is a ValueError.
+    An F that is not a NumberField is a ValueError; then ``bits`` must be an
+    int in [1, MAX_PRECISION_BITS], else OutOfRange.
     """
     _check_field(F)
+    if not (type(bits) is int and 1 <= bits <= MAX_PRECISION_BITS):
+        raise OutOfRange(f"bits must be an int in [1, {MAX_PRECISION_BITS}], got {_repr(bits)}")
     if F.d is None:
         wp = bits + 8
         pi = libmp.pi_fixed(wp)

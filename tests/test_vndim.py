@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sarithdim import covolume, vndim
+from sarithdim import covolume, vndim, zeta
 from sarithdim.cli import grid_points
 from sarithdim.covolume import pgl2_covolume, sl2_covolume
 from sarithdim.errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality, OutOfRange
 from sarithdim.formal_degree import LocalRepDatum
 from sarithdim.numberfield import build_S, parse_field
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
-from sarithdim.zeta import zeta_F_minus1
 from sarithdim.vndim import (
     check_identities,
     jl_ratio_pgl,
@@ -330,7 +329,37 @@ class TestRouteIndependence:
 
     def test_siegel_sum_runs_once_per_fresh_point(self):
         F = parse_field("Q(sqrt 13)")
-        zeta_F_minus1.cache_clear()
+        zeta._zeta_minus1.cache_clear()
         report = check_identities(F, build_S(F, [2, 3]))
         assert report.all_pass
-        assert zeta_F_minus1.cache_info().misses == 1
+        assert zeta._zeta_minus1.cache_info().misses == 1
+
+
+#: The binary operators of Fraction, each side: none runs on the exact path.
+FRACTION_OPERATORS = tuple(
+    f"__{side}{op}__" for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow") for side in ("", "r")
+)
+
+
+def test_exact_path_does_no_fraction_arithmetic(monkeypatch):
+    # every exact value is one Fraction of integer products; == and abs() stay allowed
+    def refused(*args):
+        raise AssertionError("a binary Fraction operator ran on the exact path")
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, refused)
+    points = 0
+    for F, S in grid_points():  # fresh S-sets, so each Invariants record is built under the patch
+        sl2_covolume(F, S)
+        pgl2_covolume(F, S)
+        local = [LocalRepDatum(v, 3) for v in S.places]
+        for group in ("pgl", "psl", "sl"):
+            steinberg_vn_dim(F, S, group)
+            module_vn_dim(F, S, group, local)
+        if S.size % 2 == 0:
+            jl_ratio_sl(F, S)
+            jl_ratio_pgl(F, S, 5)
+            zeta_D_leading_ratio_at_zero(F, S)
+        assert check_identities(F, S).all_pass
+        points += 1
+    assert points == 210

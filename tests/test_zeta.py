@@ -483,6 +483,22 @@ def test_a_field_that_is_not_a_number_field(F, call):
         call(F)
 
 
+@pytest.mark.parametrize("F", [(5,), [5]])
+def test_a_field_that_is_not_a_number_field_on_a_warm_memo(F):
+    # the memo holds Q(sqrt 5), a tuple equal to (5,), and a list is unhashable
+    assert zeta_F_minus1(NumberField(5)).value == Fraction(1, 30)
+    message = rf"^the field must be a NumberField, got {type(F).__name__} {re.escape(repr(F))}$"
+    with pytest.raises(ValueError, match=message):
+        zeta_F_minus1(F)
+
+
+@pytest.mark.parametrize("bits", [0, -3, True, 64.0, None, "64", MAX_PRECISION_BITS + 1])
+def test_numeric_bits_outside_their_range(bits):
+    for spec in ("Q", "Q(sqrt 5)"):
+        with pytest.raises(OutOfRange, match=rf"^bits must be an int in \[1, 4096\], got {re.escape(repr(bits))}$"):
+            zeta_F_2_numeric(parse_field(spec), bits)
+
+
 class TestEulerProduct:
     def test_agrees_with_numeric_route(self):
         primes = primes_up_to(10**5)
