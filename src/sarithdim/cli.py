@@ -70,11 +70,13 @@ def _s_primes_arg(text: str):
 
 def _build_S(F, entries):
     """build_S over parsed --s-primes entries.  An entry kept as text is above
-    MAX_PRIME; it raises UnsupportedPrime after the errors of the entries
-    before it, as build_S does for an int above the cap."""
+    MAX_PRIME; it raises UnsupportedPrime where build_S does for an int above
+    the cap: after the decomposition and selector errors of the entries
+    before it, before any repeated place."""
     for i, (p, _) in enumerate(entries):
         if isinstance(p, str):
-            build_S(F, entries[:i])
+            for entry in entries[:i]:  # one at a time: no entry alone repeats a place
+                build_S(F, [entry])
             raise UnsupportedPrime(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
     return build_S(F, entries)
 

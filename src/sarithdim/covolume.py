@@ -18,8 +18,10 @@ does Fraction arithmetic.
 PGL(2, O_S) is GL(2, O_S)/O_S^x, of index |O_S^x/O_S^x2| = 2^|S| over PSL
 (:func:`pgl_psl_index`).  The scheme-theoretic PGL_2(O_S) is larger by |Pic(O_S)[2]|:
 by 2 over Q(sqrt 10) with S its real places, by 1 over every grid field (class number 1).
-S must be an S-set of F: :func:`invariants`, the entry point of F's data
-into every closed form, raises ValueError otherwise.  The record is built
+F must be exactly a NumberField and S exactly an SSet of F
+(``numberfield.check_s_set``): :func:`invariants`, the entry point of F's
+data into every closed form, raises ValueError otherwise, so a tuple equal
+to a record is refused, whatever record S carries.  The record is built
 once per S-set and kept on it, because one computation at a point asks for
 it many times; no route's output is kept, so every cross-check recomputes
 its value on every call.  A :class:`Covolume` carries the value only, not
@@ -30,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numberfield import NumberField, SSet, delta_2
+from .numberfield import NumberField, SSet, check_s_set, delta_2
 from .zeta import zeta_F_minus1
 
 
@@ -46,16 +48,15 @@ class Invariants(NamedTuple):
 
 
 def invariants(F: NumberField, S: SSet) -> Invariants:
-    """The :class:`Invariants` record of (F, S); ValueError unless S is an
-    S-set of F.
+    """The :class:`Invariants` record of (F, S); ValueError unless F is a
+    NumberField and S an SSet of F, by ``numberfield.check_s_set``.
 
     The record is built on first use and kept in S's instance dict, where
     ``SSet.places`` is kept too, so it lives and pickles with S and an equal
     S-set builds its own.  Two threads that use a fresh S-set at once may
     both build it; the records are equal, and either one is kept.
     """
-    if S.field != F:
-        raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")
+    check_s_set(F, S)
     record = S.__dict__.get("invariants")
     if record is None:
         record = S.__dict__["invariants"] = Invariants(

@@ -11,8 +11,14 @@ a place is real exactly when its prime p is None, and the real places of an
 S-set are the field's degree many.  Build fields and S-sets with
 :func:`parse_field` and :func:`build_S`, or with the records themselves
 (``NumberField(d)``, ``Place(p, e, f, index)``); an :class:`SSet` rejects a
-finite place that is not a place of its field, and a repeated place.  The
-records are named tuples whose ``__new__`` checks them, ``_replace`` too.
+field that is not a :class:`NumberField`, a finite place that is not a
+place of its field, and a repeated place.  The records are named tuples
+whose ``__new__`` checks them, ``_replace`` too.
+
+A record compares equal to the plain tuple of its fields, so an argument is
+accepted as a field or an S-set by its exact type, never by equality: the
+two rules are :func:`check_field` and :func:`check_s_set`, and every entry
+point that takes F, or F and S, calls one of them before it reads anything.
 """
 
 import bisect
@@ -211,10 +217,11 @@ class SSet(_Validated, namedtuple("SSet", "field finite_places")):
 
     # no __slots__: ``places`` and the Invariants record are kept in the instance dict
     def __new__(cls, field: NumberField, finite_places: tuple[Place, ...] = ()):
+        check_field(field)
         seen = set()
         for v in finite_places:
-            if v.is_real:
-                raise ValueError("finite_places must all be finite")
+            if type(v) is not Place or v.is_real:
+                raise ValueError(f"finite_places must all be finite Places, got {_repr(v)}")
             e, f, g = _splitting(field, v.p)
             if (v.e, v.f) != (e, f) or not 0 <= v.index < g:
                 raise ValueError(f"{v} is not a place of {field}")
@@ -234,6 +241,22 @@ class SSet(_Validated, namedtuple("SSet", "field finite_places")):
     def __str__(self) -> str:
         finite = ",".join(str(v) for v in self.finite_places)
         return f"S({self.field}; oo x{self.field.degree}" + (f"; {finite})" if finite else ")")
+
+
+def check_field(F: NumberField) -> None:
+    """ValueError unless F is exactly a :class:`NumberField`: an equal tuple,
+    a list or a spec string is refused like any other value."""
+    if type(F) is not NumberField:
+        raise ValueError(f"the field must be a NumberField, got {type(F).__name__} {_repr(F)}")
+
+
+def check_s_set(F: NumberField, S: SSet) -> None:
+    """ValueError unless F is exactly a :class:`NumberField` and S exactly an
+    :class:`SSet` of F, whatever record S already carries.  The field's type
+    is tested here, not by :func:`check_field`, because every exact call
+    through ``covolume.invariants`` passes this test many times."""
+    if not (type(S) is SSet and type(F) is NumberField and S.field == F):
+        raise ValueError(f"S must be an SSet of the NumberField F, got F = {_repr(F)}, S = {_repr(S)}")
 
 
 def parse_field(spec: str) -> NumberField:
@@ -302,10 +325,11 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
     """The places of F above the rational prime p.
 
     The returned places always satisfy sum(e*f) = degree(F).  Over a split
-    prime the two places differ only by ``index``.  A p that is not an int
-    raises ValueError before its splitting is computed, any other bad p the
-    error of :class:`Place`.
+    prime the two places differ only by ``index``.  An F that is not a
+    NumberField, then a p that is not an int, raises ValueError before the
+    splitting is computed, any other bad p the error of :class:`Place`.
     """
+    check_field(F)
     if type(p) is not int:
         raise ValueError(f"place data must be ints, got p={_repr(p)}")
     e, f, g = _splitting(F, p)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OddCardinality
-from .numberfield import NumberField, SSet
+from .numberfield import NumberField, SSet, check_s_set
 from .zeta import zeta_F_minus1
 
 # radicand d -> extra m with 2 cos(2 pi / m) in Q(sqrt d); the rational
@@ -49,10 +49,10 @@ def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
     lattice side.  Hey's normalization zeta_F(2s) zeta_F(2s-1)
     prod (1 - q_v^(1-2s)) gives 2^(n-1) times this value, n the degree of F:
     zeta_F has a zero of order n - 1 at 0, so zeta_F(2s) / zeta_F(s) tends
-    to 2^(n-1) there.  ValueError unless S is an S-set of F.
+    to 2^(n-1) there.  ValueError unless F is a NumberField and S an SSet
+    of F (``numberfield.check_s_set``), before the parity of |S|.
     """
-    if S.field != F:
-        raise ValueError(f"{S} is an S-set of {S.field}, not of {F}")
+    check_s_set(F, S)
     validate_ramification(S)
     z = zeta_F_minus1(F).value
     return Fraction(abs(z.numerator) * math.prod(v.q - 1 for v in S.finite_places), z.denominator)

@@ -12,8 +12,10 @@ reports a disagreement of the routes it compares as a failed check and does
 not raise.
 
 The group is one of the strings ``"pgl"``, ``"psl"`` and ``"sl"``; any other
-value is a ValueError.  S must be an S-set of F.  Result records carry the
-value, not the (F, S) or group they were computed for.
+value is a ValueError.  F must be exactly a NumberField and S exactly an
+SSet of F, else ValueError (``numberfield.check_s_set``, reached through
+``covolume.invariants`` before anything is read).  Result records carry
+the value, not the (F, S) or group they were computed for.
 
 In the fields of :class:`~sarithdim.covolume.Invariants` (z = |zeta_F(-1)|,
 |S|, Q- = prod (q_v - 1) over the finite places of S) the closed forms are
@@ -123,9 +125,9 @@ def jl_ratio_pgl(F: NumberField, S: SSet, pd_order: int = 1) -> Fraction:
     is the order of the finite S-unit group on the quaternion side.
 
     The default N = 1 gives the coefficient; callers multiply by the group
-    order once they know it.  An S-set of another field is a ValueError,
-    then an S of odd size is OddCardinality, then an N that is not an
-    int >= 1 is OutOfRange.
+    order once they know it.  An (F, S) that is not a NumberField and an
+    SSet of it is a ValueError, then an S of odd size is OddCardinality,
+    then an N that is not an int >= 1 is OutOfRange.
     """
     inv = invariants(F, S)
     validate_ramification(S)

@@ -48,7 +48,7 @@ from typing import NamedTuple
 from mpmath import libmp
 
 from .errors import OutOfRange, ToleranceTooTight
-from .numberfield import NumberField, _repr, kronecker_symbol
+from .numberfield import NumberField, _repr, check_field, kronecker_symbol
 
 #: Field discriminants whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
 #: for the value of one field many times; a bounded memo keeps long runs over
@@ -74,11 +74,6 @@ _PERIOD_BLOCK = 4096
 
 class SpecialValue(NamedTuple):
     value: Fraction
-
-
-def _check_field(F: NumberField) -> None:
-    if not isinstance(F, NumberField):
-        raise ValueError(f"the field must be a NumberField, got {type(F).__name__} {_repr(F)}")
 
 
 def _sqrt_mod(D: int, p: int) -> int:
@@ -118,11 +113,12 @@ def zeta_F_minus1(F: NumberField) -> SpecialValue:
     """Exact zeta_F(-1), memoized per field discriminant: -1/12 over Q, over
     a real quadratic field the divisor sum above.
 
-    An F that is not a NumberField is a ValueError, checked before the memo,
-    which is keyed on the discriminant, so an equal tuple or a list is
-    refused like any other value, whatever the memo holds.
+    F must be exactly a NumberField (``numberfield.check_field``), else
+    ValueError, checked before the memo, which is keyed on the
+    discriminant, so an equal tuple or a list is refused like any other
+    value, whatever the memo holds.
     """
-    _check_field(F)
+    check_field(F)
     return _zeta_minus1(F.discriminant)
 
 
@@ -284,10 +280,10 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     zeta_F(2) > 1, the value rounded to ``bits`` is within one ulp of
     zeta_F(2).
 
-    An F that is not a NumberField is a ValueError; then ``bits`` must be an
-    int in [1, MAX_PRECISION_BITS], else OutOfRange.
+    An F that is not exactly a NumberField is a ValueError; then ``bits``
+    must be an int in [1, MAX_PRECISION_BITS], else OutOfRange.
     """
-    _check_field(F)
+    check_field(F)
     if not (type(bits) is int and 1 <= bits <= MAX_PRECISION_BITS):
         raise OutOfRange(f"bits must be an int in [1, {MAX_PRECISION_BITS}], got {_repr(bits)}")
     if F.d is None:
@@ -326,7 +322,7 @@ def functional_equation_check(
     functional equation, to absolute tolerance tol, and check that the
     numeric side pins 60 * zeta_F(-1) as an integer.
 
-    An F that is not a NumberField is a ValueError.  This is the one place
+    An F that is not exactly a NumberField is a ValueError.  This is the one place
     a tolerance is validated and sized: tol must be a
     real number (a Decimal included) in [1e-12, 1), else ToleranceTooTight
     (zeta_F(2) > 1 passes any looser check), and ``precision_bits`` must be
@@ -349,7 +345,7 @@ def functional_equation_check(
     bits >= (60 z).bit_length() + 4; below MAX_RADICAND, 60 z has at most
     31 bits, and bits >= 64.
     """
-    _check_field(F)
+    check_field(F)
     if not isinstance(tol, (Real, Decimal)):
         raise ToleranceTooTight(f"tolerance {_repr(tol)} is not a real number")
     if not tol < 1:  # nan and +inf included

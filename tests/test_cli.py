@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sarithdim
 from sarithdim import cli, vndim
+from sarithdim.numberfield import MAX_PRIME
 
 
 def invoke(capsys, argv):
@@ -359,12 +360,15 @@ class TestUsageErrors:
         assert err == ""
 
     def test_s_prime_above_cap_after_earlier_errors(self, capsys):
-        # an over-long entry is rejected where build_S rejects an int above the cap
-        huge = "7" * 5000
-        code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", f"2,2,{huge}", "--group", "sl"])
-        assert (code, json.loads(out)["error"]["code"]) == (1, "DUPLICATE_PLACE")
-        code, out, _ = invoke(capsys, ["covolume", "--field", "Q", "--s-primes", f"{huge},2,2", "--group", "sl"])
-        assert (code, json.loads(out)["error"]["code"]) == (1, "UNSUPPORTED_PRIME")
+        # an over-long entry is rejected where build_S rejects an int above the
+        # cap, as the 25-digit entry is: after the decomposition and selector
+        # errors of the entries before it, and before any repeated place
+        cases = [("2,2,{}", "UNSUPPORTED_PRIME"), ("3:both,{}", "INVALID_SELECTOR"), ("{},2,2", "UNSUPPORTED_PRIME")]
+        for template, expected in cases:
+            for p in ("7" * 5000, str(MAX_PRIME + 7)):
+                argv = ["covolume", "--field", "Q", "--s-primes", template.format(p), "--group", "sl"]
+                code, out, _ = invoke(capsys, argv)
+                assert (code, json.loads(out)["error"]["code"]) == (1, expected), (template, len(p))
 
 
 # ---- fuzzing cli.run over argv ------------------------------------------------

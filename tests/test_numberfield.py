@@ -455,6 +455,22 @@ def test_s_set_rejects_a_place_not_of_its_field(field, places):
         SSet(parse_field(field), places)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: build_S(None, []), "^the field must be a NumberField, got NoneType None$"),
+        (lambda: build_S(None, [2]), "^the field must be a NumberField, got NoneType None$"),
+        (lambda: SSet((5,), ()), r"^the field must be a NumberField, got tuple \(5,\)$"),
+        (lambda: SSet(parse_field("Q"), (2,)), "^finite_places must all be finite Places, got 2$"),
+        (lambda: SSet(parse_field("Q"), ((2, 1, 1, 0),)), r"^finite_places .* got \(2, 1, 1, 0\)$"),
+    ],
+    ids=["build_S_empty", "build_S", "SSet_field", "SSet_place", "SSet_place_tuple"],
+)
+def test_s_set_refuses_a_field_or_place_by_type(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_s_set_names_a_repeated_place():
     F = parse_field("Q(sqrt 5)")
     v, w = decompose_prime(F, 11)

@@ -4,9 +4,11 @@ digests pin."""
 
 from hypothesis import given, settings, strategies as st
 
+from sarithdim.covolume import pgl2_covolume, sl2_covolume
 from sarithdim.formal_degree import LocalRepDatum
 from sarithdim.numberfield import NumberField, build_S, decompose_prime, is_prime, is_squarefree
-from sarithdim.vndim import check_identities, jl_ratio_sl, module_vn_dim
+from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
+from sarithdim.vndim import check_identities, jl_ratio_pgl, jl_ratio_sl, module_vn_dim, steinberg_vn_dim
 
 
 def _next_prime(n):
@@ -15,15 +17,26 @@ def _next_prime(n):
     return n
 
 
+#: a prime drawn below 50, 10^4 or 10^12
+primes = st.sampled_from((50, 10**4, 10**12)).flatmap(lambda b: st.integers(2, b).map(_next_prime))
+
+
+@st.composite
+def off_grid_entries(draw):
+    """Q or Q(sqrt d) with squarefree d <= 10^5, and the build_S entries of
+    0 to 4 distinct primes, "both" on some split ones."""
+    F = NumberField(draw(st.integers(2, 10**5).filter(is_squarefree)) if draw(st.integers(0, 3)) else None)
+    entries = [
+        (p, "both") if len(decompose_prime(F, p)) == 2 and draw(st.booleans()) else p
+        for p in draw(st.lists(primes, max_size=4, unique=True))
+    ]
+    return F, entries
+
+
 @st.composite
 def off_grid_points(draw):
-    """Q or Q(sqrt d) with squarefree d <= 10^5, and 0 to 4 primes drawn
-    below 50, 10^4 and 10^12, "both" on some split ones; then one local
-    datum per place of S."""
-    F = NumberField(draw(st.integers(2, 10**5).filter(is_squarefree)) if draw(st.integers(0, 3)) else None)
-    bound = st.sampled_from((50, 10**4, 10**12))
-    primes = draw(st.lists(bound.flatmap(lambda b: st.integers(2, b).map(_next_prime)), max_size=4, unique=True))
-    entries = [(p, "both") if len(decompose_prime(F, p)) == 2 and draw(st.booleans()) else p for p in primes]
+    """An off-grid (F, S), then one local datum per place of S."""
+    F, entries = draw(off_grid_entries())
     S = build_S(F, entries)
     data = [LocalRepDatum(v, draw(st.integers(2 if v.is_real else 1, 12))) for v in S.places]
     return F, S, data
@@ -44,3 +57,40 @@ def test_identities_hold_off_the_grid(point):
         for datum in data:
             dim_pi_prime *= datum.value - 1 if datum.place.is_real else datum.value
         assert module_vn_dim(F, S, "sl", data).value / dim_pi_prime == jl_ratio_sl(F, S)
+
+
+def _residue_cardinality(F, p):
+    """q_v of a place of F over p, by Euler's criterion on the discriminant D,
+    not read from a Place: p where D mod p is 0 or a nonzero square (p
+    ramifies or splits), p^2 where p is inert; at p = 2 the class of D mod 8
+    decides, and only D = 5 (mod 8) is inert."""
+    D = F.discriminant
+    inert = D % 8 == 5 if p == 2 else pow(D, (p - 1) // 2, p) == p - 1
+    return p * p if inert else p
+
+
+def _public_values(F, S):
+    values = [sl2_covolume(F, S), pgl2_covolume(F, S), check_identities(F, S)]
+    values += [steinberg_vn_dim(F, S, group) for group in ("pgl", "psl", "sl")]
+    # one datum per place, its value and its position in the list fixed by the place alone
+    data = [LocalRepDatum(v, 2 + i) for i, v in enumerate(sorted(S.places, key=str))]
+    values.append(module_vn_dim(F, S, "sl", data))
+    if S.size % 2 == 0:
+        values += [jl_ratio_sl(F, S), jl_ratio_pgl(F, S), zeta_D_leading_ratio_at_zero(F, S)]
+    return values
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(off_grid_entries(), st.data())
+def test_adding_a_place_and_reordering_S(point, data):
+    """Adding a prime p to S multiplies the SL(2, O_S) covolume by q_v + 1,
+    with q_v from the test's own splitting rule; permuting the entries of S
+    changes no public value."""
+    F, entries = point
+    S = build_S(F, entries)
+    taken = {entry[0] if type(entry) is tuple else entry for entry in entries}
+    p = data.draw(primes.filter(lambda p: p not in taken), label="p")
+    grown = sl2_covolume(F, build_S(F, [*entries, p])).value
+    assert grown == sl2_covolume(F, S).value * (_residue_cardinality(F, p) + 1)
+    shuffled = build_S(F, data.draw(st.permutations(entries), label="order"))
+    assert _public_values(F, shuffled) == _public_values(F, S)

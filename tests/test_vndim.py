@@ -32,6 +32,13 @@ def two_adic_valuation(x: Fraction) -> int:
     return v
 
 
+#: check_s_set's message, up to the F and S it quotes
+NOT_AN_S_SET = "S must be an SSet of the NumberField F, got F ="
+POINT_F = parse_field("Q(sqrt 5)")
+#: a datum at each place of S = {oo_0, oo_1, v(2), v(3)}, |S| = 4; 2 and 3 are inert in Q(sqrt 5)
+POINT_LOCAL = [LocalRepDatum(v, 2) for v in build_S(POINT_F, [2, 3]).places]
+
+
 def _module_vn_dim_sl(F, S):
     local = [LocalRepDatum.archimedean(v, 2) if v.is_real else LocalRepDatum.finite(v, 1) for v in S.places]
     return module_vn_dim(F, S, "sl", local)
@@ -58,8 +65,41 @@ def test_s_set_of_another_field_rejected(call):
     for S in (build_S(Q, [2]), build_S(Q, [2, 3])):
         covolume.invariants(Q, S)  # S now carries its own field's record
         for _ in range(2):  # the record S carries must not answer for another field
-            with pytest.raises(ValueError, match="not of Q\\(sqrt 5\\)"):
+            with pytest.raises(ValueError, match=rf"^{NOT_AN_S_SET} NumberField\(d=5\), S = SSet\(field=NumberField\(d=None\)"):
                 call(F, S)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        sl2_covolume,
+        pgl2_covolume,
+        pytest.param(lambda F, S: steinberg_vn_dim(F, S, "sl"), id="steinberg_vn_dim"),
+        pytest.param(lambda F, S: module_vn_dim(F, S, "sl", POINT_LOCAL), id="module_vn_dim"),
+        jl_ratio_sl,
+        jl_ratio_pgl,
+        check_identities,
+        zeta_D_leading_ratio_at_zero,
+        covolume.invariants,
+    ],
+    ids=lambda call: call.__name__,
+)
+def test_a_field_or_s_set_is_accepted_by_type_not_by_equality(call):
+    # a record equals the plain tuple of its fields, and S carries a record
+    # built for its own field: neither may let a wrong F or S through
+    F, Q = POINT_F, parse_field("Q")
+    for warm in (False, True):
+        S, other = build_S(F, [2, 3]), build_S(Q, [2])
+        if warm:
+            covolume.invariants(F, S)
+            covolume.invariants(Q, other)
+        bad_fields = [(5,), [5], None, 5, "Q(sqrt 5)", S]
+        bad_sets = [None, (F, ()), F, object(), other]
+        for bad_F, bad_S in [(x, S) for x in bad_fields] + [(F, x) for x in bad_sets]:
+            with pytest.raises(ValueError, match=f"^{re.escape(NOT_AN_S_SET)} "):
+                call(bad_F, bad_S)
+        # refused before anything is read: a fresh S is still fresh
+        assert ("invariants" in S.__dict__) is warm
 
 
 class TestInvariantsRecord:
