@@ -12,9 +12,12 @@ places of S) the covolumes are the monomials
     SL(2, O_S):   z * Q+ / 2^n
     PGL(2, O_S):  2^(delta_2 + 1) * z * Q+ / 2^(2n)
 
-both exact rationals, each formed as one Fraction of integer products, as
-is every exact value of formal_degree, vndim and quaternion: no exact route
-does Fraction arithmetic.
+both exact rationals.  As everywhere in covolume, formal_degree, vndim and
+quaternion, exact values are integer pairs, one Fraction per public value:
+a route carries an unreduced (numerator, denominator) pair of integer
+products, a public function builds one Fraction from its final pair, and no
+exact route does Fraction arithmetic.  :func:`_pgl2_covolume_terms` is the
+one home of the PGL formula; vndim's covolume route calls it directly.
 PGL(2, O_S) is GL(2, O_S)/O_S^x, of index |O_S^x/O_S^x2| = 2^|S| over PSL
 (:func:`pgl_psl_index`).  The scheme-theoretic PGL_2(O_S) is larger by |Pic(O_S)[2]|:
 by 2 over Q(sqrt 10) with S its real places, by 1 over every grid field (class number 1).
@@ -81,13 +84,16 @@ def sl2_covolume(F: NumberField, S: SSet) -> Covolume:
     return Covolume(Fraction(z.numerator * inv.prod_q_plus_1, z.denominator * 2**inv.n))
 
 
+def _pgl2_covolume_terms(inv: Invariants) -> tuple[int, int]:
+    """The PGL(2, O_S) covolume 2^(delta_2 + 1) z Q+ / 2^(2n) as an unreduced
+    (numerator, denominator) pair of ints."""
+    z = inv.zeta
+    return z.numerator * 2 ** (inv.delta_2 + 1) * inv.prod_q_plus_1, z.denominator * 2 ** (2 * inv.n)
+
+
 def pgl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of PGL(2, O_S), exactly."""
-    inv = invariants(F, S)
-    z = inv.zeta
-    return Covolume(
-        Fraction(z.numerator * 2 ** (inv.delta_2 + 1) * inv.prod_q_plus_1, z.denominator * 2 ** (2 * inv.n))
-    )
+    return Covolume(Fraction(*_pgl2_covolume_terms(invariants(F, S))))
 
 
 def pgl_psl_index(S: SSet) -> int:

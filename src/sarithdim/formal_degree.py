@@ -4,8 +4,9 @@ Locally, d(St_v) = 2 at a real place and (q_v - 1)/(2 (q_v + 1)) at a
 finite place, with an extra factor 2^(-e*f) at places of residue
 characteristic 2 (the unique assignment consistent with the aggregate
 below).  The global degree d(St_S) is the product of the local degrees over
-the places of S, formed as one Fraction of integer products, and never reads
-the invariants of (F, S).  In the fields of :class:`~sarithdim.covolume.Invariants`
+the places of S.  Like every exact value it is an integer pair inside the
+library, one Fraction per public value: :func:`_global_degree_terms`, its
+one home, returns the pair.  It never reads the invariants of (F, S).  In the fields of :class:`~sarithdim.covolume.Invariants`
 (n, |S|, delta_2, Q- = prod (q_v - 1), Q+ = prod (q_v + 1)) it equals
 
     d(St_S) = 2^n * Q- / (2^(delta_2 + |S| - n) * Q+),
@@ -31,11 +32,15 @@ class LocalRepDatum(_Validated, namedtuple("LocalRepDatum", "place value")):
     complex dimension >= 1 of the matched factor pi'_v of the division
     algebra.  Any other value is OutOfRange; :meth:`archimedean` at a
     finite place or :meth:`finite` at a real one is a DatumPlaceMismatch.
+    A place that is not exactly a :class:`Place` is a ValueError, before
+    the value is read.
     """
 
     __slots__ = ()
 
     def __new__(cls, place: Place, value: int):
+        if type(place) is not Place:
+            raise ValueError(f"the place of a local datum must be a Place, got {_repr(place)}")
         least = 2 if place.is_real else 1
         if type(value) is not int or value < least:
             raise OutOfRange(f"the datum at {place} must be an int >= {least}, got {_repr(value)}")
@@ -43,13 +48,13 @@ class LocalRepDatum(_Validated, namedtuple("LocalRepDatum", "place value")):
 
     @classmethod
     def archimedean(cls, place: Place, weight: int) -> "LocalRepDatum":
-        if not place.is_real:
+        if type(place) is Place and not place.is_real:
             raise DatumPlaceMismatch(f"{place} is finite and takes a complex dimension, not a weight")
         return cls(place, weight)
 
     @classmethod
     def finite(cls, place: Place, complex_dim: int) -> "LocalRepDatum":
-        if place.is_real:
+        if type(place) is Place and place.is_real:
             raise DatumPlaceMismatch(f"{place} is real and takes a weight, not a complex dimension")
         return cls(place, complex_dim)
 
@@ -69,16 +74,21 @@ def steinberg_local_degree(v: Place) -> Fraction:
     return Fraction(*_local_degree_terms(v))
 
 
-def steinberg_global_degree(S: SSet) -> Fraction:
-    """Formal degree of the Steinberg factor over all places of S: the
-    product of the local degrees, their numerators and denominators
-    multiplied as integers and the product reduced once, into one Fraction."""
+def _global_degree_terms(S: SSet) -> tuple[int, int]:
+    """The global Steinberg degree over S as an unreduced (numerator,
+    denominator) pair: the local pairs multiplied as integers."""
     num = den = 1
     for v in S.places:
         n, d = _local_degree_terms(v)
         num *= n
         den *= d
-    return Fraction(num, den)
+    return num, den
+
+
+def steinberg_global_degree(S: SSet) -> Fraction:
+    """Formal degree of the Steinberg factor over all places of S: the
+    product of the local degrees, reduced once, into one Fraction."""
+    return Fraction(*_global_degree_terms(S))
 
 
 def jl_degree_ratio(datum: LocalRepDatum) -> int:

@@ -321,6 +321,14 @@ def _splitting(F: NumberField, p: int) -> tuple[int, int, int]:
     return (1, 1, 2) if sym == 1 else (1, 2, 1)
 
 
+def _checked_splitting(F: NumberField, p: int) -> tuple[int, int, int]:
+    """:func:`_splitting` after the argument checks of :func:`decompose_prime`."""
+    check_field(F)
+    if type(p) is not int:
+        raise ValueError(f"place data must be ints, got p={_repr(p)}")
+    return _splitting(F, p)
+
+
 def decompose_prime(F: NumberField, p: int) -> list[Place]:
     """The places of F above the rational prime p.
 
@@ -329,10 +337,7 @@ def decompose_prime(F: NumberField, p: int) -> list[Place]:
     NumberField, then a p that is not an int, raises ValueError before the
     splitting is computed, any other bad p the error of :class:`Place`.
     """
-    check_field(F)
-    if type(p) is not int:
-        raise ValueError(f"place data must be ints, got p={_repr(p)}")
-    e, f, g = _splitting(F, p)
+    e, f, g = _checked_splitting(F, p)
     return [Place(p, e, f, i) for i in range(g)]
 
 
@@ -342,20 +347,22 @@ def build_S(F: NumberField, finite_primes) -> SSet:
     All real places are included automatically.  Each entry is a prime or a
     (prime, selector) pair; selector ``"one"`` (the default) picks a single
     place over the prime, ``"both"`` picks both places over a split prime.
-    Every entry is decomposed before :class:`SSet` rejects a repeated place.
+    Each entry is checked as :func:`decompose_prime` checks its arguments,
+    and its first place is built, so a bad prime is refused before its
+    selector; only the places kept are built.  Every entry is checked before
+    :class:`SSet` rejects a repeated place.
     """
     chosen: list[Place] = []
     for entry in finite_primes:
         # a record is a tuple too: a Place entry goes on to fail as a non-int prime
         p, selector = entry if type(entry) is tuple else (entry, "one")
-        places = decompose_prime(F, p)
+        e, f, g = _checked_splitting(F, p)
+        chosen.append(Place(p, e, f, 0))
         if selector == "both":
-            if len(places) != 2:
+            if g != 2:
                 raise InvalidSelector(f"'both' requires a split prime, but {_repr(p)} is not split in {F}")
-            chosen.extend(places)
-        elif selector == "one":
-            chosen.append(places[0])
-        else:
+            chosen.append(Place(p, e, f, 1))
+        elif selector != "one":
             raise InvalidSelector(f"unknown place selector {_repr(selector)}")
     return SSet(F, tuple(chosen))
 

@@ -1,7 +1,9 @@
 """Quaternion-algebra side: the even-|S| ramification rule, the zeta-ratio
 value, and candidate orders for the finite S-unit groups of a totally
 definite algebra.  The zeta ratio is factored place by place and never reads
-:class:`~sarithdim.covolume.Invariants`, so it stays an independent route.
+:class:`~sarithdim.covolume.Invariants`, so it stays an independent route;
+``vndim.check_identities`` compares its integer pair
+(:func:`_zeta_D_ratio_terms`) and builds no Fraction of it.
 """
 
 import math
@@ -52,10 +54,16 @@ def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
     to 2^(n-1) there.  ValueError unless F is a NumberField and S an SSet
     of F (``numberfield.check_s_set``), before the parity of |S|.
     """
+    return Fraction(*_zeta_D_ratio_terms(F, S))
+
+
+def _zeta_D_ratio_terms(F: NumberField, S: SSet) -> tuple[int, int]:
+    """:func:`zeta_D_leading_ratio_at_zero` as an unreduced (numerator,
+    denominator) pair of ints, after the same checks."""
     check_s_set(F, S)
     validate_ramification(S)
     z = zeta_F_minus1(F).value
-    return Fraction(abs(z.numerator) * math.prod(v.q - 1 for v in S.finite_places), z.denominator)
+    return abs(z.numerator) * math.prod(v.q - 1 for v in S.finite_places), z.denominator
 
 
 def pdx_candidates(F: NumberField) -> CandidateReport:

@@ -2,11 +2,13 @@
 functions by name; these tests fail when a rename or deletion in the package
 would break ``bench/run.py --trace 1`` or the names ``bench/run.py`` and
 ``bench/selftest.py`` read from the package, or when a library change would
-make every benchmark op fail its verification."""
+make every benchmark op fail its verification.  They also pin the work of
+one exact benchmark op: how many Fractions it builds."""
 
 import functools
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,56 @@ def test_bench_numeric_op_verifies():
     D = run.reference.discriminant(item[0])
     expected = run.numeric_expected(item, {D: run.reference.zeta_minus1(D)})
     assert run.numeric_verify(item, run.numeric_op(sarithdim, item), expected)
+
+
+def count_fractions(monkeypatch):
+    """Patch Fraction.__new__ to count; returns the one-element count list."""
+    built = [0]
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
+def record_compared_pairs(monkeypatch):
+    """Patch check_identities' row comparison to record both sides of each row."""
+    pairs = []
+    original = sarithdim.vndim._compare
+
+    def recorded(name, lhs, rhs, detail):
+        pairs.extend((lhs, rhs))
+        return original(name, lhs, rhs, detail)
+
+    monkeypatch.setattr(sarithdim.vndim, "_compare", recorded)
+    return pairs
+
+
+@pytest.mark.parametrize("points", ["grid", "wide"])
+def test_exact_op_builds_one_fraction_per_public_value(monkeypatch, points):
+    """Each exact op of the benchmark builds one Fraction per value its
+    public calls return, plus what abs() builds for the |zeta_F(-1)| of the
+    Invariants record of its fresh S-set (one Fraction on Python 3.11, none
+    from 3.12 on); check_identities builds none.  Its row details print
+    each compared pair as str(Fraction) would.  Over the 210 grid points
+    and 400 seeded off-grid points of wide_exact."""
+    run = load_run()
+    items = run.inputs.grid_sequence(1, 1)[0] if points == "grid" else run.inputs.wide_points(1, 40)
+    pairs = record_compared_pairs(monkeypatch)
+    built = count_fractions(monkeypatch)
+    zeta = Fraction(-1, 12)
+    abs(zeta)
+    per_record = built[0] - 1
+    for item in items:
+        sarithdim.zeta_F_minus1(sarithdim.parse_field(run.inputs.spec(item[0])))  # the memo's value, built once
+        before = built[0]
+        out = run.exact_op(sarithdim, item)
+        returned = sum(type(value) is Fraction for value in out.values())
+        assert returned == (9 if "jl_sl" in out else 6), item
+        assert built[0] - before == returned + per_record, item
+    assert len(pairs) == 12 * len(items) - 6 * sum(run.exact_size(item) % 2 for item in items)
+    for pair in pairs:
+        assert sarithdim.vndim._fraction_str(pair) == str(Fraction(*pair)), pair

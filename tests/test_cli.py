@@ -134,10 +134,8 @@ class TestResponseShape:
         assert "sl_quaternion_zeta_match: pass" in err
 
     def test_route_disagreement_is_a_failed_diagnostic(self, capsys, monkeypatch):
-        original = vndim.pgl2_covolume
-        monkeypatch.setattr(
-            vndim, "pgl2_covolume", lambda F, S: original(F, S)._replace(value=2 * original(F, S).value)
-        )
+        original = vndim._pgl2_covolume_terms
+        monkeypatch.setattr(vndim, "_pgl2_covolume_terms", lambda inv: (2 * original(inv)[0], original(inv)[1]))
         code, out, err = invoke(capsys, ["jl-ratio", "--field", "Q", "--s-primes", "2", "--group", "sl"])
         assert code == 0
         assert json.loads(out)["value"] == {"num": "1", "den": "12"}
@@ -145,10 +143,8 @@ class TestResponseShape:
         assert "sl_steinberg_match: fail" in err
 
     def test_grid_reports_each_failed_point(self, capsys, monkeypatch):
-        original = vndim.pgl2_covolume
-        monkeypatch.setattr(
-            vndim, "pgl2_covolume", lambda F, S: original(F, S)._replace(value=2 * original(F, S).value)
-        )
+        original = vndim._pgl2_covolume_terms
+        monkeypatch.setattr(vndim, "_pgl2_covolume_terms", lambda inv: (2 * original(inv)[0], original(inv)[1]))
         code, out, err = invoke(capsys, ["check", "--grid"])
         assert code == 0
         response = json.loads(out)

@@ -136,6 +136,14 @@ class TestDatumValidation:
                 LocalRepDatum(place, value)
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize("place", [None, (None, None, None, 0), "oo_0", 2])
+    def test_place_must_be_a_place(self, place):
+        message = f"the place of a local datum must be a Place, got {place!r}"
+        for make in (LocalRepDatum, LocalRepDatum.archimedean, LocalRepDatum.finite):
+            with pytest.raises(ValueError) as raised:
+                make(place, 2)
+            assert str(raised.value) == message
+
     def test_one_value_read_by_its_place(self):
         assert LocalRepDatum._fields == ("place", "value")
         assert LocalRepDatum.archimedean(Place(), 3) == LocalRepDatum(Place(), 3)

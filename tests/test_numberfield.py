@@ -360,10 +360,16 @@ class TestBuildS:
         calls = []
         original = numberfield.is_prime
         monkeypatch.setattr(numberfield, "is_prime", lambda n: calls.append(n) or original(n))
+        built = []
+        new_place = Place.__new__
+        counted = staticmethod(lambda cls, *args: built.append(args) or new_place(cls, *args))
+        monkeypatch.setattr(Place, "__new__", counted)
         # over Q(sqrt 5): 2 is inert, 11 and 19 split (two places each, one
-        # of them kept for "one"), 5 ramifies
-        build_S(parse_field("Q(sqrt 5)"), [2, 11, (19, "both"), 5])
-        assert sorted(calls) == [2, 5, 11, 11, 19, 19]
+        # of them kept for "one"), 5 ramifies; only the kept places are built
+        S = build_S(parse_field("Q(sqrt 5)"), [2, 11, (19, "both"), 5])
+        assert len(S.finite_places) == 5
+        assert sorted(calls) == [2, 5, 11, 19, 19]
+        assert sorted(built) == sorted(tuple(v) for v in S.finite_places)
 
     @staticmethod
     def count_kronecker_symbols(monkeypatch):

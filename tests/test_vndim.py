@@ -10,7 +10,7 @@ from sarithdim.cli import grid_points
 from sarithdim.covolume import pgl2_covolume, sl2_covolume
 from sarithdim.errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality, OutOfRange
 from sarithdim.formal_degree import LocalRepDatum
-from sarithdim.numberfield import build_S, parse_field
+from sarithdim.numberfield import Place, build_S, parse_field
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
 from sarithdim.vndim import (
     check_identities,
@@ -220,6 +220,15 @@ class TestModuleDim:
         with pytest.raises(OutOfRange, match=r"^the datum at oo_0 must be an int >= 2, got 2\.5$"):
             module_vn_dim(F, S, "pgl", [LocalRepDatum.archimedean(S.places[0], 2.5)])
 
+    @pytest.mark.parametrize("entry", [2, None, "weight:2", (Place(), 2)])
+    def test_entry_must_be_a_datum(self, entry):
+        F = parse_field("Q")
+        S = build_S(F, [2])
+        data = [LocalRepDatum.archimedean(S.places[0], 2), entry]
+        with pytest.raises(ValueError) as raised:
+            module_vn_dim(F, S, "sl", data)
+        assert str(raised.value) == f"local data must be LocalRepDatum records, got {entry!r}"
+
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=2, max_value=40))
     def test_multiplicative_in_local_ratio(self, n1, n2):
         F = parse_field("Q")
@@ -309,7 +318,7 @@ class TestIdentityReport:
         assert report.all_pass  # skips are not failures
 
     def test_each_route_runs_once(self, monkeypatch):
-        calls = {"steinberg_global_degree": 0, "pgl2_covolume": 0}
+        calls = {"_global_degree_terms": 0, "_pgl2_covolume_terms": 0}
         for name in calls:
             original = getattr(vndim, name)
 
@@ -320,13 +329,11 @@ class TestIdentityReport:
             monkeypatch.setattr(vndim, name, counted)
         F = parse_field("Q(sqrt 13)")
         assert check_identities(F, build_S(F, [2, 3])).all_pass
-        assert calls == {"steinberg_global_degree": 1, "pgl2_covolume": 1}
+        assert calls == {"_global_degree_terms": 1, "_pgl2_covolume_terms": 1}
 
     def test_pgl_route_disagreement_is_reported(self, monkeypatch):
-        original = vndim.pgl2_covolume
-        monkeypatch.setattr(
-            vndim, "pgl2_covolume", lambda F, S: original(F, S)._replace(value=2 * original(F, S).value)
-        )
+        original = vndim._pgl2_covolume_terms
+        monkeypatch.setattr(vndim, "_pgl2_covolume_terms", lambda inv: (2 * original(inv)[0], original(inv)[1]))
         F = parse_field("Q(sqrt 13)")
         S = build_S(F, [2, 3])
         report = check_identities(F, S)
