@@ -69,16 +69,19 @@ def _s_primes_arg(text: str):
 
 
 def _build_S(F, entries):
-    """build_S over parsed --s-primes entries.  An entry kept as text is above
-    MAX_PRIME; it raises UnsupportedPrime where build_S does for an int above
-    the cap: after the decomposition and selector errors of the entries
-    before it, before any repeated place."""
-    for i, (p, _) in enumerate(entries):
-        if isinstance(p, str):
-            for entry in entries[:i]:  # one at a time: no entry alone repeats a place
-                build_S(F, [entry])
-            raise UnsupportedPrime(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
-    return build_S(F, entries)
+    """One build_S call over parsed --s-primes entries, passed as a generator.
+    An entry kept as text is above MAX_PRIME; the generator raises
+    UnsupportedPrime when build_S reaches it, where build_S raises for an int
+    above the cap: after the decomposition and selector errors of the entries
+    before it, and before SSet refuses a repeated place."""
+
+    def checked():
+        for p, selector in entries:
+            if isinstance(p, str):
+                raise UnsupportedPrime(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
+            yield p, selector
+
+    return build_S(F, checked())
 
 
 def _tol_arg(text: str) -> float:

@@ -52,17 +52,19 @@ def zeta_D_leading_ratio_at_zero(F: NumberField, S: SSet) -> Fraction:
     prod (1 - q_v^(1-2s)) gives 2^(n-1) times this value, n the degree of F:
     zeta_F has a zero of order n - 1 at 0, so zeta_F(2s) / zeta_F(s) tends
     to 2^(n-1) there.  ValueError unless F is a NumberField and S an SSet
-    of F (``numberfield.check_s_set``), before the parity of |S|.
+    of F (``numberfield.check_s_set``), before the parity of |S|; both
+    checks are made here, not in :func:`_zeta_D_ratio_terms`.
     """
-    return Fraction(*_zeta_D_ratio_terms(F, S))
-
-
-def _zeta_D_ratio_terms(F: NumberField, S: SSet) -> tuple[int, int]:
-    """:func:`zeta_D_leading_ratio_at_zero` as an unreduced (numerator,
-    denominator) pair of ints, after the same checks."""
     check_s_set(F, S)
     validate_ramification(S)
-    z = zeta_F_minus1(F).value
+    return Fraction(*_zeta_D_ratio_terms(S))
+
+
+def _zeta_D_ratio_terms(S: SSet) -> tuple[int, int]:
+    """:func:`zeta_D_leading_ratio_at_zero` over S.field as an unreduced
+    (numerator, denominator) pair of ints.  It checks nothing: its callers
+    have checked (S.field, S) and the parity of |S| already."""
+    z = zeta_F_minus1(S.field).value
     return abs(z.numerator) * math.prod(v.q - 1 for v in S.finite_places), z.denominator
 
 

@@ -201,8 +201,11 @@ def _compare(name: str, lhs: Pair, rhs: Pair, detail: str) -> IdentityCheck:
 def check_identities(F: NumberField, S: SSet) -> IdentityReport:
     """Run the cross-route identity suite at one (field, S) point.
 
-    Each route runs once per point; a disagreement is a failed check, not
-    an exception.  Odd-|S| points skip the quaternion-side checks instead of
+    Each route and each argument check runs once per point: the SL pair
+    transferred from the closed form serves both ``sl_transfer`` and
+    ``pgl_sl_transfer``, and the quaternion route's pair function repeats
+    none of the checks made here.  A disagreement is a failed check, not an
+    exception.  Odd-|S| points skip the quaternion-side checks instead of
     failing.  No Fraction is built: the routes' pairs are compared.
     """
     checks = []
@@ -223,9 +226,9 @@ def check_identities(F: NumberField, S: SSet) -> IdentityReport:
     else:
         ratio_sl = _jl_sl(inv)
         sides = (
-            (ratio_sl, _zeta_D_ratio_terms(F, S)),
+            (ratio_sl, _zeta_D_ratio_terms(S)),
             (ratio_sl, _index_transfer(S, via_cov, "sl")),
-            (_index_transfer(S, _pgl_monomial(inv), "sl"), ratio_sl),
+            (sl, ratio_sl),
         )
         checks += [_compare(name, lhs, rhs, detail) for (name, detail), (lhs, rhs) in zip(SL_ROWS, sides)]
 

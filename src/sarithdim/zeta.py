@@ -76,22 +76,27 @@ class SpecialValue(NamedTuple):
     value: Fraction
 
 
-def _sqrt_mod(D: int, p: int) -> int:
-    """A root of x^2 = D (mod p), for an odd prime p with (D/p) = 1, by
-    Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).
+def _sqrt_mod(D: int, p: int) -> int | None:
+    """A root of x^2 = D (mod p) for an odd prime p, by Tonelli-Shanks
+    (Cohen, GTM 138, Alg. 1.5.1): 0 when p divides D, None when D is a
+    nonresidue mod p, else a root.
 
     With p - 1 = q * 2^e and q odd, x = D^((q+1)/2) is a root up to the
-    factor D^q, an element of the 2-Sylow subgroup; each pass of the loop
-    halves that factor's order with a power of y, a generator of the
-    subgroup made from the least nonresidue.  For p = 3 (mod 4) the factor
-    is 1 and no nonresidue is needed.
+    factor b = D^q, an element of the 2-Sylow subgroup.  When p divides D,
+    b = x = 0; b = 1 makes x a root.  Otherwise D is a residue iff b has
+    order below 2^e, that is b^(2^(e-1)) = 1, and each pass of the loop
+    halves b's order with a power of y, a generator of the subgroup made
+    from the least nonresidue.  For p = 3 (mod 4), e = 1 and b = +-1, so no
+    nonresidue is needed.
     """
     e = ((p - 1) & (1 - p)).bit_length() - 1
     q = (p - 1) >> e
     x = pow(D, (q + 1) // 2, p)
     b = pow(D, q, p)
-    if b == 1:
+    if b <= 1:
         return x
+    if pow(b, 1 << (e - 1), p) != 1:
+        return None
     z = 2
     while kronecker_symbol(z, p) != -1:
         z += 1
@@ -130,9 +135,10 @@ def _zeta_minus1(D: int) -> SpecialValue:
     Over a real quadratic field the divisor sum above, by one sieve pass
     over the values m_t = (D - b^2)/4 with b = 2t + (D mod 2) >= 0.  Each
     m_t loses its power of 2 by its trailing zeros.  An odd prime p divides
-    m_t exactly when b^2 = D (mod p): never when (D/p) = -1, at b = 0
-    (mod p) when p divides D, and else at the two roots +-r, so the t it
-    divides run through t = (+-r - (D mod 2)) / 2 (mod p).  At each, the
+    m_t exactly when b^2 = D (mod p), that is b = +-r for r = _sqrt_mod(D, p):
+    never when it returns None, at b = 0 (mod p) when it returns 0 (p
+    divides D), and else at the two roots +-r, so the t it divides run
+    through t = (+-r - (D mod 2)) / 2 (mod p).  At each, the
     full power p^a is divided out and sigma_1(p^a) multiplied in.  After
     every p <= sqrt(D/4), what is left of m_t is 1 or a prime, which
     contributes m_t + 1.  Every b > 0 stands for b and -b.  The value is
@@ -146,10 +152,9 @@ def _zeta_minus1(D: int) -> SpecialValue:
     m = [v >> a for v, a in zip(m, twos)]
     sigma = [(2 << a) - 1 for a in twos]
     for p in primes_up_to(math.isqrt(D // 4))[1:]:
-        symbol = kronecker_symbol(D, p)
-        if symbol < 0:
+        r = _sqrt_mod(D, p)
+        if r is None:
             continue
-        r = _sqrt_mod(D, p) if symbol else 0
         half = (p + 1) // 2  # the inverse of 2 mod p
         for start in {(r - odd) * half % p, (-r - odd) * half % p}:
             for t in range(start, len(m), p):

@@ -366,6 +366,22 @@ class TestUsageErrors:
                 code, out, _ = invoke(capsys, argv)
                 assert (code, json.loads(out)["error"]["code"]) == (1, expected), (template, len(p))
 
+    def test_s_prime_above_cap_builds_S_once(self, capsys, monkeypatch):
+        # the entries before an over-long one are checked by the one build_S call
+        calls = []
+        build_S = cli.build_S
+
+        def counted(F, entries):
+            calls.append(F)
+            return build_S(F, entries)
+
+        monkeypatch.setattr(cli, "build_S", counted)
+        p = "10000000000000000000000013"  # a 26-digit prime, above MAX_PRIME by its length
+        argv = ["covolume", "--field", "Q", "--group", "sl", "--s-primes", f"2,3,5,7,{p}"]
+        code, out, _ = invoke(capsys, argv)
+        assert (code, json.loads(out)["error"]["code"]) == (1, "UNSUPPORTED_PRIME")
+        assert len(calls) == 1
+
 
 # ---- fuzzing cli.run over argv ------------------------------------------------
 # Valid radicands stay small and valid primes fast to test, so that one call

@@ -2,6 +2,8 @@
 input box, off the 210-point grid that the other tests and the golden
 digests pin."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from sarithdim.covolume import pgl2_covolume, sl2_covolume
@@ -9,6 +11,7 @@ from sarithdim.formal_degree import LocalRepDatum
 from sarithdim.numberfield import NumberField, build_S, decompose_prime, is_prime, is_squarefree
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
 from sarithdim.vndim import check_identities, jl_ratio_pgl, jl_ratio_sl, module_vn_dim, steinberg_vn_dim
+from sarithdim.zeta import zeta_F_minus1
 
 
 def _next_prime(n):
@@ -59,14 +62,51 @@ def test_identities_hold_off_the_grid(point):
         assert module_vn_dim(F, S, "sl", data).value / dim_pi_prime == jl_ratio_sl(F, S)
 
 
+def _character_at_prime(D, p):
+    """chi_D(p) by the test's own rule, not read from a Place or the library's
+    Kronecker symbol: 0 where p divides D (p ramifies); at an odd p, 1 or -1
+    as D^((p-1)/2) is 1 or -1 mod p (Euler's criterion: p splits or is
+    inert); at p = 2, 1 for D = 1 (mod 8) and -1 for D = 5 (mod 8)."""
+    if D % p == 0:
+        return 0
+    if p == 2:
+        return 1 if D % 8 == 1 else -1
+    return 1 if pow(D, (p - 1) // 2, p) == 1 else -1
+
+
 def _residue_cardinality(F, p):
-    """q_v of a place of F over p, by Euler's criterion on the discriminant D,
-    not read from a Place: p where D mod p is 0 or a nonzero square (p
-    ramifies or splits), p^2 where p is inert; at p = 2 the class of D mod 8
-    decides, and only D = 5 (mod 8) is inert."""
-    D = F.discriminant
-    inert = D % 8 == 5 if p == 2 else pow(D, (p - 1) // 2, p) == p - 1
-    return p * p if inert else p
+    """q_v of a place of F over p: p where p ramifies or splits, p^2 where it
+    is inert (chi_D(p) = -1)."""
+    return p * p if _character_at_prime(F.discriminant, p) == -1 else p
+
+
+def _bernoulli_zeta_minus1(D):
+    """zeta_F(-1) of the field of discriminant D as generalized Bernoulli
+    numbers: zeta(-1) = -B_2/2 = -1/12 over Q (D = 1), and over a real
+    quadratic field zeta(-1) L(-1, chi_D) = B_{2,chi_D}/24, where
+    B_{2,chi} = (1/D) sum_{a < D} chi(a) a^2 for an even character.
+
+    chi_D is built here: _character_at_prime at each prime p < D, extended
+    completely multiplicatively, a sign flip at the multiples of each power
+    of a p with chi_D(p) = -1."""
+    if D == 1:
+        return Fraction(-1, 12)
+    chi = [1] * D
+    chi[0] = 0
+    composite = bytearray(D)
+    for p in range(2, D):
+        if composite[p]:
+            continue
+        composite[p * p :: p] = b"\x01" * len(range(p * p, D, p))
+        value = _character_at_prime(D, p)
+        if value == 0:
+            chi[p::p] = [0] * len(range(p, D, p))
+        elif value == -1:
+            power = p
+            while power < D:
+                chi[power::power] = [-c for c in chi[power::power]]
+                power *= p
+    return Fraction(sum(c * a * a for a, c in enumerate(chi)), 24 * D)
 
 
 def _public_values(F, S):
@@ -94,3 +134,15 @@ def test_adding_a_place_and_reordering_S(point, data):
     assert grown == sl2_covolume(F, S).value * (_residue_cardinality(F, p) + 1)
     shuffled = build_S(F, data.draw(st.permutations(entries), label="order"))
     assert _public_values(F, shuffled) == _public_values(F, S)
+
+
+#: Q, or Q(sqrt d) with squarefree d <= 10^5
+fields = st.one_of(st.just(NumberField()), st.integers(2, 10**5).filter(is_squarefree).map(NumberField))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(fields)
+def test_zeta_minus1_is_a_generalized_bernoulli_number(F):
+    """The sieve's zeta_F(-1) equals B_{2,chi_D}/24 from the test's own
+    character (-1/12 over Q)."""
+    assert zeta_F_minus1(F).value == _bernoulli_zeta_minus1(F.discriminant)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sarithdim import covolume, vndim, zeta
+from sarithdim import covolume, quaternion, vndim, zeta
 from sarithdim.cli import grid_points
 from sarithdim.covolume import pgl2_covolume, sl2_covolume
 from sarithdim.errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality, OutOfRange
@@ -318,18 +318,32 @@ class TestIdentityReport:
         assert report.all_pass  # skips are not failures
 
     def test_each_route_runs_once(self, monkeypatch):
-        calls = {"_global_degree_terms": 0, "_pgl2_covolume_terms": 0}
-        for name in calls:
-            original = getattr(vndim, name)
+        """Each route and each argument check runs once per point: the SL
+        pair is transferred twice from the PGL routes and once to PSL, and
+        the quaternion route repeats no check_s_set."""
+        routes = ("_global_degree_terms", "_pgl2_covolume_terms", "_pgl_monomial", "_index_transfer")
+        targets = [(vndim, name) for name in routes]
+        # check_s_set at both of its bindings on the route: covolume.invariants and the quaternion side
+        targets += [(covolume, "check_s_set"), (quaternion, "check_s_set")]
+        calls = {name: 0 for _, name in targets}
+        for module, name in targets:
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(vndim, name, counted)
+            monkeypatch.setattr(module, name, counted)
         F = parse_field("Q(sqrt 13)")
-        assert check_identities(F, build_S(F, [2, 3])).all_pass
-        assert calls == {"_global_degree_terms": 1, "_pgl2_covolume_terms": 1}
+        S = build_S(F, [2, 3])
+        assert check_identities(F, S).all_pass
+        assert calls == {
+            "_global_degree_terms": 1,
+            "_pgl2_covolume_terms": 1,
+            "_pgl_monomial": 1,
+            "_index_transfer": 3,
+            "check_s_set": 1,
+        }
 
     def test_pgl_route_disagreement_is_reported(self, monkeypatch):
         original = vndim._pgl2_covolume_terms

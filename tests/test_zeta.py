@@ -314,12 +314,44 @@ class TestSiegelSieve:
         assert zeta_F_minus1(NumberField(d)).value * 60 == trial_division_lattice_sum(D)
 
     def test_square_root_mod_every_odd_prime_below_300(self):
+        """_sqrt_mod is total on odd primes: a root of a nonzero square, 0 at
+        a = 0 and None at a nonresidue, also for a given above p, as the
+        sieve passes D."""
         for p in primes_up_to(300)[1:]:
-            for a in range(1, p):
-                if kronecker_symbol(a, p) == 1:
-                    assert zeta._sqrt_mod(a, p) ** 2 % p == a, (a, p)
-                    # a residue given above p, as the sieve passes D
-                    assert zeta._sqrt_mod(a + 7 * p, p) ** 2 % p == a, (a, p)
+            squares = {x * x % p for x in range(1, p)}
+            for a in range(p):
+                for n in (a, a + 7 * p):
+                    root = zeta._sqrt_mod(n, p)
+                    if a == 0:
+                        assert root == 0, (n, p)
+                    elif a in squares:
+                        assert root * root % p == a, (n, p)
+                    else:
+                        assert root is None, (n, p)
+
+    def test_sieve_asks_sqrt_mod_alone(self, monkeypatch):
+        """One _sqrt_mod call per odd prime p <= sqrt(D/4), and no Kronecker
+        symbol of D: the sieve reads residuosity off Tonelli-Shanks, and the
+        symbol serves only its nonresidue search."""
+        D = 3999980
+        expected = zeta._zeta_minus1(D)
+        sqrt_calls, symbol_calls = [], []
+        sqrt_mod, symbol = zeta._sqrt_mod, zeta.kronecker_symbol
+
+        def counted_sqrt_mod(a, p):
+            sqrt_calls.append(p)
+            return sqrt_mod(a, p)
+
+        def counted_symbol(a, m):
+            symbol_calls.append(a)
+            return symbol(a, m)
+
+        monkeypatch.setattr(zeta, "_sqrt_mod", counted_sqrt_mod)
+        monkeypatch.setattr(zeta, "kronecker_symbol", counted_symbol)
+        assert zeta._zeta_minus1.__wrapped__(D) == expected
+        assert sqrt_calls == primes_up_to(math.isqrt(D // 4))[1:]
+        assert len(sqrt_calls) == 167
+        assert D not in symbol_calls
 
 
 class TestZetaTwoNumeric:
