@@ -205,18 +205,11 @@ def _cmd_check(ns, F, S):
     return "identity_checks", Fraction(1 if report.all_pass else 0), diagnostics
 
 
-_HANDLERS = {
-    "covolume": _cmd_covolume,
-    "zeta": _cmd_zeta,
-    "steinberg-dim": _cmd_steinberg_dim,
-    "module-dim": _cmd_module_dim,
-    "jl-ratio": _cmd_jl_ratio,
-    "candidates": _cmd_candidates,
-    "check": _cmd_check,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  Each subcommand is declared once, by one
+    ``command`` call that adds it, binds its handler (``run`` calls
+    ``ns.handler(ns, F, S)``) and adds the shared ``--field``, ``--s-primes``
+    and ``--format`` options; its own options follow the call."""
     parser = argparse.ArgumentParser(
         prog="sarithdim",
         description="Exact covolume / formal degree / von Neumann dimension calculator "
@@ -224,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, s_primes=True, field_required=True):
+    def command(name, handler, help, s_primes=True, field_required=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--field", required=field_required, help="field spec: 'Q' or 'Q(sqrt <d>)'")
         if s_primes:
             p.add_argument(
@@ -234,13 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated finite primes; use 'p:both' for both places over a split prime",
             )
         p.add_argument("--format", choices=("json", "table"), default="json")
+        return p
 
-    p = sub.add_parser("covolume", help="covolume of SL(2,O_S) or PGL(2,O_S)")
-    common(p)
+    p = command("covolume", _cmd_covolume, "covolume of SL(2,O_S) or PGL(2,O_S)")
     p.add_argument("--group", choices=("sl", "pgl"), required=True)
 
-    p = sub.add_parser("zeta", help="exact zeta_F(-1) with a numeric functional-equation check")
-    common(p, s_primes=False)
+    p = command("zeta", _cmd_zeta, "exact zeta_F(-1) with a numeric functional-equation check", s_primes=False)
     p.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL, help="absolute tolerance, finite and in [1e-12, 1)")
     p.add_argument(
         "--working-precision",
@@ -250,12 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"minimum working precision in bits, 1 to {MAX_PRECISION_BITS}",
     )
 
-    p = sub.add_parser("steinberg-dim", help="von Neumann dimension of the Steinberg module")
-    common(p)
+    p = command("steinberg-dim", _cmd_steinberg_dim, "von Neumann dimension of the Steinberg module")
     p.add_argument("--group", choices=("sl", "psl", "pgl"), required=True)
 
-    p = sub.add_parser("module-dim", help="dimension of the module with given local data")
-    common(p)
+    p = command("module-dim", _cmd_module_dim, "dimension of the module with given local data")
     p.add_argument("--group", choices=("sl", "psl", "pgl"), required=True)
     p.add_argument(
         "--local-data",
@@ -264,16 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated 'weight:<n>' (real places first) then 'dim:<m>' per finite place",
     )
 
-    p = sub.add_parser("jl-ratio", help="dimension ratio across the quaternion correspondence")
-    common(p)
+    p = command("jl-ratio", _cmd_jl_ratio, "dimension ratio across the quaternion correspondence")
     p.add_argument("--group", choices=("sl", "pgl"), default="sl")
     p.add_argument("--pd-order", type=int, default=None, metavar="N")
 
-    p = sub.add_parser("candidates", help="finite-subgroup candidates for PD*(O_S)")
-    common(p, s_primes=False)
+    command("candidates", _cmd_candidates, "finite-subgroup candidates for PD*(O_S)", s_primes=False)
 
-    p = sub.add_parser("check", help="cross-route identity suite at one point or on the grid")
-    common(p, field_required=False)
+    p = command("check", _cmd_check, "cross-route identity suite at one point or on the grid", field_required=False)
     p.add_argument("--grid", action="store_true", help="run the standard field x S grid")
 
     return parser
@@ -316,7 +305,7 @@ def run(argv=None) -> int:
             F = parse_field(ns.field)
             if hasattr(ns, "s_primes"):
                 S = _build_S(F, ns.s_primes)
-        quantity, value, diagnostics = _HANDLERS[ns.command](ns, F, S)
+        quantity, value, diagnostics = ns.handler(ns, F, S)
     except CalcError as err:
         response["status"] = "error"
         response["error"] = {"code": err.code, "message": str(err)}

@@ -3,10 +3,13 @@
 Locally, d(St_v) = 2 at a real place and (q_v - 1)/(2 (q_v + 1)) at a
 finite place, with an extra factor 2^(-e*f) at places of residue
 characteristic 2 (the unique assignment consistent with the aggregate
-below).  The global degree d(St_S) is the product of the local degrees over
-the places of S.  Like every exact value it is an integer pair inside the
-library, one Fraction per public value: :func:`_global_degree_terms`, its
-one home, returns the pair.  It never reads the invariants of (F, S).  In the fields of :class:`~sarithdim.covolume.Invariants`
+below).  :func:`_local_degree_terms` is the one home of that local formula,
+as an integer pair; there is no public local face.  The global degree
+d(St_S) is the product of the local degrees over the places of S.  Like
+every exact value it is an integer pair inside the library, one Fraction per
+public value: :func:`_global_degree_terms`, its one home, returns the pair.
+It never reads the invariants of (F, S).  In the fields of
+:class:`~sarithdim.covolume.Invariants`
 (n, |S|, delta_2, Q- = prod (q_v - 1), Q+ = prod (q_v + 1)) it equals
 
     d(St_S) = 2^n * Q- / (2^(delta_2 + |S| - n) * Q+),
@@ -67,11 +70,6 @@ def _local_degree_terms(v: Place) -> tuple[int, int]:
     q = v.q
     two_part = 2 ** (v.e * v.f) if v.p == 2 else 1
     return q - 1, 2 * (q + 1) * two_part
-
-
-def steinberg_local_degree(v: Place) -> Fraction:
-    """Formal degree of the local Steinberg representation at v."""
-    return Fraction(*_local_degree_terms(v))
 
 
 def _global_degree_terms(S: SSet) -> tuple[int, int]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OddCardinality
-from .numberfield import NumberField, SSet, check_s_set
+from .numberfield import NumberField, SSet, check_field, check_s_set
 from .zeta import zeta_F_minus1
 
 # radicand d -> extra m with 2 cos(2 pi / m) in Q(sqrt d); the rational
@@ -82,8 +82,10 @@ def pdx_candidates(F: NumberField) -> CandidateReport:
     over every field (over Q, the Hurwitz units and norm-2 elements give
     S4); the icosahedral group A5 needs sqrt(5).  The bound is 60 over every
     field: the candidates are cyclic (order <= 12), dihedral (<= 24), A4, S4
-    and A5, so A5's order bounds them all.
+    and A5, so A5's order bounds them all.  F must be exactly a NumberField
+    (``numberfield.check_field``), checked before anything of it is read.
     """
+    check_field(F)
     orders = sorted([1, 2, 3, 4, 6, *_EXTRA_COSINE_ORDERS.get(F.d, ())])
     exceptional = ("A4", "S4", "A5") if F.d == 5 else ("A4", "S4")
     return CandidateReport(tuple(orders), tuple(2 * m for m in orders), exceptional, 60)

@@ -127,18 +127,21 @@ def module_vn_dim(F: NumberField, S: SSet, group: str, local: list[LocalRepDatum
     """Dimension of the module with the given local data, one datum per place.
 
     Equals the Steinberg dimension scaled by the product of the local
-    degree ratios.  An entry of ``local`` that is not exactly a
-    :class:`LocalRepDatum` is a ValueError, before anything of it is read.
+    degree ratios.  The data are matched to the places of S in one pass,
+    keyed by place, so the work is linear in |S| whatever their order.  An
+    entry of ``local`` that is not exactly a :class:`LocalRepDatum` is a
+    ValueError, before anything of it is read.
     """
     base = _steinberg_terms(F, S, group)
-    unmatched = list(S.places)
+    # insertion order keeps the MissingDatum message in place order
+    unmatched = dict.fromkeys(S.places)
     scale = 1
     for datum in local:
         if type(datum) is not LocalRepDatum:
             raise ValueError(f"local data must be LocalRepDatum records, got {_repr(datum)}")
         if datum.place not in unmatched:
             raise DatumPlaceMismatch(f"{datum.place} is not an unmatched place of {S}")
-        unmatched.remove(datum.place)
+        del unmatched[datum.place]
         scale *= jl_degree_ratio(datum)
     if unmatched:
         raise MissingDatum(f"no local datum for {', '.join(str(v) for v in unmatched)}")

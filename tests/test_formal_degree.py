@@ -6,34 +6,45 @@ import pytest
 from sarithdim.cli import GRID_FIELD_SPECS, grid_points
 from sarithdim.covolume import invariants
 from sarithdim.errors import DatumPlaceMismatch, OutOfRange
-from sarithdim.formal_degree import (
-    LocalRepDatum,
-    jl_degree_ratio,
-    steinberg_global_degree,
-    steinberg_local_degree,
-)
-from sarithdim.numberfield import MAX_PRIME, Place, build_S, decompose_prime, is_prime, parse_field
+from sarithdim.formal_degree import LocalRepDatum, jl_degree_ratio, steinberg_global_degree
+from sarithdim.numberfield import MAX_PRIME, Place, SSet, build_S, decompose_prime, is_prime, parse_field
 
 GRID_FIELDS = [parse_field(s) for s in GRID_FIELD_SPECS]
 PRIMES_TO_100 = [p for p in range(2, 101) if all(p % k for k in range(2, p))]
 
 
+def local_degree(v):
+    """The test-side d(St_v): 2 at a real place, (q - 1)/(2 (q + 1)) at a
+    finite one, times 2^(-e f) above 2."""
+    if v.is_real:
+        return Fraction(2)
+    q = v.p**v.f
+    return Fraction(q - 1, 2 * (q + 1) * (2 ** (v.e * v.f) if v.p == 2 else 1))
+
+
+def degree_at(F, v):
+    """The local degree at a finite place v as the library's global degree
+    reads it: d(St_S) with S = {v} over d(St_S) with no finite place."""
+    return steinberg_global_degree(SSet(F, (v,))) / steinberg_global_degree(SSet(F))
+
+
 class TestLocalDegree:
     def test_real(self):
-        assert steinberg_local_degree(Place()) == 2
+        assert steinberg_global_degree(SSet(parse_field("Q"))) == local_degree(Place()) == 2
 
     def test_odd_prime(self):
-        assert steinberg_local_degree(Place(3, 1, 1)) == Fraction(1, 4)
+        assert degree_at(parse_field("Q"), Place(3, 1, 1)) == local_degree(Place(3, 1, 1)) == Fraction(1, 4)
 
     def test_over_two(self):
         # the aggregate formula forces the extra 2^(-e f) here
-        assert steinberg_local_degree(Place(2, 1, 1)) == Fraction(1, 12)
+        assert degree_at(parse_field("Q"), Place(2, 1, 1)) == local_degree(Place(2, 1, 1)) == Fraction(1, 12)
 
     def test_positive_and_small_at_finite_places(self):
         for F in GRID_FIELDS:
             for p in PRIMES_TO_100:
                 for v in decompose_prime(F, p):
-                    d = steinberg_local_degree(v)
+                    d = degree_at(F, v)
+                    assert d == local_degree(v), (F, v)
                     assert 0 < d < Fraction(1, 2), (F, v)
 
 
@@ -63,8 +74,8 @@ class TestGlobalDegree:
 
 
 def local_degree_product(S):
-    """The test-side oracle: the local degrees multiplied as Fractions."""
-    return math.prod((steinberg_local_degree(v) for v in S.places), start=Fraction(1))
+    """The test-side oracle: the test's local degrees multiplied as Fractions."""
+    return math.prod((local_degree(v) for v in S.places), start=Fraction(1))
 
 
 class TestGlobalDegreeOracle:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sarithdim.covolume import pgl2_covolume, sl2_covolume
 from sarithdim.formal_degree import LocalRepDatum
-from sarithdim.numberfield import NumberField, build_S, decompose_prime, is_prime, is_squarefree
+from sarithdim.numberfield import MAX_PRIME, MAX_RADICAND, NumberField, build_S, decompose_prime, is_prime, is_squarefree
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
 from sarithdim.vndim import check_identities, jl_ratio_pgl, jl_ratio_sl, module_vn_dim, steinberg_vn_dim
 from sarithdim.zeta import zeta_F_minus1
@@ -20,15 +20,16 @@ def _next_prime(n):
     return n
 
 
-#: a prime drawn below 50, 10^4 or 10^12
-primes = st.sampled_from((50, 10**4, 10**12)).flatmap(lambda b: st.integers(2, b).map(_next_prime))
+#: a prime drawn below 50, 10^4, 10^12 or MAX_PRIME: the top band draws up to
+#: MAX_PRIME / 10, so the next prime (below twice the draw) stays under the cap
+primes = st.sampled_from((50, 10**4, 10**12, MAX_PRIME // 10)).flatmap(lambda b: st.integers(2, b).map(_next_prime))
 
 
 @st.composite
 def off_grid_entries(draw):
-    """Q or Q(sqrt d) with squarefree d <= 10^5, and the build_S entries of
-    0 to 4 distinct primes, "both" on some split ones."""
-    F = NumberField(draw(st.integers(2, 10**5).filter(is_squarefree)) if draw(st.integers(0, 3)) else None)
+    """Q or Q(sqrt d) with squarefree d up to MAX_RADICAND, and the build_S
+    entries of 0 to 4 distinct primes, "both" on some split ones."""
+    F = NumberField(draw(st.integers(2, MAX_RADICAND).filter(is_squarefree)) if draw(st.integers(0, 3)) else None)
     entries = [
         (p, "both") if len(decompose_prime(F, p)) == 2 and draw(st.booleans()) else p
         for p in draw(st.lists(primes, max_size=4, unique=True))

@@ -1,5 +1,6 @@
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,19 @@ class TestModuleDim:
         with pytest.raises(ValueError) as raised:
             module_vn_dim(F, S, "sl", data)
         assert str(raised.value) == f"local data must be LocalRepDatum records, got {entry!r}"
+
+    def test_data_in_any_order_cost_linear_time(self):
+        # each datum is matched by place in one pass: at 20,000 places the
+        # reversed list costs what the in-order one does, not O(|S|^2)
+        F = parse_field("Q")
+        S = build_S(F, zeta.primes_up_to(224737))
+        assert S.size == 20001
+        data = [LocalRepDatum.archimedean(S.places[0], 3)]
+        data += [LocalRepDatum.finite(v, 1 + i % 3) for i, v in enumerate(S.finite_places)]
+        in_order = module_vn_dim(F, S, "sl", data)
+        start = time.perf_counter()
+        assert module_vn_dim(F, S, "sl", data[::-1]) == in_order
+        assert time.perf_counter() - start < 2
 
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=2, max_value=40))
     def test_multiplicative_in_local_ratio(self, n1, n2):

@@ -17,6 +17,7 @@ from mpmath import libmp
 from sarithdim import numberfield, zeta
 from sarithdim.errors import OutOfRange, ToleranceTooTight
 from sarithdim.numberfield import MAX_RADICAND, NumberField, is_squarefree, kronecker_symbol, parse_field
+from sarithdim.quaternion import pdx_candidates
 from sarithdim.zeta import (
     MAX_PRECISION_BITS,
     SpecialValue,
@@ -503,11 +504,17 @@ class TestZetaTwoNumeric:
         assert zeta_F_2_numeric(F, 128) == zeta_F_2_numeric(F, 128)
 
 
-@pytest.mark.parametrize("F", [None, 5, "Q(sqrt 5)", Fraction(5)])
+# (5,) equals NumberField(5) but has no .d: F is checked before it is read
+@pytest.mark.parametrize("F", [None, 5, "Q(sqrt 5)", Fraction(5), (5,)])
 @pytest.mark.parametrize(
     "call",
-    [zeta_F_minus1, lambda F: zeta_F_2_numeric(F, 64), lambda F: functional_equation_check(F, 1e-8)],
-    ids=["zeta_F_minus1", "zeta_F_2_numeric", "functional_equation_check"],
+    [
+        zeta_F_minus1,
+        lambda F: zeta_F_2_numeric(F, 64),
+        lambda F: functional_equation_check(F, 1e-8),
+        pdx_candidates,
+    ],
+    ids=["zeta_F_minus1", "zeta_F_2_numeric", "functional_equation_check", "pdx_candidates"],
 )
 def test_a_field_that_is_not_a_number_field(F, call):
     message = rf"^the field must be a NumberField, got {type(F).__name__} {re.escape(repr(F))}$"
