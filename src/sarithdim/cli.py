@@ -269,19 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _request_echo(ns) -> dict:
-    echo = {"command": ns.command}
-    if getattr(ns, "field", None) is not None:
-        echo["field"] = ns.field
-    if hasattr(ns, "s_primes"):
+    """The request as argparse parsed it: every option in declaration order
+    (``command``, then ``field`` and ``s_primes``, then the subcommand's
+    own), with ``format`` last.  An option left unset (None, or a flag left
+    False) is not echoed; a falsy value such as ``--tol 0`` is."""
+    echo = {key: value for key, value in vars(ns).items() if key != "handler" and value is not None and value is not False}
+    if "s_primes" in echo:
         echo["s_primes"] = [str(p) if sel == "one" else f"{p}:{sel}" for p, sel in ns.s_primes]
-    for key in ("group", "pd_order", "tol", "working_precision"):
-        if getattr(ns, key, None) is not None:
-            echo[key] = getattr(ns, key)
-    if getattr(ns, "local_data", None) is not None:
+    if "local_data" in echo:
         echo["local_data"] = [f"{kind}:{value}" for kind, value in ns.local_data]
-    if getattr(ns, "grid", False):
-        echo["grid"] = True
-    echo["format"] = ns.format
+    echo["format"] = echo.pop("format")
     return echo
 
 

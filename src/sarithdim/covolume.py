@@ -16,8 +16,11 @@ both exact rationals.  As everywhere in covolume, formal_degree, vndim and
 quaternion, exact values are integer pairs, one Fraction per public value:
 a route carries an unreduced (numerator, denominator) pair of integer
 products, a public function builds one Fraction from its final pair, and no
-exact route does Fraction arithmetic.  :func:`_pgl2_covolume_terms` is the
-one home of the PGL formula; vndim's covolume route calls it directly.
+exact route does Fraction arithmetic.  :func:`_sl2_covolume_terms` and
+:func:`_pgl2_covolume_terms` are the one homes of the SL and PGL formulas;
+vndim's covolume routes call them directly: the SL pair times the SL degree
+d_SL(St_S) of ``formal_degree`` is the SL lattice route behind ``check``'s
+transfer rows, the PGL pair times d(St_S) the PGL one.
 PGL(2, O_S) is GL(2, O_S)/O_S^x, of index |O_S^x/O_S^x2| = 2^|S| over PSL
 (:func:`pgl_psl_index`).  The scheme-theoretic PGL_2(O_S) is larger by |Pic(O_S)[2]|:
 by 2 over Q(sqrt 10) with S its real places, by 1 over every grid field (class number 1).
@@ -77,11 +80,16 @@ class Covolume(NamedTuple):
     value: Fraction
 
 
+def _sl2_covolume_terms(inv: Invariants) -> tuple[int, int]:
+    """The SL(2, O_S) covolume z Q+ / 2^n as an unreduced (numerator,
+    denominator) pair of ints."""
+    z = inv.zeta
+    return z.numerator * inv.prod_q_plus_1, z.denominator * 2**inv.n
+
+
 def sl2_covolume(F: NumberField, S: SSet) -> Covolume:
     """Covolume of SL(2, O_S), exactly."""
-    inv = invariants(F, S)
-    z = inv.zeta
-    return Covolume(Fraction(z.numerator * inv.prod_q_plus_1, z.denominator * 2**inv.n))
+    return Covolume(Fraction(*_sl2_covolume_terms(invariants(F, S))))
 
 
 def _pgl2_covolume_terms(inv: Invariants) -> tuple[int, int]:

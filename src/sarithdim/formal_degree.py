@@ -18,6 +18,18 @@ since each of the |S| - n finite places contributes (q_v - 1)/(2 (q_v + 1)).
 The closed form is computed nowhere: it is the degree for which covolume *
 d(St_S) equals the Steinberg PGL monomial 2 z Q- / 2^|S|, and that equality
 is the ``pgl_two_routes`` check of :mod:`~sarithdim.vndim`.
+
+Beside it, :func:`_sl_degree_terms` is the one home of the SL Steinberg
+degree d_SL(St_S), the product over S of d_SL(St_v) = 2 at a real place and
+(q_v - 1)/(q_v + 1) at a finite one, with no factor at the places above 2:
+
+    d_SL(St_S) = 2^n * Q- / Q+.
+
+Like d(St_S) it loops over the places of S and reads neither the invariants
+nor delta_2.  The SL covolume z Q+ / 2^n times d_SL(St_S) is z Q-, the
+Steinberg dimension over SL(2, O_S), which vndim's ``psl_transfer`` and
+``sl_transfer`` checks compare with the PGL closed form carried by index
+transfer.
 """
 
 from collections import namedtuple
@@ -78,6 +90,18 @@ def _global_degree_terms(S: SSet) -> tuple[int, int]:
     num = den = 1
     for v in S.places:
         n, d = _local_degree_terms(v)
+        num *= n
+        den *= d
+    return num, den
+
+
+def _sl_degree_terms(S: SSet) -> tuple[int, int]:
+    """The SL Steinberg degree d_SL(St_S) as an unreduced (numerator,
+    denominator) pair: 2 at each real place of S and (q_v - 1)/(q_v + 1) at
+    each finite one, multiplied as integers."""
+    num = den = 1
+    for v in S.places:
+        n, d = (2, 1) if v.is_real else (v.q - 1, v.q + 1)
         num *= n
         den *= d
     return num, den

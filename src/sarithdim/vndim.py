@@ -29,8 +29,9 @@ PGL dimension is the jl_ratio_pgl monomial at N = 1, for every |S|.
 
 Values are integer pairs, one Fraction per public value: every route value
 is an unreduced (numerator, denominator) pair of integer products, and a
-public function builds one Fraction, from its final pair.  The covolume
-route multiplies the pairs of covolume and formal degree, an index transfer
+public function builds one Fraction, from its final pair.  A covolume
+route multiplies the pairs of covolume and formal degree (PGL covolume times
+d(St_S), or SL covolume times d_SL(St_S)), an index transfer
 scales the numerator by 2^|S| and, for SL, the denominator by 2, and
 :func:`check_identities` compares two routes by cross-multiplication.
 """
@@ -39,9 +40,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .covolume import Invariants, _pgl2_covolume_terms, invariants, pgl_psl_index
+from .covolume import Invariants, _pgl2_covolume_terms, _sl2_covolume_terms, invariants, pgl_psl_index
 from .errors import DatumPlaceMismatch, InternalInconsistency, MissingDatum, OddCardinality, OutOfRange
-from .formal_degree import LocalRepDatum, _global_degree_terms, jl_degree_ratio
+from .formal_degree import LocalRepDatum, _global_degree_terms, _sl_degree_terms, jl_degree_ratio
 from .numberfield import NumberField, SSet, _repr
 from .quaternion import _zeta_D_ratio_terms, validate_ramification
 
@@ -86,9 +87,7 @@ def _pgl_two_routes(inv: Invariants, S: SSet) -> tuple[Pair, Pair]:
     """The Steinberg dimension over PGL(2, O_S) by its two routes: the closed
     form 2 z Q- / 2^|S|, and the Atiyah-Schmid formula, covolume * global
     formal degree."""
-    cov_num, cov_den = _pgl2_covolume_terms(inv)
-    deg_num, deg_den = _global_degree_terms(S)
-    return _pgl_monomial(inv), (cov_num * deg_num, cov_den * deg_den)
+    return _pgl_monomial(inv), _times(_pgl2_covolume_terms(inv), *_global_degree_terms(S))
 
 
 def _index_transfer(S: SSet, pgl: Pair, group: str) -> Pair:
@@ -204,22 +203,38 @@ def _compare(name: str, lhs: Pair, rhs: Pair, detail: str) -> IdentityCheck:
 def check_identities(F: NumberField, S: SSet) -> IdentityReport:
     """Run the cross-route identity suite at one (field, S) point.
 
-    Each route and each argument check runs once per point: the SL pair
-    transferred from the closed form serves both ``sl_transfer`` and
-    ``pgl_sl_transfer``, and the quaternion route's pair function repeats
-    none of the checks made here.  A disagreement is a failed check, not an
-    exception.  Odd-|S| points skip the quaternion-side checks instead of
-    failing.  No Fraction is built: the routes' pairs are compared.
+    Each row compares two routes:
+
+    - ``pgl_two_routes``: PGL covolume * d(St_S) against the PGL closed form;
+    - ``psl_transfer``: twice the SL lattice route L = SL covolume *
+      d_SL(St_S) against the closed form times the index 2^|S|;
+    - ``sl_transfer``: L against the closed form transferred to SL, times
+      2^|S| and halved;
+    - ``sl_quaternion_zeta_match``: the SL closed form z * Q- against the
+      zeta_D factorization;
+    - ``sl_steinberg_match``: z * Q- against PGL covolume * d(St_S)
+      transferred to SL;
+    - ``pgl_sl_transfer``: the closed form transferred to SL against z * Q-.
+
+    So a fault in the PGL closed form or in either transfer factor fails a
+    transfer row.  Each route and each argument check runs once per point:
+    the SL pair transferred from the closed form serves both
+    ``sl_transfer`` and ``pgl_sl_transfer``, and the quaternion route's pair
+    function repeats none of the checks made here.  A disagreement is a
+    failed check, not an exception.  Odd-|S| points skip the quaternion-side
+    checks instead of failing.  No Fraction is built: the routes' pairs are
+    compared.
     """
     checks = []
     inv = invariants(F, S)
     closed, via_cov = _pgl_two_routes(inv, S)
     checks.append(_compare("pgl_two_routes", via_cov, closed, "covolume*degree vs closed form"))
 
+    sl_lattice = _times(_sl2_covolume_terms(inv), *_sl_degree_terms(S))
     psl = _index_transfer(S, closed, "psl")
     sl = _index_transfer(S, closed, "sl")
-    checks.append(_compare("psl_transfer", psl, _times(closed, 2**S.size), "PSL vs 2^|S| * PGL"))
-    checks.append(_compare("sl_transfer", sl, _times(psl, 1, 2), "SL vs PSL/2"))
+    checks.append(_compare("psl_transfer", _times(sl_lattice, 2), psl, "PSL vs 2^|S| * PGL"))
+    checks.append(_compare("sl_transfer", sl_lattice, sl, "SL vs PSL/2"))
 
     try:
         validate_ramification(S)

@@ -129,6 +129,44 @@ class TestResponseShape:
         assert response["group"] == "pgl"
         assert response["pd_order"] == 24
 
+    @pytest.mark.parametrize(
+        "request_, error, echo",
+        [
+            (
+                "jl-ratio --field Q --s-primes 2 --group pgl --pd-order 0",
+                "OUT_OF_RANGE",
+                {"command": "jl-ratio", "field": "Q", "s_primes": ["2"], "group": "pgl", "pd_order": 0},
+            ),
+            (
+                "zeta --field Q --tol 0",
+                "TOLERANCE_TOO_TIGHT",
+                {"command": "zeta", "field": "Q", "tol": 0.0, "working_precision": 128},
+            ),
+            (
+                "zeta --field Q --working-precision 0",
+                "OUT_OF_RANGE",
+                {"command": "zeta", "field": "Q", "tol": 1e-08, "working_precision": 0},
+            ),
+            ("check --grid", None, {"command": "check", "s_primes": [], "grid": True}),
+            ("check --grid --field Q", None, {"command": "check", "field": "Q", "s_primes": [], "grid": True}),
+            ("candidates --field Q", None, {"command": "candidates", "field": "Q"}),
+            ("jl-ratio --field Q --s-primes 2", None, {"command": "jl-ratio", "field": "Q", "s_primes": ["2"], "group": "sl"}),
+            (
+                "jl-ratio --pd-order 24 --field Q --group pgl --s-primes 2",
+                None,
+                {"command": "jl-ratio", "field": "Q", "s_primes": ["2"], "group": "pgl", "pd_order": 24},
+            ),
+        ],
+    )
+    def test_echo_keys_in_order(self, capsys, request_, error, echo):
+        # every parsed option in declaration order, not argv order, format last;
+        # a falsy value (0, 0.0, []) is echoed, an option left None or False is not
+        code, out, _ = invoke(capsys, request_.split())
+        response = json.loads(out)
+        assert (code, response.get("error", {}).get("code")) == ((1, error) if error else (0, None))
+        keys = list(response)
+        assert list(response.items())[: keys.index("format") + 1] == [*echo.items(), ("format", "json")]
+
     def test_diagnostics_on_stderr(self, capsys):
         _, _, err = invoke(capsys, ["jl-ratio", "--field", "Q", "--s-primes", "2", "--group", "sl"])
         assert "sl_quaternion_zeta_match: pass" in err

@@ -333,9 +333,17 @@ class TestIdentityReport:
 
     def test_each_route_runs_once(self, monkeypatch):
         """Each route and each argument check runs once per point: the SL
-        pair is transferred twice from the PGL routes and once to PSL, and
-        the quaternion route repeats no check_s_set."""
-        routes = ("_global_degree_terms", "_pgl2_covolume_terms", "_pgl_monomial", "_index_transfer")
+        pair is transferred twice from the PGL routes and once to PSL, the
+        SL lattice route is built once, and the quaternion route repeats no
+        check_s_set."""
+        routes = (
+            "_global_degree_terms",
+            "_pgl2_covolume_terms",
+            "_pgl_monomial",
+            "_sl2_covolume_terms",
+            "_sl_degree_terms",
+            "_index_transfer",
+        )
         targets = [(vndim, name) for name in routes]
         # check_s_set at both of its bindings on the route: covolume.invariants and the quaternion side
         targets += [(covolume, "check_s_set"), (quaternion, "check_s_set")]
@@ -355,6 +363,8 @@ class TestIdentityReport:
             "_global_degree_terms": 1,
             "_pgl2_covolume_terms": 1,
             "_pgl_monomial": 1,
+            "_sl2_covolume_terms": 1,
+            "_sl_degree_terms": 1,
             "_index_transfer": 3,
             "check_s_set": 1,
         }
@@ -372,6 +382,59 @@ class TestIdentityReport:
         assert not report.all_pass
         with pytest.raises(InternalInconsistency):
             steinberg_vn_dim(F, S, "pgl")
+
+
+def _doubled(terms):
+    def mutant(*args):
+        num, den = terms(*args)
+        return 2 * num, den
+
+    return mutant
+
+
+#: mutant -> (binding of sarithdim.vndim, the mutant built from the original,
+#: failures per row over the 210 grid points).  Rows in report order:
+#: pgl_two_routes, psl_transfer, sl_transfer, sl_quaternion_zeta_match,
+#: sl_steinberg_match, pgl_sl_transfer; the last three run at the 90 points of even |S|.
+ROUTE_MUTANTS = {
+    "doubled _pgl_monomial": ("_pgl_monomial", _doubled, (210, 210, 210, 0, 0, 90)),
+    "doubled _jl_sl": ("_jl_sl", _doubled, (0, 0, 0, 90, 90, 90)),
+    "doubled _pgl2_covolume_terms": ("_pgl2_covolume_terms", _doubled, (210, 0, 0, 0, 90, 0)),
+    "doubled _global_degree_terms": ("_global_degree_terms", _doubled, (210, 0, 0, 0, 90, 0)),
+    "doubled _sl2_covolume_terms": ("_sl2_covolume_terms", _doubled, (0, 210, 210, 0, 0, 0)),
+    "_sl2_covolume_terms without /2^n": (
+        "_sl2_covolume_terms",
+        lambda terms: lambda inv: (inv.zeta.numerator * inv.prod_q_plus_1, inv.zeta.denominator),
+        (0, 210, 210, 0, 0, 0),
+    ),
+    "doubled _sl_degree_terms": ("_sl_degree_terms", _doubled, (0, 210, 210, 0, 0, 0)),
+    "doubled _zeta_D_ratio_terms": ("_zeta_D_ratio_terms", _doubled, (0, 0, 0, 90, 0, 0)),
+    "doubled pgl_psl_index": ("pgl_psl_index", lambda index: lambda S: 2 * index(S), (0, 210, 210, 0, 90, 90)),
+    "_index_transfer without SL halving": (
+        "_index_transfer",
+        lambda transfer: lambda S, pgl, group: transfer(S, pgl, "psl" if group == "sl" else group),
+        (0, 0, 210, 0, 90, 90),
+    ),
+}
+
+
+def test_each_row_catches_a_route_mutant(monkeypatch):
+    """The mutant table of check_identities: a fault in the PGL closed form,
+    in the SL lattice route or in either transfer factor fails psl_transfer
+    or sl_transfer at every grid point, and every row fails under some
+    mutant."""
+    points = list(grid_points())
+    table = {}
+    for mutant, (name, build, _) in ROUTE_MUTANTS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(vndim, name, build(getattr(vndim, name)))
+            failures = [0] * 6
+            for F, S in points:
+                for i, check in enumerate(check_identities(F, S).checks):
+                    failures[i] += check.status == "fail"
+        table[mutant] = tuple(failures)
+    assert table == {mutant: expected for mutant, (_, _, expected) in ROUTE_MUTANTS.items()}
+    assert all(any(row) for row in zip(*table.values()))
 
 
 class TestRouteIndependence:
