@@ -24,14 +24,16 @@ chi_-8, so the numeric route computes no Kronecker symbol.  The sum runs as a
 fixed-point integer kernel: sin(pi r / D) is stepped by the three-term
 Chebyshev recurrence, one multiply in Python ints per residue, with
 2b + b.bit_length() + 8 guard bits for b = D.bit_length(); it is O(D).
+2 cos(pi/D) and sin(pi/D) are summed once as a fixed-point Taylor series.
 Every numeric value is an exact dyadic Fraction, rounded once to its
-working precision; mpmath's libmp supplies only pi and cos/sin(pi/D) as
-fixed-point ints.  The functional equation
+working precision; mpmath's libmp supplies only pi as a fixed-point int.
+The functional equation
 
     zeta_F(2) = (2 pi)^(2n) / 2^n * d_F^(-3/2) * |zeta_F(-1)|
 
 ties the exact layer to the numeric one; its check is the one place where
-a tolerance becomes a working precision.
+a tolerance becomes a working precision, and it compares the two sides as
+integer pairs.
 """
 
 import functools
@@ -224,11 +226,12 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, is_p in enumerate(flags) if is_p]
 
 
-def _rounded(num: int, den: int, bits: int) -> Fraction:
+def _rounded_terms(num: int, den: int, bits: int) -> tuple[int, int]:
     """The positive rational num/den rounded to ``bits`` significant bits,
-    ties to even: one integer division, by a shift chosen so that its
-    quotient has exactly ``bits`` bits (Brent and Zimmermann, Modern
-    Computer Arithmetic, 2010, ch. 3).  The denominator is a power of two."""
+    ties to even, as an unreduced (numerator, denominator) pair whose
+    denominator is a power of two: one integer division, by a shift chosen
+    so that its quotient has exactly ``bits`` bits (Brent and Zimmermann,
+    Modern Computer Arithmetic, 2010, ch. 3)."""
     e = bits + den.bit_length() - num.bit_length()
     num, den = (num << e, den) if e >= 0 else (num, den << -e)
     if num >= den << bits:
@@ -237,7 +240,49 @@ def _rounded(num: int, den: int, bits: int) -> Fraction:
     q, r = divmod(num, den)
     if 2 * r > den or (2 * r == den and q & 1):
         q += 1
-    return Fraction(q, 1 << e) if e >= 0 else Fraction(q << -e)
+    return (q, 1 << e) if e >= 0 else (q << -e, 1)
+
+
+def _rounded(num: int, den: int, bits: int) -> Fraction:
+    """:func:`_rounded_terms` as a Fraction."""
+    return Fraction(*_rounded_terms(num, den, bits))
+
+
+def _two_cos_sin_pi_over(D: int, wp: int) -> tuple[int, int]:
+    """t = 2 cos(pi/D) and y_1 = sin(pi/D) for D >= 5, scaled by 2^wp and
+    rounded to ints, each within 0.6 eps for eps = 2^-wp: inside the
+    1.01 eps that the error bound of :func:`zeta_F_2_numeric` assumes.
+
+    Both are computed at W = wp + 16 bits, in units u = 2^-W.  x = pi/D
+    is pi_fixed(W) // D, within 2u, and x^2 one floored product, within
+    3.6u as x <= pi/5 < 0.63.  sin(x) is the Taylor series
+    x - x^3/3! + x^5/5! - ..., each term the last times x^2 / (m (m + 1)),
+    one product floored to W bits and one floored division by a small int
+    (Brent and Zimmermann, Modern Computer Arithmetic, 2010, ch. 4).  An
+    error e in one term leaves the next within (0.4 e + 2.3u) / 6 + u, so
+    every term is within 2u.  A term is below 2^W / (2j + 1)! when 2j + 1
+    is its power of x, so the terms are 0 from 2j + 1 >= W/2 on, since
+    (W/2)! > 2^W, and the series stops at its first zero term, after at
+    most W/4 + 1 terms.  The terms fall by more than 15 a step, so what is
+    left off is below the first term left off, which is within 2u of 0;
+    so sin(x) is within W/2 + 4 < 2^12 units, as W < 8000 here.
+    cos(x) = sqrt(1 - sin(x)^2), by one math.isqrt, is within tan(pi/5)
+    < 0.73 times that plus u.  Rounded to wp bits, y_1 is within
+    eps/2 + 2^-4 eps and t, twice cos(x), within eps/2 + 0.092 eps.
+    """
+    W = wp + 16
+    x = libmp.pi_fixed(W) // D
+    x2 = x * x >> W
+    sin = term = x
+    m = 2
+    while term:
+        term = (term * x2 >> W) // (m * (m + 1))
+        sin -= term
+        term = (term * x2 >> W) // ((m + 2) * (m + 3))
+        sin += term
+        m += 4
+    cos = math.isqrt((1 << 2 * W) - sin * sin)
+    return (cos + (1 << 14)) >> 15, (sin + (1 << 15)) >> 16
 
 
 def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
@@ -260,8 +305,9 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     The sum is a fixed-point integer kernel at wp = bits + g bits, with
     g = 2b + b.bit_length() + 8 guard bits for b = D.bit_length().  With
     theta = pi/D, t = 2 cos(theta) and y_1 = sin(theta) are computed once,
-    as integers scaled by 2^wp, and y_0 = 0; each step is one multiply of
-    the Chebyshev recurrence y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1), so
+    as integers scaled by 2^wp (:func:`_two_cos_sin_pi_over`), and y_0 = 0;
+    each step is one multiply of the Chebyshev recurrence
+    y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1), so
     y_r is sin(r theta) scaled by 2^wp, and
     chi(r) * floor(2^(3 wp) / y_r^2), which is csc^2(r theta) scaled by
     2^wp, goes into an integer total; chi(r) is read in step from
@@ -298,8 +344,7 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     D = F.discriminant
     b = D.bit_length()
     wp = bits + 2 * b + b.bit_length() + 8
-    cos, sin = libmp.mpf_cos_sin_pi(libmp.from_rational(1, D, wp + 8), wp + 8, libmp.round_nearest)
-    t, y = libmp.to_fixed(cos, wp + 1), libmp.to_fixed(sin, wp)
+    t, y = _two_cos_sin_pi_over(D, wp)
     one = 1 << (3 * wp)
     previous = 0
     total = 0
@@ -329,20 +374,25 @@ def functional_equation_check(
 
     An F that is not exactly a NumberField is a ValueError.  This is the one place
     a tolerance is validated and sized: tol must be a
-    real number (a Decimal included) in [1e-12, 1), else ToleranceTooTight
+    real number (a Decimal included) that gives its exact value by
+    ``as_integer_ratio``, as int, float, Fraction and Decimal do, in
+    [1e-12, 1), else ToleranceTooTight
     (zeta_F(2) > 1 passes any looser check), and ``precision_bits`` must be
     None or an int in [1, MAX_PRECISION_BITS], else OutOfRange.  The working precision is twice
     the target bits -log2(tol), rounded up, plus 16 guard bits, and at
     least 64 and at least ``precision_bits``.
 
-    Both sides are dyadic Fractions rounded to those bits, and their
-    difference is exact.  The rational side is c * z, with
+    Both sides are dyadic rationals rounded to those bits, held as integer
+    (numerator, denominator) pairs, and both tests compare them by
+    cross-multiplication, so they are exact; the report's floats are int
+    true divisions, each the correctly rounded value.  The rational side is
+    c * z, with
     c = 2^n pi^(2n) / (D sqrt D) and z = |zeta_F(-1)|, formed in ints from
     pi and sqrt(D) scaled by 2^(bits + 16) and rounded once.  As 60 z is an
     integer, a wrong z moves it by at least c / 60, so the check passes only
     when the difference is below tol and below c / 120, which is
     rational_side / (120 z) whatever z is claimed: the recovery
-    nint(60 * numeric_side / c) = 60 z as one exact inequality.  It is the
+    nint(60 * numeric_side / c) = 60 z as one integer inequality.  It is the
     same computation as the tolerance check, made exact, not a third route.
     With valid input the difference is at most the numeric side's ulp plus
     half an ulp and 2^-(bits + 8) relative of the rational side, below
@@ -351,7 +401,7 @@ def functional_equation_check(
     31 bits, and bits >= 64.
     """
     check_field(F)
-    if not isinstance(tol, (Real, Decimal)):
+    if not (isinstance(tol, (Real, Decimal)) and hasattr(tol, "as_integer_ratio")):
         raise ToleranceTooTight(f"tolerance {_repr(tol)} is not a real number")
     if not tol < 1:  # nan and +inf included
         raise ToleranceTooTight(f"tolerance {_repr(tol)} is not below 1, so the check has no teeth")
@@ -363,12 +413,16 @@ def functional_equation_check(
     n = F.degree
     D = F.discriminant
     numeric_side = zeta_F_2_numeric(F, bits)
-    z = abs(zeta_F_minus1(F).value)
+    a, A = numeric_side.numerator, numeric_side.denominator
+    z = zeta_F_minus1(F).value
+    zn, zd = abs(z.numerator), z.denominator
     # 2^n pi^(2n) z / (D sqrt D), with pi and sqrt D scaled by 2^wp
     wp = bits + 16
-    top = (z.numerator << n) * libmp.pi_fixed(wp) ** (2 * n)
-    bottom = D * z.denominator * math.isqrt(D << 2 * wp) << (2 * n - 1) * wp
-    rational_side = _rounded(top, bottom, bits)
-    difference = abs(numeric_side - rational_side)
-    ok = difference < tol and 120 * z * difference < rational_side
-    return FunctionalEquationReport(ok, float(numeric_side), float(rational_side), float(difference), tol)
+    top = (zn << n) * libmp.pi_fixed(wp) ** (2 * n)
+    bottom = D * zd * math.isqrt(D << 2 * wp) << (2 * n - 1) * wp
+    r, R = _rounded_terms(top, bottom, bits)
+    # |a/A - r/R| = dn/dd; difference < tol and 120 z difference < r/R
+    dn, dd = abs(a * R - r * A), A * R
+    tn, td = tol.as_integer_ratio()
+    ok = dn * td < tn * dd and 120 * zn * dn * R < r * zd * dd
+    return FunctionalEquationReport(ok, a / A, r / R, dn / dd, tol)

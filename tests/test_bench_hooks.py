@@ -3,7 +3,7 @@ functions by name; these tests fail when a rename or deletion in the package
 would break ``bench/run.py --trace 1`` or the names ``bench/run.py`` and
 ``bench/selftest.py`` read from the package, or when a library change would
 make every benchmark op fail its verification.  They also pin the work of
-one exact benchmark op: how many Fractions it builds."""
+one exact and one numeric benchmark op: how many Fractions each builds."""
 
 import functools
 import importlib.util
@@ -137,6 +137,19 @@ def count_fractions(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     return built
+
+
+@pytest.mark.parametrize("item", [[13, 1e-8, 128], [2, 1e-10, 192], [1001, 1e-8, 128], [None, 1e-8, 64]])
+def test_numeric_op_builds_one_fraction(monkeypatch, item):
+    """A numeric op of the benchmark builds one Fraction, the zeta_F(2)
+    value that zeta_F_2_numeric returns: functional_equation_check compares
+    the two sides as integer pairs, and zeta_F(-1) is the memo's value."""
+    run = load_run()
+    sarithdim.zeta_F_minus1(sarithdim.parse_field(run.inputs.spec(item[0])))
+    built = count_fractions(monkeypatch)
+    report = run.numeric_op(sarithdim, item)
+    assert report.ok
+    assert built[0] == 1, item
 
 
 def record_compared_pairs(monkeypatch):

@@ -120,15 +120,6 @@ class TestResponseShape:
         assert (num, den) == (2, 3)  # 1/12 * 1 * 2 * 4, already reduced
         assert den > 0 and gcd(num, den) == 1
 
-    def test_echo_fields(self, capsys):
-        _, out, _ = invoke(capsys, ["jl-ratio", "--field", "Q", "--s-primes", "2", "--pd-order", "24", "--group", "pgl"])
-        response = json.loads(out)
-        assert response["command"] == "jl-ratio"
-        assert response["field"] == "Q"
-        assert response["s_primes"] == ["2"]
-        assert response["group"] == "pgl"
-        assert response["pd_order"] == 24
-
     @pytest.mark.parametrize(
         "request_, error, echo",
         [
@@ -153,6 +144,11 @@ class TestResponseShape:
             ("jl-ratio --field Q --s-primes 2", None, {"command": "jl-ratio", "field": "Q", "s_primes": ["2"], "group": "sl"}),
             (
                 "jl-ratio --pd-order 24 --field Q --group pgl --s-primes 2",
+                None,
+                {"command": "jl-ratio", "field": "Q", "s_primes": ["2"], "group": "pgl", "pd_order": 24},
+            ),
+            (
+                "jl-ratio --field Q --s-primes 2 --pd-order 24 --group pgl",
                 None,
                 {"command": "jl-ratio", "field": "Q", "s_primes": ["2"], "group": "pgl", "pd_order": 24},
             ),

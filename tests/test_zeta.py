@@ -27,6 +27,7 @@ from sarithdim.zeta import (
     zeta_F_2_numeric,
     zeta_F_minus1,
 )
+from test_vndim import FRACTION_OPERATORS
 
 
 def real_quadratic_fields_with_disc_up_to(limit):
@@ -490,6 +491,26 @@ class TestZetaTwoNumeric:
             assert value == expected, (num, den, bits)
             assert value.denominator & (value.denominator - 1) == 0, (num, den, bits)
 
+    @pytest.mark.parametrize(
+        "wp, discriminants",
+        [(wp, None) for wp in (64, 128, 192, 1024)] + [(4096, (5, 8, 12, 13))],
+        ids=["64", "128", "192", "1024", "4096"],
+    )
+    def test_two_cos_sin_matches_libmp(self, wp, discriminants):
+        # every fundamental D <= 12000 (None), or the smallest D, whose pi/D
+        # is the series' largest argument, at the largest precision; libmp
+        # rounds at wp + 8 bits and truncates to wp, as the kernel once read
+        # it, and the reference at wp + 64 bits is within 2^-60 units
+        bound = Fraction(6, 10) + Fraction(1, 2**60)  # the docstring's 0.6 eps
+        for D in discriminants or [F.discriminant for F in real_quadratic_fields_with_disc_up_to(12000)]:
+            t, y = zeta._two_cos_sin_pi_over(D, wp)
+            cos, sin = libmp.mpf_cos_sin_pi(libmp.from_rational(1, D, wp + 8), wp + 8, libmp.round_nearest)
+            assert abs(t - libmp.to_fixed(cos, wp + 1)) <= 1, (D, wp)
+            assert abs(y - libmp.to_fixed(sin, wp)) <= 1, (D, wp)
+            cos, sin = libmp.mpf_cos_sin_pi(libmp.from_rational(1, D, wp + 64), wp + 64, libmp.round_nearest)
+            assert abs(t - Fraction(*libmp.to_rational(cos)) * 2 ** (wp + 1)) <= bound, (D, wp)
+            assert abs(y - Fraction(*libmp.to_rational(sin)) * 2**wp) <= bound, (D, wp)
+
     def test_monotone_improving(self):
         F = parse_field("Q(sqrt 13)")
         tol = 1e-6
@@ -628,7 +649,53 @@ def power_route_rational_side(F, bits):
     return (2 * ctx.pi) ** (2 * n) / 2**n * ctx.mpf(F.discriminant) ** ctx.mpf(-1.5) * z.numerator / z.denominator
 
 
+def fraction_form_report(F, tol, precision_bits):
+    """functional_equation_check as it reads with both sides Fractions: the
+    same working precision and rational side, the difference
+    abs(numeric - rational), the bound 120 z difference < rational, and the
+    report's floats by float()."""
+    bits = max(math.ceil(-2 * math.log2(tol)) + 16, precision_bits, 64)
+    n, D = F.degree, F.discriminant
+    numeric = zeta.zeta_F_2_numeric(F, bits)
+    z = abs(zeta.zeta_F_minus1(F).value)
+    wp = bits + 16
+    top = (z.numerator << n) * libmp.pi_fixed(wp) ** (2 * n)
+    bottom = D * z.denominator * math.isqrt(D << 2 * wp) << (2 * n - 1) * wp
+    rational = zeta._rounded(top, bottom, bits)
+    difference = abs(numeric - rational)
+    ok = difference < tol and 120 * z * difference < rational
+    return zeta.FunctionalEquationReport(ok, float(numeric), float(rational), float(difference), tol)
+
+
 class TestFunctionalEquation:
+    @pytest.mark.parametrize("tol, bits", [(1e-8, 128), (1e-10, 192)])
+    def test_report_equals_the_fraction_form(self, tol, bits):
+        for F in [parse_field("Q")] + real_quadratic_fields_with_disc_up_to(500):
+            report = functional_equation_check(F, tol, bits)
+            assert report.ok, F
+            assert report == fraction_form_report(F, tol, bits), F
+
+    def test_wrong_siegel_integer_fails_the_integer_inequality(self, monkeypatch):
+        # z off by 1/60 moves the rational side by less than tol = 0.9 at every
+        # field (by 0.58 at D = 5), so only the integer inequality can fail it
+        monkeypatch.setattr(zeta, "zeta_F_minus1", lambda F: SpecialValue(zeta_F_minus1(F).value + Fraction(1, 60)))
+        for F in [parse_field("Q")] + real_quadratic_fields_with_disc_up_to(500):
+            report = functional_equation_check(F, 0.9, 128)
+            assert report.difference < report.tol, F
+            assert not report.ok, F
+            assert report == fraction_form_report(F, 0.9, 128), F
+
+    def test_check_applies_no_fraction_operator(self, monkeypatch):
+        # both sides are compared as integer pairs; the one Fraction is the
+        # value zeta_F_2_numeric returns, read by its numerator and denominator
+        def refused(*args):
+            raise AssertionError("functional_equation_check applied a Fraction operator")
+
+        for name in FRACTION_OPERATORS + ("__lt__", "__le__", "__gt__", "__ge__", "__abs__", "__neg__", "__float__"):
+            monkeypatch.setattr(Fraction, name, refused)
+        for spec in ("Q", "Q(sqrt 5)", "Q(sqrt 10007)"):
+            assert functional_equation_check(parse_field(spec), 1e-10, 192).ok, spec
+
     def test_rationals(self):
         assert functional_equation_check(parse_field("Q"), 1e-8).ok
 
@@ -697,12 +764,16 @@ class TestFunctionalEquation:
 
 
 def test_mpmath_is_imported_once_as_libmp():
-    # the package takes only pi and cos/sin(pi/D) from mpmath, through libmp
+    # the package takes only pi from mpmath, as libmp.pi_fixed
     imports = []
+    read = set()
     for path in sorted(Path(zeta.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imports += [(path.name, alias.name) for alias in node.names if alias.name.split(".")[0] == "mpmath"]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
                 imports += [(path.name, f"{node.module}.{alias.name}") for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "libmp":
+                read.add(node.attr)
     assert imports == [("zeta.py", "mpmath.libmp")]
+    assert read == {"pi_fixed"}
