@@ -36,13 +36,13 @@ from .errors import (
     UnsupportedPrime,
 )
 
-#: Largest accepted radicand d of Q(sqrt d).  Above it the trial-division
-#: squarefree test, O(sqrt d), and the numeric zeta layer stop being desk
-#: scale: the numeric zeta_F(2) oracle takes one fixed-point multiply per
-#: residue below D/2, O(D), while the exact Siegel sum is a sieve, about
-#: sqrt(D) * log log D (about 1.5 ms at the cap).  At the cap (D up to
-#: 4 * 10^6) ``zeta --field`` takes about 1.4 s on a busy 2-CPU Xeon, nearly
-#: all of it in the numeric oracle.
+#: Largest accepted radicand d of Q(sqrt d).  Above it the one trial
+#: division of d, O(sqrt d), that the squarefree test and chi_D share, and
+#: the numeric zeta layer stop being desk scale: the numeric zeta_F(2)
+#: oracle takes one fixed-point multiply per residue below D/2, O(D), while
+#: the exact Siegel sum is a sieve, about sqrt(D) * log log D (about 1.5 ms
+#: at the cap).  At the cap (D up to 4 * 10^6) ``zeta --field`` takes about
+#: 1.4 s on a busy 2-CPU Xeon, nearly all of it in the numeric oracle.
 MAX_RADICAND = 10**6
 
 #: Largest accepted rational prime below a finite place, under the bound
@@ -116,16 +116,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _odd_prime_factors(n: int) -> list[int] | None:
+    """The odd primes dividing n >= 1, ascending, or None as soon as one of
+    them divides n twice.  One trial division: after the powers of 2, each
+    odd q with q^2 <= what is left is tried and divided out when it divides,
+    so what is left at the end is 1 or a prime."""
+    n >>= (n & -n).bit_length() - 1
+    primes = []
+    q = 3
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return None
+            primes.append(q)
+        q += 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def is_squarefree(n: int) -> bool:
-    if n < 1 or n % 4 == 0:
-        return False
-    # any other square factor has an odd prime p, and p^2 divides n
-    k = 3
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 2
-    return True
+    return n >= 1 and n % 4 != 0 and _odd_prime_factors(n) is not None
 
 
 class _Validated:

@@ -20,10 +20,12 @@ which is the residue-class regrouping of the L-series folded in half by the
 trigamma reflection formula (DLMF 5.15.6).  It reads chi_D as a lazy
 product of the characters of the prime discriminants dividing D, each a
 short period: a Legendre symbol mod an odd prime q, or chi_-4, chi_8 or
-chi_-8, so the numeric route computes no Kronecker symbol.  The sum runs as a
-fixed-point integer kernel: sin(pi r / D) is stepped by the three-term
-Chebyshev recurrence, one multiply in Python ints per residue, with
-2b + b.bit_length() + 8 guard bits for b = D.bit_length(); it is O(D).
+chi_-8.  So neither zeta route computes a Kronecker symbol: the exact sieve
+reads residuosity off Tonelli-Shanks, and takes its nonresidue from Euler's
+criterion.  The sum runs as a fixed-point integer kernel: sin(pi r / D) is
+stepped by the three-term Chebyshev recurrence, one multiply in Python ints
+per residue, with 2b + b.bit_length() + 8 guard bits for
+b = D.bit_length(); it is O(D).
 2 cos(pi/D) and sin(pi/D) are summed once as a fixed-point Taylor series.
 Every numeric value is an exact dyadic Fraction, rounded once to its
 working precision; mpmath's libmp supplies only pi as a fixed-point int.
@@ -50,7 +52,7 @@ from typing import NamedTuple
 from mpmath import libmp
 
 from .errors import OutOfRange, ToleranceTooTight
-from .numberfield import NumberField, _repr, check_field, kronecker_symbol
+from .numberfield import NumberField, _odd_prime_factors, _repr, check_field
 
 #: Field discriminants whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
 #: for the value of one field many times; a bounded memo keeps long runs over
@@ -88,8 +90,9 @@ def _sqrt_mod(D: int, p: int) -> int | None:
     b = x = 0; b = 1 makes x a root.  Otherwise D is a residue iff b has
     order below 2^e, that is b^(2^(e-1)) = 1, and each pass of the loop
     halves b's order with a power of y, a generator of the subgroup made
-    from the least nonresidue.  For p = 3 (mod 4), e = 1 and b = +-1, so no
-    nonresidue is needed.
+    from the least nonresidue z, the least z >= 2 with z^((p-1)/2) = -1
+    (mod p) by Euler's criterion.  For p = 3 (mod 4), e = 1 and b = +-1, so
+    no nonresidue is needed.
     """
     e = ((p - 1) & (1 - p)).bit_length() - 1
     q = (p - 1) >> e
@@ -100,7 +103,7 @@ def _sqrt_mod(D: int, p: int) -> int | None:
     if pow(b, 1 << (e - 1), p) != 1:
         return None
     z = 2
-    while kronecker_symbol(z, p) != -1:
+    while pow(z, p >> 1, p) != p - 1:
         z += 1
     y = pow(z, q, p)
     while b != 1:
@@ -178,27 +181,18 @@ def quadratic_character(D: int) -> Iterator[int]:
     the fundamental discriminant D > 1, as an endless iterator.
 
     A fundamental D is a product of prime discriminants: q* = +-q = 1
-    (mod 4) for each odd prime q dividing D, found by trial division, times
-    a 2-part 1, -4, 8 or -8.  So chi_D(r) is the product of the Legendre
-    symbols (r/q), a period of q read off the squares x^2 mod q, and of
-    chi_-4, chi_8 or chi_-8, the periods of 4 or 8 in _TWO_PART_PERIOD.
+    (mod 4) for each odd prime q dividing D, from the one trial division
+    that numberfield's squarefree test runs too, times a 2-part 1, -4, 8
+    or -8.  So chi_D(r) is the product of the Legendre symbols (r/q), a
+    period of q read off the squares x^2 mod q, and of chi_-4, chi_8 or
+    chi_-8, the periods of 4 or 8 in _TWO_PART_PERIOD.
     Each period is held one byte a residue, repeated to at least
     _PERIOD_BLOCK residues, and read over and over; the factors are
     multiplied lazily, so memory is about the sum of the q, not D.
     """
-    odd = D >> (D & -D).bit_length() - 1
-    primes = []
-    q = 3
-    while q * q <= odd:
-        if odd % q == 0:
-            primes.append(q)
-            odd //= q
-        q += 2
-    if odd > 1:
-        primes.append(odd)
     periods = []
     two = D
-    for q in primes:
+    for q in _odd_prime_factors(D):
         period = array("b", [-1]) * q
         period[0] = 0
         for x in range(1, (q + 1) // 2):

@@ -5,6 +5,7 @@ lines as they complete.  Everything here is desk scale (< 1 minute total).
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,20 +21,9 @@ from sarithdim.formal_degree import steinberg_global_degree
 from sarithdim.quaternion import zeta_D_leading_ratio_at_zero
 from sarithdim.vndim import jl_ratio_pgl, jl_ratio_sl, steinberg_vn_dim
 from sarithdim.zeta import primes_up_to, zeta_F_minus1
-from test_zeta import zeta_F_2_euler_product
+from test_zeta import real_quadratic_fields_with_disc_up_to, zeta_F_2_euler_product
 
 PRIMES_TO_100 = [p for p in range(2, 101) if all(p % k for k in range(2, p))]
-
-
-def fundamental_discriminant_fields(limit):
-    fields = []
-    for d in range(2, limit + 1):
-        if any(d % (k * k) == 0 for k in range(2, int(d**0.5) + 1)):
-            continue
-        F = NumberField(d)
-        if F.discriminant <= limit:
-            fields.append(F)
-    return sorted(fields, key=lambda F: F.discriminant)
 
 
 def report(name, started):
@@ -68,15 +58,13 @@ def test_criterion_2_two_route_identity():
 
 def test_criterion_3_zeta_cross_validation():
     started = time.perf_counter()
-    fields = fundamental_discriminant_fields(200)
-    assert len(fields) >= 50
+    fields = real_quadratic_fields_with_disc_up_to(200)
+    assert len(fields) == 60
     primes = primes_up_to(10**6)
     for F in fields:
         siegel = zeta_F_minus1(F).value
         zf2 = zeta_F_2_euler_product(F, primes)
         # functional equation: |zeta_F(-1)| = 2^n d^(3/2) (2 pi)^(-2n) zeta_F(2)
-        import math
-
         oracle = 2**2 * F.discriminant**1.5 / (2 * math.pi) ** 4 * zf2
         relative = abs(oracle - float(siegel)) / float(siegel)
         assert relative < 1e-8, (F, relative)

@@ -177,6 +177,47 @@ class TestPrimality:
             brute = n >= 1 and all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
             assert is_squarefree(n) == brute, n
 
+    def test_squarefree_matches_a_sieve_of_squares_near_the_cap(self):
+        # a loop that stopped at a small odd q would pass the test above but
+        # call 994009 = 997^2 squarefree
+        lo, hi = 10**6 - 10**4, 10**6 + 10**4
+        squarefree = [True] * (hi - lo + 1)
+        for k in range(2, math.isqrt(hi) + 1):
+            for n in range(-(-lo // (k * k)) * k * k, hi + 1, k * k):
+                squarefree[n - lo] = False
+        assert not squarefree[997**2 - lo]
+        for n in range(lo, hi + 1):
+            assert is_squarefree(n) == squarefree[n - lo], n
+
+    def test_odd_prime_factors_match_a_factor_sieve(self):
+        limit = 10**4
+        least = list(range(limit + 1))  # least prime factor of each n >= 2
+        for p in range(2, math.isqrt(limit) + 1):
+            if least[p] == p:
+                for n in range(p * p, limit + 1, p):
+                    least[n] = min(least[n], p)
+        for n in range(1, limit + 1):
+            factors, m = [], n
+            while m > 1:
+                factors.append(least[m])
+                m //= least[m]
+            odd = [p for p in factors if p != 2]
+            expected = None if len(set(odd)) < len(odd) else sorted(set(odd))
+            assert numberfield._odd_prime_factors(n) == expected, n
+
+    @pytest.mark.parametrize(
+        "n, primes",
+        [
+            (994009, None),  # 997^2
+            (999983, [999983]),  # the largest prime radicand below the cap
+            (999958, [499979]),  # 2 * 499979
+            (999995, [5, 199999]),
+            (510510, [3, 5, 7, 11, 13, 17]),  # 2 * 3 * 5 * 7 * 11 * 13 * 17
+        ],
+    )
+    def test_odd_prime_factors_near_the_cap(self, n, primes):
+        assert numberfield._odd_prime_factors(n) == primes
+
     def test_prime_cap(self):
         assert MAX_PRIME == 10**24
         (v,) = decompose_prime(parse_field("Q"), 10**18 + 3)

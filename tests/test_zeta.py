@@ -333,27 +333,22 @@ class TestSiegelSieve:
 
     def test_sieve_asks_sqrt_mod_alone(self, monkeypatch):
         """One _sqrt_mod call per odd prime p <= sqrt(D/4), and no Kronecker
-        symbol of D: the sieve reads residuosity off Tonelli-Shanks, and the
-        symbol serves only its nonresidue search."""
+        symbol: the sieve reads residuosity off Tonelli-Shanks, and its
+        nonresidue off Euler's criterion."""
         D = 3999980
         expected = zeta._zeta_minus1(D)
-        sqrt_calls, symbol_calls = [], []
-        sqrt_mod, symbol = zeta._sqrt_mod, zeta.kronecker_symbol
+        sqrt_calls = []
+        sqrt_mod = zeta._sqrt_mod
 
         def counted_sqrt_mod(a, p):
             sqrt_calls.append(p)
             return sqrt_mod(a, p)
 
-        def counted_symbol(a, m):
-            symbol_calls.append(a)
-            return symbol(a, m)
-
         monkeypatch.setattr(zeta, "_sqrt_mod", counted_sqrt_mod)
-        monkeypatch.setattr(zeta, "kronecker_symbol", counted_symbol)
         assert zeta._zeta_minus1.__wrapped__(D) == expected
         assert sqrt_calls == primes_up_to(math.isqrt(D // 4))[1:]
         assert len(sqrt_calls) == 167
-        assert D not in symbol_calls
+        assert not hasattr(zeta, "kronecker_symbol")
 
 
 class TestZetaTwoNumeric:
@@ -629,13 +624,29 @@ class TestQuadraticCharacter:
 
     def test_numeric_route_computes_no_kronecker_symbol(self, monkeypatch):
         def refused(D, m):
-            raise AssertionError("the numeric route called kronecker_symbol")
+            raise AssertionError("a zeta route called kronecker_symbol")
 
         fields = [parse_field(f"Q(sqrt {d})") for d in (2, 3, 5, 6, 1155, 510510)]
-        monkeypatch.setattr(zeta, "kronecker_symbol", refused)
         monkeypatch.setattr(numberfield, "kronecker_symbol", refused)
+        # D = 3999980 = 4 * 5 * 199999: the roots at 41 of the sieve's primes
+        # need Tonelli-Shanks's nonresidue
+        assert zeta._zeta_minus1.__wrapped__(3999980).value > 0
         for F in fields:
             assert zeta_F_2_numeric(F, 64) > 1, F
+
+    def test_prime_discriminants_come_from_one_trial_division(self, monkeypatch):
+        calls = []
+        odd_prime_factors = numberfield._odd_prime_factors
+
+        def counted(n):
+            calls.append(n)
+            return odd_prime_factors(n)
+
+        monkeypatch.setattr(zeta, "_odd_prime_factors", counted)
+        for D in (5, 8, 12, 2042040, 3999980):
+            calls.clear()
+            next(quadratic_character(D))
+            assert calls == [D]
 
 
 def power_route_rational_side(F, bits):
