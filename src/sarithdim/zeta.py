@@ -25,7 +25,12 @@ reads residuosity off Tonelli-Shanks, and takes its nonresidue from Euler's
 criterion.  The sum runs as a fixed-point integer kernel: sin(pi r / D) is
 stepped by the three-term Chebyshev recurrence, one multiply in Python ints
 per residue, with 2b + b.bit_length() + 8 guard bits for
-b = D.bit_length(); it is O(D).
+b = D.bit_length(); it is O(D).  It divides only at the residues where
+chi_D = +1: the csc^2 terms at all residues prime to D below D/2 sum to
+exactly J_2(D)/6, where J_2(D) = D^2 prod_(p | D) (1 - p^-2) is Jordan's
+totient, by Moebius inversion of sum_(r=1)^(N-1) csc^2(pi r / N) = (N^2 - 1)/3
+(Berndt and Yeap, Adv. Appl. Math. 29, 2002), so the chi_D = -1 terms are
+that total less the chi_D = +1 ones.
 2 cos(pi/D) and sin(pi/D) are summed once as a fixed-point Taylor series.
 Every numeric value is an exact dyadic Fraction, rounded once to its
 working precision; mpmath's libmp supplies only pi as a fixed-point int.
@@ -60,9 +65,9 @@ from .numberfield import NumberField, _odd_prime_factors, _repr, check_field
 ZETA_MEMO_SIZE = 256
 
 #: Largest accepted working precision of zeta_F_2_numeric and of the
-#: functional-equation check: at Q(sqrt 997) its numeric side takes 0.05 s at
-#: 4,096 bits, 0.9 s at 20,000, but at the radicand cap 10.8 s at 1,024 bits
-#: and 106 s at 4,096 (one run each, busy 2-CPU Xeon).  Nothing bounds that
+#: functional-equation check: at Q(sqrt 997) its numeric side takes 0.03 s at
+#: 4,096 bits, but at the radicand cap 5.3 s at 1,024 bits and 55 s at 4,096
+#: (one run each, shared 2-CPU Xeon, Python 3.11.7).  Nothing bounds that
 #: time yet; the work budget planned in ROADMAP.md item 2 will.
 MAX_PRECISION_BITS = 4096
 
@@ -190,9 +195,15 @@ def quadratic_character(D: int) -> Iterator[int]:
     _PERIOD_BLOCK residues, and read over and over; the factors are
     multiplied lazily, so memory is about the sum of the q, not D.
     """
+    return _character(D, _odd_prime_factors(D))
+
+
+def _character(D: int, odd_primes: list[int]) -> Iterator[int]:
+    """:func:`quadratic_character` of D, whose odd prime factors
+    ``odd_primes`` the caller has already found."""
     periods = []
     two = D
-    for q in _odd_prime_factors(D):
+    for q in odd_primes:
         period = array("b", [-1]) * q
         period[0] = 0
         for x in range(1, (q + 1) // 2):
@@ -302,14 +313,20 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     as integers scaled by 2^wp (:func:`_two_cos_sin_pi_over`), and y_0 = 0;
     each step is one multiply of the Chebyshev recurrence
     y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1), so
-    y_r is sin(r theta) scaled by 2^wp, and
-    chi(r) * floor(2^(3 wp) / y_r^2), which is csc^2(r theta) scaled by
-    2^wp, goes into an integer total; chi(r) is read in step from
-    quadratic_character(D), the product of D's prime-discriminant
-    characters, so memory stays far below D.  The residues are summed in
-    fixed ascending order, so results are reproducible bit for bit.  The
-    total times pi^4 / (6 D^2), with pi scaled by 2^wp, is rounded once to
-    ``bits``.
+    y_r is sin(r theta) scaled by 2^wp.  Where chi(r) = +1,
+    floor(2^(3 wp) / y_r^2), which is csc^2(r theta) scaled by 2^wp, goes
+    into an integer total ``plus``; chi(r) is read in step from the
+    product of D's prime-discriminant characters, so memory stays far
+    below D.  No division is made where chi(r) = -1: the residues prime to
+    D below D/2 have csc^2 sum exactly J_2(D)/6, with Jordan's totient
+    J_2(D) = D^2 prod_(p | D) (1 - p^-2) (Moebius inversion over the
+    divisors of D of sum_(r=1)^(N-1) csc^2(pi r / N) = (N^2 - 1)/3, halved
+    by r <-> D - r), so the chi = -1 terms sum to J_2(D)/6 - plus and the
+    sum is 2 plus - J_2(D)/6.  J_2's primes are the ones chi_D is built
+    from, found by one trial division.  The residues are summed in fixed
+    ascending order, so results are reproducible bit for bit.  In integer
+    units six times the sum is 12 plus - J_2(D) 2^wp; that times pi^4 /
+    (36 D^2), with pi scaled by 2^wp, is rounded once to ``bits``.
 
     Error bound, with eps = 2^-wp: t and y_1 are each within 1.01 eps, and
     each step adds at most 2.01 eps (the error in t times |y_r| <= 1, and
@@ -318,9 +335,11 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     |U_m| <= m + 1, so y_r is within 1.01 r eps + 1.005 r (r - 1) eps <=
     1.51 r^2 eps of sin(r theta).  Since sin(r theta) >= 2r/D below D/2,
     the csc^2 term at r is off by at most 0.38 D^3 eps / r, and the terms
-    below D/2 together by at most 0.38 D^3 eps (ln D + 0.31); the floors
-    add at most D eps / 2.  Scaled by pi^4 / (6 D^2), with pi within eps,
-    that is below 8 D (ln D + 0.31) eps, and as D < 2^b and
+    of ``plus`` together by at most 0.38 D^3 eps (ln D + 0.31); the floors
+    add at most D eps / 2.  J_2(D)/6 is exact, so only ``plus`` carries
+    error, and the sum 2 plus - J_2(D)/6 carries twice it.  Scaled by
+    pi^4 / (6 D^2), with pi within eps, that is below
+    16 D (ln D + 0.31) eps, and as D < 2^b and
     ln D + 0.31 < b < 2^b.bit_length(), below 2^-(bits + 4 + b).  As
     zeta_F(2) > 1, the value rounded to ``bits`` is within one ulp of
     zeta_F(2).
@@ -338,17 +357,21 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     D = F.discriminant
     b = D.bit_length()
     wp = bits + 2 * b + b.bit_length() + 8
+    odd_primes = _odd_prime_factors(D)
+    jordan = D * D  # J_2(D) = D^2 * prod_(p | D) (1 - p^-2)
+    for p in odd_primes + ([2] if D % 2 == 0 else []):
+        jordan = jordan // (p * p) * (p * p - 1)
     t, y = _two_cos_sin_pi_over(D, wp)
     one = 1 << (3 * wp)
     previous = 0
-    total = 0
-    for c in itertools.islice(quadratic_character(D), 1, (D + 1) // 2):
+    plus = 0
+    for c in itertools.islice(_character(D, odd_primes), 1, (D + 1) // 2):
         if c > 0:
-            total += one // (y * y)
-        elif c:
-            total -= one // (y * y)
+            plus += one // (y * y)
         previous, y = y, ((t * y) >> wp) - previous
-    return _rounded(total * libmp.pi_fixed(wp) ** 4, 6 * D * D << 5 * wp, bits)
+    # the chi = -1 terms are J_2(D)/6 - plus, so 6 * the sum is 12 plus - J_2(D)
+    total6 = 12 * plus - (jordan << wp)
+    return _rounded(total6 * libmp.pi_fixed(wp) ** 4, 36 * D * D << 5 * wp, bits)
 
 
 class FunctionalEquationReport(NamedTuple):
@@ -397,7 +420,8 @@ def functional_equation_check(
     check_field(F)
     if not (isinstance(tol, (Real, Decimal)) and hasattr(tol, "as_integer_ratio")):
         raise ToleranceTooTight(f"tolerance {_repr(tol)} is not a real number")
-    if not tol < 1:  # nan and +inf included
+    # nan and +inf included; a Decimal NaN signals on <, so it is asked first
+    if isinstance(tol, Decimal) and tol.is_nan() or not tol < 1:
         raise ToleranceTooTight(f"tolerance {_repr(tol)} is not below 1, so the check has no teeth")
     if tol < 1e-12:
         raise ToleranceTooTight(f"tolerance {_repr(tol)} below the supported floor of 1e-12")

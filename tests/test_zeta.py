@@ -384,11 +384,18 @@ class TestZetaTwoNumeric:
         with pytest.raises(ToleranceTooTight):
             functional_equation_check(parse_field("Q"), -1.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("sNaN")])
     def test_non_finite_tolerance(self, tol):
         for spec in ("Q", "Q(sqrt 5)"):
             with pytest.raises(ToleranceTooTight):
                 functional_equation_check(parse_field(spec), tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, Decimal("NaN"), Decimal("sNaN")])
+    def test_nan_tolerance_has_no_teeth(self, tol):
+        # a Decimal NaN signals InvalidOperation on <, so it must be refused before any comparison
+        message = rf"^tolerance {re.escape(repr(tol))} is not below 1, so the check has no teeth$"
+        with pytest.raises(ToleranceTooTight, match=message):
+            functional_equation_check(parse_field("Q(sqrt 5)"), tol)
 
     @pytest.mark.parametrize("tol", ["0.1", None, 1j, [1e-8]])
     def test_tolerance_that_is_not_a_number(self, tol):
@@ -647,6 +654,59 @@ class TestQuadraticCharacter:
             calls.clear()
             next(quadratic_character(D))
             assert calls == [D]
+
+    def test_one_trial_division_per_numeric_call(self, monkeypatch):
+        # the kernel takes chi_D's prime discriminants and J_2(D)'s primes from one list
+        fields = {D: parse_field(f"Q(sqrt {d})") for D, d in ((5, 5), (8, 2), (12, 3), (2042040, 510510), (3999980, 999995))}
+        calls = []
+        odd_prime_factors = numberfield._odd_prime_factors
+
+        def counted(n):
+            calls.append(n)
+            return odd_prime_factors(n)
+
+        monkeypatch.setattr(zeta, "_odd_prime_factors", counted)
+        for D, F in fields.items():
+            assert F.discriminant == D
+            calls.clear()
+            zeta_F_2_numeric(F, 64)
+            assert calls == [D]
+
+
+def brute_force_jordan_totient(D):
+    """J_2(D) = sum over the divisors k of D of mu(k) * (D/k)^2, with the
+    Moebius function mu(k) read off the trial-division factorization of k."""
+
+    def mu(k):
+        sign, p = 1, 2
+        while k > 1:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    return sum(mu(k) * (D // k) ** 2 for k in range(1, D + 1) if D % k == 0)
+
+
+class TestCosecantSquaredIdentity:
+    """The numeric kernel divides only at chi_D = +1 and takes the chi_D = -1
+    half from sum_(r < D/2, gcd(r, D) = 1) csc^2(pi r / D) = J_2(D) / 6,
+    Moebius inversion of sum_(r=1)^(N-1) csc^2(pi r / N) = (N^2 - 1) / 3."""
+
+    def test_half_sum_over_residues_prime_to_D(self):
+        ctx = mpmath.mp.clone()
+        ctx.prec = 200
+        fields = real_quadratic_fields_with_disc_up_to(500)
+        fields += [parse_field("Q(sqrt 2993)"), parse_field("Q(sqrt 10007)")]  # D = 2993, 40028
+        for F in fields:
+            D = F.discriminant
+            angle = ctx.pi / D
+            total = ctx.fsum(1 / ctx.sin(angle * r) ** 2 for r in range(1, (D + 1) // 2) if math.gcd(r, D) == 1)
+            expected = Fraction(brute_force_jordan_totient(D), 6)
+            assert abs(fraction(total) - expected) <= expected / 2**150, D
 
 
 def power_route_rational_side(F, bits):
