@@ -64,10 +64,11 @@ def _equal(x: Pair, y: Pair) -> bool:
 
 
 def _fraction_str(x: Pair) -> str:
-    """What str(Fraction(*x)) prints, without building the Fraction."""
+    """What str(Fraction(*x)) prints, without building the Fraction, each
+    int past str()'s digit limit by its size (``numberfield._repr``)."""
     g = math.gcd(*x)
     num, den = x[0] // g, x[1] // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    return _repr(num) if den == 1 else f"{_repr(num)}/{_repr(den)}"
 
 
 def _pgl_monomial(inv: Invariants, pd_order: int = 1) -> Pair:

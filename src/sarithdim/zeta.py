@@ -8,9 +8,10 @@ discriminant D the divisor lattice sum
 
 always an integer divided by 60.  Its about sqrt(D)/2 values (D - b^2)/4
 are factored together by one quadratic sieve: each odd prime p <= sqrt(D/4)
-divides exactly the values whose b is a square root of D mod p, found by
-Tonelli-Shanks, so it is stepped to in arithmetic progressions rather than
-tried on every value.  The sum costs about sqrt(D) * log log D.
+divides exactly the values whose b is a square root of D mod p, read from
+one cached table of the square roots mod p, so it is stepped to in
+arithmetic progressions rather than tried on every value.  The sum costs
+about sqrt(D) * log log D.
 zeta_F(2) = zeta(2) * L(2, chi_D) is evaluated numerically by an
 elementary cosecant sum good to any working precision,
 
@@ -21,10 +22,10 @@ trigamma reflection formula (DLMF 5.15.6).  It reads chi_D as a lazy
 product of the characters of the prime discriminants dividing D, each a
 short period: a Legendre symbol mod an odd prime q, or chi_-4, chi_8 or
 chi_-8.  So neither zeta route computes a Kronecker symbol: the exact sieve
-reads residuosity off Tonelli-Shanks, and takes its nonresidue from Euler's
-criterion.  The sum runs as a fixed-point integer kernel: sin(pi r / D) is
-stepped by the three-term Chebyshev recurrence, one multiply in Python ints
-per residue, with 2b + b.bit_length() + 8 guard bits for
+reads residuosity off its own table of square roots mod p.  The sum runs
+as a fixed-point integer kernel: sin(pi r / D) is stepped by the
+three-term Chebyshev recurrence, one multiply in Python ints per residue,
+with 2b + b.bit_length() + 8 guard bits for
 b = D.bit_length(); it is O(D).  It divides only at the residues where
 chi_D = +1: the csc^2 terms at all residues prime to D below D/2 sum to
 exactly J_2(D)/6, where J_2(D) = D^2 prod_(p | D) (1 - p^-2) is Jordan's
@@ -85,43 +86,23 @@ class SpecialValue(NamedTuple):
     value: Fraction
 
 
-def _sqrt_mod(D: int, p: int) -> int | None:
-    """A root of x^2 = D (mod p) for an odd prime p, by Tonelli-Shanks
-    (Cohen, GTM 138, Alg. 1.5.1): 0 when p divides D, None when D is a
-    nonresidue mod p, else a root.
+@functools.cache
+def _square_roots(p: int) -> tuple[int | None, ...]:
+    """The square roots mod the odd prime p, as a tuple of length p: at a,
+    the root x <= p/2 of x^2 = a (mod p), so 0 at a = 0, and None where a
+    is a nonresidue.  Each x in [0, p/2] is written at x^2 mod p; the
+    other root of a is p - x.
 
-    With p - 1 = q * 2^e and q odd, x = D^((q+1)/2) is a root up to the
-    factor b = D^q, an element of the 2-Sylow subgroup.  When p divides D,
-    b = x = 0; b = 1 makes x a root.  Otherwise D is a residue iff b has
-    order below 2^e, that is b^(2^(e-1)) = 1, and each pass of the loop
-    halves b's order with a power of y, a generator of the subgroup made
-    from the least nonresidue z, the least z >= 2 with z^((p-1)/2) = -1
-    (mod p) by Euler's criterion.  For p = 3 (mod 4), e = 1 and b = +-1, so
-    no nonresidue is needed.
+    One table is cached per prime, without a bound: the sieve of
+    :func:`_zeta_minus1` asks only for primes p <= isqrt(D // 4), and
+    D // 4 is at most the radicand, a squarefree d < MAX_RADICAND = 10^6,
+    so p <= 999.  That is at most 167 tables of 76,125 entries in all,
+    under 1 MB.
     """
-    e = ((p - 1) & (1 - p)).bit_length() - 1
-    q = (p - 1) >> e
-    x = pow(D, (q + 1) // 2, p)
-    b = pow(D, q, p)
-    if b <= 1:
-        return x
-    if pow(b, 1 << (e - 1), p) != 1:
-        return None
-    z = 2
-    while pow(z, p >> 1, p) != p - 1:
-        z += 1
-    y = pow(z, q, p)
-    while b != 1:
-        m, b2 = 0, b
-        while b2 != 1:
-            b2 = b2 * b2 % p
-            m += 1
-        t = pow(y, 1 << (e - m - 1), p)
-        y = t * t % p
-        e = m
-        x = x * t % p
-        b = b * y % p
-    return x
+    roots = [None] * p
+    for x in range(p // 2 + 1):
+        roots[x * x % p] = x
+    return tuple(roots)
 
 
 def zeta_F_minus1(F: NumberField) -> SpecialValue:
@@ -145,9 +126,9 @@ def _zeta_minus1(D: int) -> SpecialValue:
     Over a real quadratic field the divisor sum above, by one sieve pass
     over the values m_t = (D - b^2)/4 with b = 2t + (D mod 2) >= 0.  Each
     m_t loses its power of 2 by its trailing zeros.  An odd prime p divides
-    m_t exactly when b^2 = D (mod p), that is b = +-r for r = _sqrt_mod(D, p):
-    never when it returns None, at b = 0 (mod p) when it returns 0 (p
-    divides D), and else at the two roots +-r, so the t it divides run
+    m_t exactly when b^2 = D (mod p), that is b = +-r for the root
+    r = _square_roots(p)[D % p]: never when it is None, at b = 0 (mod p)
+    when it is 0 (p divides D), and else at +-r, so the t it divides run
     through t = (+-r - (D mod 2)) / 2 (mod p).  At each, the
     full power p^a is divided out and sigma_1(p^a) multiplied in.  After
     every p <= sqrt(D/4), what is left of m_t is 1 or a prime, which
@@ -162,7 +143,7 @@ def _zeta_minus1(D: int) -> SpecialValue:
     m = [v >> a for v, a in zip(m, twos)]
     sigma = [(2 << a) - 1 for a in twos]
     for p in primes_up_to(math.isqrt(D // 4))[1:]:
-        r = _sqrt_mod(D, p)
+        r = _square_roots(p)[D % p]
         if r is None:
             continue
         half = (p + 1) // 2  # the inverse of 2 mod p

@@ -35,10 +35,14 @@ def rejection(argv):
 
 
 #: --local-data over S = {oo, 2} of Q -> (code, message) as rejection() gives
-#: them.  The kind and the range of each entry are checked as its datum is
+#: them.  An unknown kind and a weight below 2 are usage errors, exit 2 with
+#: nothing on stdout; the range of a dimension is checked as its datum is
 #: built, and module_vn_dim names a place left uncovered.
 INVALID_LOCAL_DATA = {
     "weight:x": (None, "argument --local-data: 'x' is not an integer"),
+    "mass:3": (None, "argument --local-data: local datum must be 'weight:<n>' or 'dim:<m>', got 'mass:3'"),
+    "weight:1": (None, "argument --local-data: weights must be >= 2"),
+    "weight:0,dim:1": (None, "argument --local-data: weights must be >= 2"),
     "weight:2": ("MISSING_DATUM", "no local datum for v0(p=2,e=1,f=1)"),
     "dim:2": ("DATUM_PLACE_MISMATCH", "oo_0 is real and takes a weight, not a complex dimension"),
     "dim:2,weight:2": ("DATUM_PLACE_MISMATCH", "oo_0 is real and takes a weight, not a complex dimension"),

@@ -331,6 +331,19 @@ class TestIdentityReport:
         assert by_name["pgl_sl_transfer"].status == "skipped"
         assert report.all_pass  # skips are not failures
 
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt 5)"])
+    def test_large_s_details_print_past_the_digit_limit(self, field):
+        # at the first 2,000 primes the rows' values pass str()'s 4,300-digit
+        # limit: each detail prints them by their size and the rows still pass
+        F = parse_field(field)
+        S = build_S(F, zeta.primes_up_to(17389))
+        assert len(S.finite_places) == 2000
+        start = time.perf_counter()
+        report = check_identities(F, S)
+        assert time.perf_counter() - start < 2
+        assert report.all_pass
+        assert "<int of " in report.checks[0].detail
+
     def test_each_route_runs_once(self, monkeypatch):
         """Each route and each argument check runs once per point: the SL
         pair is transferred twice from the PGL routes and once to PSL, the

@@ -219,11 +219,6 @@ def sieve_branches(D):
         branches.add("2^a with a >= 3")
     if any(m % (p * p) == 0 for p in odd_primes for m in values):
         branches.add("odd square factor")
-    for p in odd_primes:
-        # p - 1 = q * 2^e: the Tonelli-Shanks loop runs when D^q != 1 (mod p)
-        q = (p - 1) >> (((p - 1) & (1 - p)).bit_length() - 1)
-        if p % 8 == 1 and kronecker_symbol(D, p) == 1 and pow(D, q, p) != 1:
-            branches.add("Tonelli-Shanks loop at p = 1 mod 8")
     for m in values:
         for p in [2] + odd_primes:
             while m % p == 0:
@@ -306,7 +301,6 @@ class TestSiegelSieve:
             ("p divides D", 1155),  # D = 4 * 3 * 5 * 7 * 11
             ("2^a with a >= 3", 1001),  # (1001 - 3^2)/4 = 8 * 31
             ("odd square factor", 1001),  # (1001 - 1)/4 = 2 * 5^3
-            ("Tonelli-Shanks loop at p = 1 mod 8", 1155),
             ("prime cofactor above sqrt(D/4)", 1001),
         ],
     )
@@ -316,39 +310,54 @@ class TestSiegelSieve:
         assert zeta_F_minus1(NumberField(d)).value * 60 == trial_division_lattice_sum(D)
 
     def test_square_root_mod_every_odd_prime_below_300(self):
-        """_sqrt_mod is total on odd primes: a root of a nonzero square, 0 at
-        a = 0 and None at a nonresidue, also for a given above p, as the
-        sieve passes D."""
+        """The table of square roots mod an odd prime is total: a root at a
+        nonzero square, 0 at a = 0 and None at a nonresidue, also read at a
+        above p, reduced mod p as the sieve reduces D."""
         for p in primes_up_to(300)[1:]:
             squares = {x * x % p for x in range(1, p)}
+            table = zeta._square_roots(p)
+            assert len(table) == p
             for a in range(p):
                 for n in (a, a + 7 * p):
-                    root = zeta._sqrt_mod(n, p)
+                    root = table[n % p]
                     if a == 0:
                         assert root == 0, (n, p)
                     elif a in squares:
-                        assert root * root % p == a, (n, p)
+                        assert root * root % p == a and root <= p // 2, (n, p)
                     else:
                         assert root is None, (n, p)
 
-    def test_sieve_asks_sqrt_mod_alone(self, monkeypatch):
-        """One _sqrt_mod call per odd prime p <= sqrt(D/4), and no Kronecker
-        symbol: the sieve reads residuosity off Tonelli-Shanks, and its
-        nonresidue off Euler's criterion."""
+    def test_sieve_reads_square_root_tables_alone(self, monkeypatch):
+        """One square-root table read per odd prime p <= sqrt(D/4), and no
+        Kronecker symbol: the sieve reads residuosity off its tables."""
         D = 3999980
         expected = zeta._zeta_minus1(D)
-        sqrt_calls = []
-        sqrt_mod = zeta._sqrt_mod
+        table_reads = []
+        square_roots = zeta._square_roots
 
-        def counted_sqrt_mod(a, p):
-            sqrt_calls.append(p)
-            return sqrt_mod(a, p)
+        def counted_square_roots(p):
+            table_reads.append(p)
+            return square_roots(p)
 
-        monkeypatch.setattr(zeta, "_sqrt_mod", counted_sqrt_mod)
+        monkeypatch.setattr(zeta, "_square_roots", counted_square_roots)
         assert zeta._zeta_minus1.__wrapped__(D) == expected
-        assert sqrt_calls == primes_up_to(math.isqrt(D // 4))[1:]
-        assert len(sqrt_calls) == 167
+        assert table_reads == primes_up_to(math.isqrt(D // 4))[1:]
+        assert len(table_reads) == 167
         assert not hasattr(zeta, "kronecker_symbol")
+
+    def test_square_root_tables_stay_inside_the_radicand_cap(self):
+        """At the cap's largest discriminant the sieve builds one table per
+        odd prime p <= 999, 167 tables of 76,125 entries in all; a small D
+        builds none more."""
+        zeta._square_roots.cache_clear()
+        try:
+            zeta._zeta_minus1.__wrapped__(3999980)
+            assert zeta._square_roots.cache_info().currsize == 167
+            assert sum(len(zeta._square_roots(p)) for p in primes_up_to(999)[1:]) == 76125
+            zeta._zeta_minus1.__wrapped__(5)
+            assert zeta._square_roots.cache_info().currsize == 167
+        finally:
+            zeta._square_roots.cache_clear()
 
 
 class TestZetaTwoNumeric:
@@ -635,8 +644,8 @@ class TestQuadraticCharacter:
 
         fields = [parse_field(f"Q(sqrt {d})") for d in (2, 3, 5, 6, 1155, 510510)]
         monkeypatch.setattr(numberfield, "kronecker_symbol", refused)
-        # D = 3999980 = 4 * 5 * 199999: the roots at 41 of the sieve's primes
-        # need Tonelli-Shanks's nonresidue
+        # D = 3999980 = 4 * 5 * 199999: the sieve reads all 167 of its odd
+        # primes' square-root tables
         assert zeta._zeta_minus1.__wrapped__(3999980).value > 0
         for F in fields:
             assert zeta_F_2_numeric(F, 64) > 1, F
