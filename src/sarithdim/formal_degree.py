@@ -3,12 +3,13 @@
 Locally, d(St_v) = 2 at a real place and (q_v - 1)/(2 (q_v + 1)) at a
 finite place, with an extra factor 2^(-e*f) at places of residue
 characteristic 2 (the unique assignment consistent with the aggregate
-below).  :func:`_local_degree_terms` is the one home of that local formula,
-as an integer pair; there is no public local face.  The global degree
-d(St_S) is the product of the local degrees over the places of S.  Like
-every exact value it is an integer pair inside the library, one Fraction per
-public value: :func:`_global_degree_terms`, its one home, returns the pair.
-It never reads the invariants of (F, S).  In the fields of
+below).  The global degree d(St_S) is the product of the local degrees over
+the places of S.  The n real places give the constant 2^n, so
+:func:`_global_degree_terms` starts from it and loops over the finite
+places alone, multiplying in the local formula inline: that loop is the one
+home of the local formula, and there is no public local face.  Like every
+exact value d(St_S) is an integer pair inside the library, one Fraction per
+public value.  It never reads the invariants of (F, S).  In the fields of
 :class:`~sarithdim.covolume.Invariants`
 (n, |S|, delta_2, Q- = prod (q_v - 1), Q+ = prod (q_v + 1)) it equals
 
@@ -25,11 +26,11 @@ degree d_SL(St_S), the product over S of d_SL(St_v) = 2 at a real place and
 
     d_SL(St_S) = 2^n * Q- / Q+.
 
-Like d(St_S) it loops over the places of S and reads neither the invariants
-nor delta_2.  The SL covolume z Q+ / 2^n times d_SL(St_S) is z Q-, the
-Steinberg dimension over SL(2, O_S), which vndim's ``psl_transfer`` and
-``sl_transfer`` checks compare with the PGL closed form carried by index
-transfer.
+It has the same shape: 2^n from the real places, then one loop over the
+finite places of S.  It reads neither the invariants nor delta_2.  The SL
+covolume z Q+ / 2^n times d_SL(St_S) is z Q-, the Steinberg dimension over
+SL(2, O_S), which vndim's ``psl_transfer`` and ``sl_transfer`` checks
+compare with the PGL closed form carried by index transfer.
 """
 
 from collections import namedtuple
@@ -74,42 +75,37 @@ class LocalRepDatum(_Validated, namedtuple("LocalRepDatum", "place value")):
         return cls(place, complex_dim)
 
 
-def _local_degree_terms(v: Place) -> tuple[int, int]:
-    """The local Steinberg degree at v as an unreduced (numerator,
-    denominator) pair of ints: the one home of the local formula."""
-    if v.is_real:
-        return 2, 1
-    q = v.q
-    two_part = 2 ** (v.e * v.f) if v.p == 2 else 1
-    return q - 1, 2 * (q + 1) * two_part
-
-
 def _global_degree_terms(S: SSet) -> tuple[int, int]:
     """The global Steinberg degree over S as an unreduced (numerator,
-    denominator) pair: the local pairs multiplied as integers."""
-    num = den = 1
-    for v in S.places:
-        n, d = _local_degree_terms(v)
-        num *= n
-        den *= d
+    denominator) pair: 2^n from the real places, then (q_v - 1)/(2 (q_v + 1))
+    at each finite place, with 2^(e f) more in the denominator above 2,
+    multiplied as integers."""
+    num, den = 2**S.field.degree, 1
+    for v in S.finite_places:
+        q = v.q
+        num *= q - 1
+        den *= 2 * (q + 1) * (2 ** (v.e * v.f) if v.p == 2 else 1)
     return num, den
 
 
 def _sl_degree_terms(S: SSet) -> tuple[int, int]:
     """The SL Steinberg degree d_SL(St_S) as an unreduced (numerator,
-    denominator) pair: 2 at each real place of S and (q_v - 1)/(q_v + 1) at
-    each finite one, multiplied as integers."""
-    num = den = 1
-    for v in S.places:
-        n, d = (2, 1) if v.is_real else (v.q - 1, v.q + 1)
-        num *= n
-        den *= d
+    denominator) pair: 2^n from the real places, then (q_v - 1)/(q_v + 1) at
+    each finite place, multiplied as integers."""
+    num, den = 2**S.field.degree, 1
+    for v in S.finite_places:
+        q = v.q
+        num *= q - 1
+        den *= q + 1
     return num, den
 
 
 def steinberg_global_degree(S: SSet) -> Fraction:
     """Formal degree of the Steinberg factor over all places of S: the
-    product of the local degrees, reduced once, into one Fraction."""
+    product of the local degrees, reduced once, into one Fraction.  S must
+    be exactly an :class:`SSet`; anything else is a ValueError."""
+    if type(S) is not SSet:
+        raise ValueError(f"S must be an SSet, got {_repr(S)}")
     return Fraction(*_global_degree_terms(S))
 
 

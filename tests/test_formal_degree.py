@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sarithdim import formal_degree
 from sarithdim.cli import GRID_FIELD_SPECS, grid_points
 from sarithdim.covolume import invariants
 from sarithdim.errors import DatumPlaceMismatch, OutOfRange
@@ -102,6 +103,46 @@ class TestGlobalDegreeOracle:
             F = parse_field(spec)
             S = build_S(F, [2, p])
             assert steinberg_global_degree(S) == local_degree_product(S), (F, p)
+
+    def test_two_places_above_two(self):
+        # 2 splits in Q(sqrt 17): delta_2 = 2, from two places with e f = 1;
+        # 7 is inert, so q = 49 there
+        F = parse_field("Q(sqrt 17)")
+        S = build_S(F, [(2, "both"), 7])
+        assert [v.e * v.f for v in S.finite_places if v.p == 2] == [1, 1]
+        assert invariants(F, S).delta_2 == 2
+        assert steinberg_global_degree(S) == local_degree_product(S) == Fraction(1, 75)
+
+
+def sl_degree_product(S):
+    """The test-side SL oracle: 2 at each real place and (q - 1)/(q + 1) at
+    each finite one, multiplied as Fractions."""
+    return math.prod(
+        (Fraction(2) if v.is_real else Fraction(v.p**v.f - 1, v.p**v.f + 1) for v in S.places),
+        start=Fraction(1),
+    )
+
+
+class TestSLDegreeOracle:
+    def test_grid(self):
+        points = list(grid_points())
+        assert len(points) == 210
+        for F, S in points:
+            assert Fraction(*formal_degree._sl_degree_terms(S)) == sl_degree_product(S), (F, S)
+
+    def test_two_places_above_two(self):
+        S = build_S(parse_field("Q(sqrt 17)"), [(2, "both"), 7])
+        assert Fraction(*formal_degree._sl_degree_terms(S)) == sl_degree_product(S) == Fraction(32, 75)
+
+
+class TestGlobalDegreeArgument:
+    @pytest.mark.parametrize(
+        "S", [None, (5,), tuple(SSet(parse_field("Q"))), "S"], ids=["None", "tuple", "tuple_of_S", "str"]
+    )
+    def test_not_an_s_set(self, S):
+        with pytest.raises(ValueError) as raised:
+            steinberg_global_degree(S)
+        assert str(raised.value) == f"S must be an SSet, got {S!r}"
 
 
 class TestDegreeRatio:

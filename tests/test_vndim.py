@@ -405,6 +405,16 @@ def _doubled(terms):
     return mutant
 
 
+def _one_real_two_dropped(terms):
+    # a degree route that drops the 2 of one real place: its denominator
+    # times n, so the fault shows only over a real quadratic field
+    def mutant(S):
+        num, den = terms(S)
+        return num, den * S.field.degree
+
+    return mutant
+
+
 #: mutant -> (binding of sarithdim.vndim, the mutant built from the original,
 #: failures per row over the 210 grid points).  Rows in report order:
 #: pgl_two_routes, psl_transfer, sl_transfer, sl_quaternion_zeta_match,
@@ -414,6 +424,11 @@ ROUTE_MUTANTS = {
     "doubled _jl_sl": ("_jl_sl", _doubled, (0, 0, 0, 90, 90, 90)),
     "doubled _pgl2_covolume_terms": ("_pgl2_covolume_terms", _doubled, (210, 0, 0, 0, 90, 0)),
     "doubled _global_degree_terms": ("_global_degree_terms", _doubled, (210, 0, 0, 0, 90, 0)),
+    "_global_degree_terms without one real place's 2": (
+        "_global_degree_terms",
+        _one_real_two_dropped,
+        (168, 0, 0, 0, 64, 0),
+    ),
     "doubled _sl2_covolume_terms": ("_sl2_covolume_terms", _doubled, (0, 210, 210, 0, 0, 0)),
     "_sl2_covolume_terms without /2^n": (
         "_sl2_covolume_terms",
@@ -421,6 +436,11 @@ ROUTE_MUTANTS = {
         (0, 210, 210, 0, 0, 0),
     ),
     "doubled _sl_degree_terms": ("_sl_degree_terms", _doubled, (0, 210, 210, 0, 0, 0)),
+    "_sl_degree_terms without one real place's 2": (
+        "_sl_degree_terms",
+        _one_real_two_dropped,
+        (0, 168, 168, 0, 0, 0),
+    ),
     "doubled _zeta_D_ratio_terms": ("_zeta_D_ratio_terms", _doubled, (0, 0, 0, 90, 0, 0)),
     "doubled pgl_psl_index": ("pgl_psl_index", lambda index: lambda S: 2 * index(S), (0, 210, 210, 0, 90, 90)),
     "_index_transfer without SL halving": (
