@@ -23,15 +23,19 @@ product of the characters of the prime discriminants dividing D, each a
 short period: a Legendre symbol mod an odd prime q, or chi_-4, chi_8 or
 chi_-8.  So neither zeta route computes a Kronecker symbol: the exact sieve
 reads residuosity off its own table of square roots mod p.  The sum runs
-as a fixed-point integer kernel: sin(pi r / D) is stepped by the
-three-term Chebyshev recurrence, one multiply in Python ints per residue,
-with 2b + b.bit_length() + 8 guard bits for
-b = D.bit_length(); it is O(D).  It divides only at the residues where
-chi_D = +1: the csc^2 terms at all residues prime to D below D/2 sum to
-exactly J_2(D)/6, where J_2(D) = D^2 prod_(p | D) (1 - p^-2) is Jordan's
-totient, by Moebius inversion of sum_(r=1)^(N-1) csc^2(pi r / N) = (N^2 - 1)/3
-(Berndt and Yeap, Adv. Appl. Math. 29, 2002), so the chi_D = -1 terms are
-that total less the chi_D = +1 ones.
+as a fixed-point integer kernel with 2b + b.bit_length() + 8 guard bits
+for b = D.bit_length(): sin(pi r / D) is stepped by the three-term
+Chebyshev recurrence, one multiply in Python ints a step, in chains of
+stride k, where k is a product of D's smallest primes, at most D^(1/3),
+taken while they save more steps than their chains cost.  Only
+the r prime to k are stepped to, one chain per reduced residue mod k, so
+the kernel takes about (D/2) phi(k)/k + k steps.  It divides only at the
+residues where chi_D = +1: the csc^2 terms at all residues prime to D
+below D/2 sum to exactly J_2(D)/6, where J_2(D) = D^2 prod_(p | D)
+(1 - p^-2) is Jordan's totient, by Moebius inversion of
+sum_(r=1)^(N-1) csc^2(pi r / N) = (N^2 - 1)/3 (Berndt and Yeap, Adv.
+Appl. Math. 29, 2002), so the chi_D = -1 terms are that total less the
+chi_D = +1 ones.
 2 cos(pi/D) and sin(pi/D) are summed once as a fixed-point Taylor series.
 Every numeric value is an exact dyadic Fraction, rounded once to its
 working precision; mpmath's libmp supplies only pi as a fixed-point int.
@@ -58,7 +62,7 @@ from typing import NamedTuple
 from mpmath import libmp
 
 from .errors import OutOfRange, ToleranceTooTight
-from .numberfield import NumberField, _odd_prime_factors, _repr, check_field
+from .numberfield import MAX_RADICAND, NumberField, _odd_prime_factors, _repr, check_field
 
 #: Field discriminants whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
 #: for the value of one field many times; a bounded memo keeps long runs over
@@ -66,10 +70,11 @@ from .numberfield import NumberField, _odd_prime_factors, _repr, check_field
 ZETA_MEMO_SIZE = 256
 
 #: Largest accepted working precision of zeta_F_2_numeric and of the
-#: functional-equation check: at Q(sqrt 997) its numeric side takes 0.03 s at
-#: 4,096 bits, but at the radicand cap 5.3 s at 1,024 bits and 55 s at 4,096
-#: (one run each, shared 2-CPU Xeon, Python 3.11.7).  Nothing bounds that
-#: time yet; the work budget planned in ROADMAP.md item 2 will.
+#: functional-equation check: at Q(sqrt 997) the check takes 0.03 s at 4,096
+#: bits, but at the radicand cap, Q(sqrt 999995), 4.3 s at 1,024 bits and
+#: 46 s at 4,096, nearly all in zeta_F_2_numeric (one run each, shared 2-CPU
+#: Xeon, Python 3.11.7).  Nothing bounds that time yet; the work budget
+#: planned in ROADMAP.md item 2 will.
 MAX_PRECISION_BITS = 4096
 
 #: chi_-4, chi_8 and chi_-8 over one period, from r = 0: the characters of
@@ -80,6 +85,10 @@ _TWO_PART_PERIOD = {-4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1), -8: (0, 1,
 #: each pass through a period costs one switch of iterators, so a period of 3
 #: read as it is would cost one per three values.
 _PERIOD_BLOCK = 4096
+
+
+#: The lazy product of two streams of character values.
+_multiply = functools.partial(map, operator.mul)
 
 
 class SpecialValue(NamedTuple):
@@ -164,24 +173,34 @@ def _zeta_minus1(D: int) -> SpecialValue:
 
 def quadratic_character(D: int) -> Iterator[int]:
     """chi_D(r) for r = 0, 1, 2, ...: the quadratic character attached to
-    the fundamental discriminant D > 1, as an endless iterator.
+    the fundamental discriminant D, as an endless iterator.
 
-    A fundamental D is a product of prime discriminants: q* = +-q = 1
-    (mod 4) for each odd prime q dividing D, from the one trial division
-    that numberfield's squarefree test runs too, times a 2-part 1, -4, 8
-    or -8.  So chi_D(r) is the product of the Legendre symbols (r/q), a
-    period of q read off the squares x^2 mod q, and of chi_-4, chi_8 or
-    chi_-8, the periods of 4 or 8 in _TWO_PART_PERIOD.
-    Each period is held one byte a residue, repeated to at least
-    _PERIOD_BLOCK residues, and read over and over; the factors are
-    multiplied lazily, so memory is about the sum of the q, not D.
+    D must be an int fundamental discriminant with 1 < D <= 4 MAX_RADICAND,
+    else ValueError.  A fundamental D is a product of prime discriminants:
+    q* = +-q = 1 (mod 4) for each odd prime q dividing D, from the one trial
+    division that numberfield's squarefree test runs too, times a 2-part 1,
+    -4, 8 or -8; D is refused when an odd prime divides it twice or what is
+    left is no such 2-part.  So chi_D(r) is the product of the Legendre
+    symbols (r/q), a period of q read off the squares x^2 mod q, and, unless
+    the 2-part is 1, of chi_-4, chi_8 or chi_-8, the periods of 4 or 8 in
+    _TWO_PART_PERIOD.  The values are read as the numeric kernel reads
+    them, by :func:`_chain_character`, here along the one chain of stride 1
+    from r = 0, so memory is about the sum of the q, not D.
     """
-    return _character(D, _odd_prime_factors(D))
+    odd_primes = _odd_prime_factors(D) if type(D) is int and 1 < D <= 4 * MAX_RADICAND else None
+    periods = None if odd_primes is None else _periods(D, odd_primes)
+    if periods is None:
+        raise ValueError(f"D must be a fundamental discriminant in (1, {4 * MAX_RADICAND}], got {_repr(D)}")
+    return _chain_character(periods, 0, 1)[1]
 
 
-def _character(D: int, odd_primes: list[int]) -> Iterator[int]:
-    """:func:`quadratic_character` of D, whose odd prime factors
-    ``odd_primes`` the caller has already found."""
+def _periods(D: int, odd_primes: list[int]) -> list[tuple[int, array]] | None:
+    """The prime-discriminant characters whose product is chi_D, given the
+    odd primes dividing D, as (L, block) pairs: the period L and the values
+    from r = 0, one byte a residue, over one period repeated to at least
+    _PERIOD_BLOCK residues; the 2-part's character comes last, and none at
+    a 2-part 1.  None when the 2-part D / prod q* is not 1 or one of
+    _TWO_PART_PERIOD, so that D is not fundamental."""
     periods = []
     two = D
     for q in odd_primes:
@@ -189,15 +208,46 @@ def _character(D: int, odd_primes: list[int]) -> Iterator[int]:
         period[0] = 0
         for x in range(1, (q + 1) // 2):
             period[x * x % q] = 1
-        periods.append(period)
+        period *= -(-_PERIOD_BLOCK // q)  # in place: a block of q >= _PERIOD_BLOCK is not copied
+        periods.append((q, period))
         two //= q if q % 4 == 1 else -q
     if two != 1:
-        periods.append(array("b", _TWO_PART_PERIOD[two]))
+        if two not in _TWO_PART_PERIOD:
+            return None
+        period = _TWO_PART_PERIOD[two]
+        periods.append((len(period), array("b", period) * (_PERIOD_BLOCK // len(period))))
+    return periods
+
+
+def _chain_character(periods: list[tuple[int, array]], a: int, k: int) -> tuple[int, Iterator[int]]:
+    """chi_D(a + j k) for j = 0, 1, 2, ..., read from ``periods`` (see
+    :func:`_periods`), as a sign s = +-1 and an endless iterator whose
+    values times s are those of chi_D, for k >= 1 and a >= 0 prime to k.
+
+    Each factor chi of period L is read in one of three ways.  If L divides
+    k, chi is the constant chi(a) along the chain, and goes into s.  If L is
+    prime to k, chi(a + j k) = chi(k) chi(a k^-1 + j) (mod L), as chi is
+    completely multiplicative, so chi(k) goes into s and the block is read
+    as it is from a k^-1 mod L on, through a memoryview, with no copy.  Else
+    (the 2-part of an even D, with k even) the L / gcd(L, k) values at a,
+    a + k, a + 2k, ... are sliced from the block and cycled.  The factors
+    left are multiplied lazily.
+    """
+    sign = 1
     chars = []
-    for period in periods:
-        period *= -(-_PERIOD_BLOCK // len(period))
-        chars.append(itertools.chain.from_iterable(itertools.repeat(period)))
-    return functools.reduce(functools.partial(map, operator.mul), chars)
+    for L, block in periods:
+        g = math.gcd(L, k)
+        if g == L:
+            sign *= block[a % L]
+            continue
+        if g == 1:
+            sign *= block[k % L]
+            head = memoryview(block)[a * pow(k, -1, L) % L :]
+            chars.append(itertools.chain(head, itertools.chain.from_iterable(itertools.repeat(block))))
+        else:
+            s = a % L  # the block holds s + k L / g residues, as k^3 <= D keeps k < 159
+            chars.append(itertools.cycle(block[s : s + k * (L // g) : k]))
+    return sign, functools.reduce(_multiply, chars)
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -291,38 +341,63 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     The sum is a fixed-point integer kernel at wp = bits + g bits, with
     g = 2b + b.bit_length() + 8 guard bits for b = D.bit_length().  With
     theta = pi/D, t = 2 cos(theta) and y_1 = sin(theta) are computed once,
-    as integers scaled by 2^wp (:func:`_two_cos_sin_pi_over`), and y_0 = 0;
-    each step is one multiply of the Chebyshev recurrence
-    y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1), so
-    y_r is sin(r theta) scaled by 2^wp.  Where chi(r) = +1,
+    as integers scaled by 2^wp (:func:`_two_cos_sin_pi_over`), and y_0 = 0.
+    The stride k is the product of D's smallest primes p, 2 first, each
+    taken while (k p)^3 <= D and D >= 30 k p (p - 2): a prime p saves
+    (D/2) phi(k)/(k p) steps and adds phi(k) (p - 2) chains, and the set-up
+    of a chain costs about as much as 15 steps.  The
+    Chebyshev recurrence y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1) gives
+    y_2, ..., y_k, and the same recurrence in t, from t_0 = 2 and t_1 = t,
+    gives t_k = 2 cos(k theta), each in k - 1 steps.  Then for each a in
+    [1, k] prime to k one chain visits r = a, a + k, a + 2k, ... < D/2 by
+    y_(r+k) = floor(t_k * y_r / 2^wp) - y_(r-k), one multiply a step, from
+    y_a and y_(a-k) = -y_(k-a), as sine is odd.  So y_r is sin(r theta)
+    scaled by 2^wp, and no r sharing a prime with k, where chi(r) = 0, is
+    stepped to: (D/2) phi(k)/k + k steps in all.  At k = 1 the one chain
+    is the stride-1 recurrence from y_0 and y_1.  Where chi(r) = +1,
     floor(2^(3 wp) / y_r^2), which is csc^2(r theta) scaled by 2^wp, goes
-    into an integer total ``plus``; chi(r) is read in step from the
-    product of D's prime-discriminant characters, so memory stays far
-    below D.  No division is made where chi(r) = -1: the residues prime to
-    D below D/2 have csc^2 sum exactly J_2(D)/6, with Jordan's totient
+    into an integer total ``plus``; chi(r) is read in step along each chain
+    from the product of D's prime-discriminant characters
+    (:func:`_chain_character`), so memory stays far below D.  No division
+    is made where chi(r) = -1: the residues prime to D below D/2 have
+    csc^2 sum exactly J_2(D)/6, with Jordan's totient
     J_2(D) = D^2 prod_(p | D) (1 - p^-2) (Moebius inversion over the
     divisors of D of sum_(r=1)^(N-1) csc^2(pi r / N) = (N^2 - 1)/3, halved
     by r <-> D - r), so the chi = -1 terms sum to J_2(D)/6 - plus and the
     sum is 2 plus - J_2(D)/6.  J_2's primes are the ones chi_D is built
-    from, found by one trial division.  The residues are summed in fixed
-    ascending order, so results are reproducible bit for bit.  In integer
-    units six times the sum is 12 plus - J_2(D) 2^wp; that times pi^4 /
-    (36 D^2), with pi scaled by 2^wp, is rounded once to ``bits``.
+    from, found by one trial division.  The terms are floored ints, so
+    their total does not depend on the order of the chains, and results
+    are reproducible bit for bit.  In integer units six times the sum is
+    12 plus - J_2(D) 2^wp; that times pi^4 / (36 D^2), with pi scaled by
+    2^wp, is rounded once to ``bits``.
 
-    Error bound, with eps = 2^-wp: t and y_1 are each within 1.01 eps, and
-    each step adds at most 2.01 eps (the error in t times |y_r| <= 1, and
-    eps for the floor).  An error made at step k reaches y_r multiplied by
-    U_(r-1-k)(cos theta), the Chebyshev polynomial of the second kind, and
-    |U_m| <= m + 1, so y_r is within 1.01 r eps + 1.005 r (r - 1) eps <=
-    1.51 r^2 eps of sin(r theta).  Since sin(r theta) >= 2r/D below D/2,
-    the csc^2 term at r is off by at most 0.38 D^3 eps / r, and the terms
-    of ``plus`` together by at most 0.38 D^3 eps (ln D + 0.31); the floors
-    add at most D eps / 2.  J_2(D)/6 is exact, so only ``plus`` carries
-    error, and the sum 2 plus - J_2(D)/6 carries twice it.  Scaled by
-    pi^4 / (6 D^2), with pi within eps, that is below
-    16 D (ln D + 0.31) eps, and as D < 2^b and
-    ln D + 0.31 < b < 2^b.bit_length(), below 2^-(bits + 4 + b).  As
-    zeta_F(2) > 1, the value rounded to ``bits`` is within one ulp of
+    Error bound, with eps = 2^-wp: t and y_1 are each within 1.01 eps.  A
+    step of the stride-1 recurrence adds at most 2.01 eps (the error in t
+    times |y_r| <= 1, and eps for the floor).  An error made at step i
+    reaches y_r multiplied by U_(r-1-i)(cos theta), the Chebyshev
+    polynomial of the second kind, and |U_m| <= m + 1, so y_r is within
+    1.01 r eps + 1.005 r (r - 1) eps <= 1.01 r^2 eps of sin(r theta); that
+    bounds y_0 .. y_k, and every y_r at k = 1.  The recurrence in t, whose
+    values are at most 2 in size, adds at most 3.02 eps a step, so t_k is
+    within 1.01 k eps + 1.51 k (k - 1) eps <= 1.51 k^2 eps of
+    2 cos(k theta).  Along a chain z_m = y_(a + m k), an error in z_0
+    reaches z_m multiplied by U_m(cos k theta), one in z_(-1) by U_(m-1),
+    and each step adds at most (1.51 k^2 + 1) eps, so z_m is within
+    1.01 ((m + 1) a^2 + m (k - a)^2) eps + (1.51 k^2 + 1) m (m + 1)/2 eps.
+    For m >= 1 and k >= 2, with s = m k, (m + 1) a^2 + m (k - a)^2 <=
+    a^2 + m k^2 = a^2 + s k, k <= s, k^2 m (m + 1) = s^2 + s k and
+    m (m + 1)/2 <= m^2 <= s^2/4, so that is at most
+    (1.01 a^2 + 2.77 s^2) eps <= 2.77 r^2 eps for r = a + s.  Since
+    sin(r theta) >= 2r/D below D/2, the csc^2 term at r is off by at most
+    0.693 D^3 eps / r, and the terms of ``plus`` together by at most
+    0.693 D^3 eps (ln D + 0.31); the floors add at most D eps / 2.
+    J_2(D)/6 is exact, so only ``plus`` carries error, and the sum
+    2 plus - J_2(D)/6 carries twice it.  Scaled by pi^4 / (6 D^2), with pi
+    within eps, that is below 23 D (ln D + 0.31) eps, as k >= 2 only for
+    D >= 8 (at k = 1 the 1.01 r^2 bound gives below 9 D (ln D + 0.31) eps).
+    As D < 2^b, 23 (ln D + 0.31) < 15.95 b + 7.2 < 16 (b + 1), and
+    b + 1 <= 2^b.bit_length(), so the error is below 2^-(bits + 4 + b).
+    As zeta_F(2) > 1, the value rounded to ``bits`` is within one ulp of
     zeta_F(2).
 
     An F that is not exactly a NumberField is a ValueError; then ``bits``
@@ -340,16 +415,32 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     wp = bits + 2 * b + b.bit_length() + 8
     odd_primes = _odd_prime_factors(D)
     jordan = D * D  # J_2(D) = D^2 * prod_(p | D) (1 - p^-2)
-    for p in odd_primes + ([2] if D % 2 == 0 else []):
+    k = 1  # D's smallest primes, 2 first, while their chains pay: see above
+    for p in odd_primes if D % 2 else [2, *odd_primes]:
         jordan = jordan // (p * p) * (p * p - 1)
+        if k * k * k * p * p * p <= D and 30 * k * p * (p - 2) <= D:
+            k *= p
     t, y = _two_cos_sin_pi_over(D, wp)
+    # y_0 .. y_k and t_k = 2 cos(k theta) by the stride-1 recurrence, t_k from 2 and t
+    ys = [0, y]
+    tk, previous = t, 2 << wp
+    for _ in range(k - 1):
+        ys.append(((t * ys[-1]) >> wp) - ys[-2])
+        tk, previous = ((t * tk) >> wp) - previous, tk
+    periods = _periods(D, odd_primes)
     one = 1 << (3 * wp)
-    previous = 0
+    half = (D - 1) // 2
     plus = 0
-    for c in itertools.islice(_character(D, odd_primes), 1, (D + 1) // 2):
-        if c > 0:
-            plus += one // (y * y)
-        previous, y = y, ((t * y) >> wp) - previous
+    for a in range(1, k + 1):
+        if math.gcd(a, k) != 1:
+            continue
+        # the chain r = a, a + k, ... <= half, from y_a and y_(a-k) = -y_(k-a)
+        sign, chars = _chain_character(periods, a, k)
+        previous, y = -ys[k - a], ys[a]
+        for c in itertools.islice(chars, len(range(a, half + 1, k))):
+            if c == sign:
+                plus += one // (y * y)
+            previous, y = y, ((tk * y) >> wp) - previous
     # the chi = -1 terms are J_2(D)/6 - plus, so 6 * the sum is 12 plus - J_2(D)
     total6 = 12 * plus - (jordan << wp)
     return _rounded(total6 * libmp.pi_fixed(wp) ** 4, 36 * D * D << 5 * wp, bits)

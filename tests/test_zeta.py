@@ -446,9 +446,10 @@ class TestZetaTwoNumeric:
 
     @pytest.mark.parametrize("bits", [70, 128, 192])
     def test_kernel_matches_sine_route(self, bits):
-        # D = 2993 is the largest fundamental discriminant <= 3000; 40028 = 4 * 10007
+        # D = 2993 is the largest fundamental discriminant <= 3000; 40028 = 4 * 10007;
+        # D = 105, 3405 and 4620 run chains of stride 3, 15 and 6
         fields = real_quadratic_fields_with_disc_up_to(500)
-        fields += [parse_field("Q(sqrt 2993)"), parse_field("Q(sqrt 10007)")]
+        fields += [parse_field(f"Q(sqrt {d})") for d in (2993, 10007, 3405, 1155)]
         for F in fields:
             value = zeta_F_2_numeric(F, bits)
             reference = sine_route_zeta_F_2(F.discriminant, bits)
@@ -463,8 +464,9 @@ class TestZetaTwoNumeric:
         # reference has 64 more bits than the result, so it adds at most
         # 2^-(bits + 60).  The recurrence's error grows like D^3 log D, so the
         # largest D tested carry the most weight.
+        # D = 105 (in D <= 500), 3405 and 4620 carry the chain starts' and t_k's error
         fields = real_quadratic_fields_with_disc_up_to(500)
-        fields += [parse_field("Q(sqrt 2993)"), parse_field("Q(sqrt 10007)")]  # D = 2993, 40028
+        fields += [parse_field(f"Q(sqrt {d})") for d in (2993, 10007, 3405, 1155)]  # D = 2993, 40028, 3405, 4620
         for F in fields:
             D = F.discriminant
             exact = fraction(sine_route_zeta_F_2(D, bits + 64))
@@ -638,6 +640,19 @@ class TestQuadraticCharacter:
         assert total == 0  # chi_D is even and sums to 0 over a period, so over half of one
         assert peak < 2**20, peak
 
+    @pytest.mark.parametrize(
+        "D",
+        [1, 9, True, 0, 3, -4, -3, 2, 4, 16, 20, 5.0, Fraction(5), "5", None, 4 * MAX_RADICAND, 4 * MAX_RADICAND + 5],
+    )
+    def test_a_D_outside_its_contract(self, D):
+        message = rf"^D must be a fundamental discriminant in \(1, 4000000\], got {re.escape(repr(D))}$"
+        with pytest.raises(ValueError, match=message):
+            quadratic_character(D)
+
+    def test_a_D_of_more_than_4300_digits(self):
+        with pytest.raises(ValueError, match=r"got <int of 16610 bits>$"):
+            quadratic_character(10**5000)
+
     def test_numeric_route_computes_no_kronecker_symbol(self, monkeypatch):
         def refused(D, m):
             raise AssertionError("a zeta route called kronecker_symbol")
@@ -716,6 +731,104 @@ class TestCosecantSquaredIdentity:
             total = ctx.fsum(1 / ctx.sin(angle * r) ** 2 for r in range(1, (D + 1) // 2) if math.gcd(r, D) == 1)
             expected = Fraction(brute_force_jordan_totient(D), 6)
             assert abs(fraction(total) - expected) <= expected / 2**150, D
+
+
+def chain_stride(D):
+    """The kernel's stride k: D's smallest primes p, ascending, each taken
+    while (k p)^3 <= D and D >= 30 k p (p - 2)."""
+    k = 1
+    for p in range(2, D):
+        if (k * p) ** 3 > D or 30 * k * p * (p - 2) > D:
+            break
+        if D % p == 0 and all(p % q for q in range(2, p)):
+            k *= p
+    return k
+
+
+def stride_one_kernel(F, bits):
+    """zeta_F_2_numeric as one stride-1 Chebyshev recurrence over every
+    r < D/2, the kernel before its chains: the same guard bits, cos/sin(pi/D)
+    and final rounding, with chi_D from kronecker_table and J_2(D) by its
+    divisor sum."""
+    D = F.discriminant
+    b = D.bit_length()
+    wp = bits + 2 * b + b.bit_length() + 8
+    chi = kronecker_table(D)
+    t, y = zeta._two_cos_sin_pi_over(D, wp)
+    one = 1 << (3 * wp)
+    previous = plus = 0
+    for r in range(1, (D + 1) // 2):
+        if chi[r] > 0:
+            plus += one // (y * y)
+        previous, y = y, ((t * y) >> wp) - previous
+    total6 = 12 * plus - (brute_force_jordan_totient(D) << wp)
+    return zeta._rounded(total6 * libmp.pi_fixed(wp) ** 4, 36 * D * D << 5 * wp, bits)
+
+
+class TestChainKernel:
+    """The kernel steps one chain of stride k per reduced residue mod k, so
+    it never reaches an r that shares a prime with k."""
+
+    @pytest.mark.parametrize("bits", [70, 128, 192])
+    def test_bit_identical_to_the_stride_one_loop(self, bits):
+        # every D <= 500, with k = 1, 2, 3, 5 and 6, and D = 3405, 4620 and 120120, with k = 15, 6 and 30
+        fields = real_quadratic_fields_with_disc_up_to(500)
+        fields += [parse_field(f"Q(sqrt {d})") for d in (3405, 1155, 30030)]
+        assert {chain_stride(F.discriminant) for F in fields} == {1, 2, 3, 5, 6, 15, 30}
+        for F in fields:
+            assert zeta_F_2_numeric(F, bits) == stride_one_kernel(F, bits), (F, bits)
+
+    @pytest.mark.parametrize(
+        "d, k, reads",
+        # D = 2042040 = 8 * 3 * 5 * 7 * 11 * 13 * 17, where one chain of
+        # stride 1 would read 1,021,019; D = 2993 = 41 * 73 has 41^3 > D,
+        # and D = 57 = 3 * 19 is below 30 * 3 * (3 - 2)
+        [
+            (5, 1, 2),
+            (3, 2, 3),
+            (105, 3, 35),
+            (57, 1, 28),
+            (2993, 1, 1496),
+            (3405, 15, 908),
+            (1155, 6, 770),
+            (510510, 30, 272272),
+            (999995, 10, 799996),
+        ],
+    )
+    def test_reads_one_character_value_per_residue_prime_to_k(self, d, k, reads, monkeypatch):
+        D = NumberField(d).discriminant
+        assert chain_stride(D) == k
+        assert reads == sum(1 for r in range(1, (D - 1) // 2 + 1) if math.gcd(r, k) == 1)
+        starts = []
+        count = 0
+        chain_character = zeta._chain_character
+
+        def counted(periods, a, k):
+            def each():
+                nonlocal count
+                for c in chars:
+                    count += 1
+                    yield c
+
+            starts.append((a, k))
+            sign, chars = chain_character(periods, a, k)
+            return sign, each()
+
+        monkeypatch.setattr(zeta, "_chain_character", counted)
+        zeta_F_2_numeric(NumberField(d), 64)
+        assert starts == [(a, k) for a in range(1, k + 1) if math.gcd(a, k) == 1]
+        assert count == reads
+
+    @pytest.mark.parametrize("D", [5, 12, 105, 3405, 4620, 120120])
+    def test_each_chain_reads_chi_D_along_it(self, D):
+        chi = kronecker_table(D)
+        odd_primes = numberfield._odd_prime_factors(D)
+        periods = zeta._periods(D, odd_primes)
+        k = chain_stride(D)
+        for a in range(1, k + 1):
+            if math.gcd(a, k) == 1:
+                sign, chars = zeta._chain_character(periods, a, k)
+                assert [sign * c for c in itertools.islice(chars, 3 * D // k)] == [chi[r % D] for r in range(a, a + 3 * D, k)], (D, a)
 
 
 def power_route_rational_side(F, bits):
