@@ -39,11 +39,14 @@ from .errors import (
 #: Largest accepted radicand d of Q(sqrt d).  Above it the one trial
 #: division of d, O(sqrt d), that the squarefree test and chi_D share, and
 #: the numeric zeta layer stop being desk scale: the numeric zeta_F(2)
-#: oracle takes one fixed-point multiply per residue below D/2 and one
-#: division per residue where chi_D = +1, O(D), while the exact Siegel sum
-#: is a sieve, about sqrt(D) * log log D (about 1.5 ms at the cap).  At the
-#: cap (D up to 4 * 10^6) ``zeta --field`` takes about 0.8 s on a shared
-#: 2-CPU Xeon (Python 3.11.7), nearly all of it in the numeric oracle.
+#: oracle takes (D/2) phi(k)/k + k fixed-point multiplies, for k a product
+#: of D's smallest primes, and one division where chi_D = +1, O(D), and
+#: reads chi_D from a table of D/2 bytes, while the exact Siegel sum is a
+#: sieve, about sqrt(D) * log log D (about 1.5 ms at the cap).  At the cap
+#: (D up to 4 * 10^6) ``zeta --field`` takes about 0.43 s at d = 999995
+#: (k = 10, 800,006 steps) and 0.55 s at the prime d = 999983 (k = 2,
+#: 999,985 steps), nearly all of it in the numeric oracle, and peaks at
+#: 28-29 MB RSS (median of eight runs each, shared 2-CPU Xeon, Python 3.11.7).
 MAX_RADICAND = 10**6
 
 #: Largest accepted rational prime below a finite place, under the bound

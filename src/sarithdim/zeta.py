@@ -18,11 +18,12 @@ elementary cosecant sum good to any working precision,
     L(2, chi_D) = (pi^2 / D^2) * sum_{1 <= r < D/2} chi_D(r) * csc^2(pi r / D),
 
 which is the residue-class regrouping of the L-series folded in half by the
-trigamma reflection formula (DLMF 5.15.6).  It reads chi_D as a lazy
-product of the characters of the prime discriminants dividing D, each a
-short period: a Legendre symbol mod an odd prime q, or chi_-4, chi_8 or
-chi_-8.  So neither zeta route computes a Kronecker symbol: the exact sieve
-reads residuosity off its own table of square roots mod p.  The sum runs
+trigamma reflection formula (DLMF 5.15.6).  It reads chi_D from one
+table of its values below D/2, a byte a residue, summed from the
+characters of the prime discriminants dividing D, each a short period: a
+Legendre symbol mod an odd prime q, or chi_-4, chi_8 or chi_-8.  So
+neither zeta route computes a Kronecker symbol: the exact sieve reads
+residuosity off its own table of square roots mod p.  The sum runs
 as a fixed-point integer kernel with 2b + b.bit_length() + 8 guard bits
 for b = D.bit_length(): sin(pi r / D) is stepped by the three-term
 Chebyshev recurrence, one multiply in Python ints a step, in chains of
@@ -49,11 +50,8 @@ integer pairs.
 """
 
 import functools
-import itertools
 import math
-import operator
 from array import array
-from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Real
@@ -62,7 +60,7 @@ from typing import NamedTuple
 from mpmath import libmp
 
 from .errors import OutOfRange, ToleranceTooTight
-from .numberfield import MAX_RADICAND, NumberField, _odd_prime_factors, _repr, check_field
+from .numberfield import NumberField, _odd_prime_factors, _repr, check_field
 
 #: Field discriminants whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
 #: for the value of one field many times; a bounded memo keeps long runs over
@@ -70,25 +68,22 @@ from .numberfield import MAX_RADICAND, NumberField, _odd_prime_factors, _repr, c
 ZETA_MEMO_SIZE = 256
 
 #: Largest accepted working precision of zeta_F_2_numeric and of the
-#: functional-equation check: at Q(sqrt 997) the check takes 0.03 s at 4,096
-#: bits, but at the radicand cap, Q(sqrt 999995), 4.3 s at 1,024 bits and
-#: 46 s at 4,096, nearly all in zeta_F_2_numeric (one run each, shared 2-CPU
-#: Xeon, Python 3.11.7).  Nothing bounds that time yet; the work budget
-#: planned in ROADMAP.md item 2 will.
+#: functional-equation check: at Q(sqrt 997) the check takes 0.04 s at 4,096
+#: bits, but at the radicand cap, Q(sqrt 999995), 3.5 s at 1,024 bits and
+#: 38 s at 4,096, nearly all in zeta_F_2_numeric's (D/2) phi(k)/k + k =
+#: 800,006 steps (k = 10), and peaks at 26 MB RSS, 2 MB of it the table of
+#: chi_D (one run each, shared 2-CPU Xeon, Python 3.11.7).  Nothing bounds
+#: that time yet; the work budget planned in ROADMAP.md item 2 will.
 MAX_PRECISION_BITS = 4096
 
-#: chi_-4, chi_8 and chi_-8 over one period, from r = 0: the characters of
-#: the 2-part of a fundamental discriminant.
-_TWO_PART_PERIOD = {-4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1), -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+#: chi_-4, chi_8 and chi_-8 over one period, from r = 0, the characters of
+#: the 2-part of a fundamental discriminant, in the byte codes of
+#: :func:`_character_table`: 0 at +1, 1 at -1, 16 at 0.
+_TWO_PART_CODES = {-4: bytes([16, 0, 16, 1]), 8: bytes([16, 0, 16, 1, 16, 1, 16, 0]), -8: bytes([16, 0, 16, 0, 16, 1, 16, 1])}
 
-#: Residues a character period is repeated to before it is read in a loop:
-#: each pass through a period costs one switch of iterators, so a period of 3
-#: read as it is would cost one per three values.
-_PERIOD_BLOCK = 4096
-
-
-#: The lazy product of two streams of character values.
-_multiply = functools.partial(map, operator.mul)
+#: chi_D at each byte s of a sum of codes: 0 from s = 16 up, else (-1)^s, -1
+#: as the byte 255.
+_CHARACTER_OF_SUM = bytes(0 if s >= 16 else 255 if s & 1 else 1 for s in range(256))
 
 
 class SpecialValue(NamedTuple):
@@ -171,83 +166,38 @@ def _zeta_minus1(D: int) -> SpecialValue:
     return SpecialValue(Fraction(2 * sum(terms) - (0 if odd else terms[0]), 60))
 
 
-def quadratic_character(D: int) -> Iterator[int]:
-    """chi_D(r) for r = 0, 1, 2, ...: the quadratic character attached to
-    the fundamental discriminant D, as an endless iterator.
+def _character_table(D: int, odd_primes: list[int], n: int) -> array:
+    """chi_D(r) for 0 <= r < n, one signed byte a residue, for the
+    fundamental discriminant D whose odd primes, from the one trial
+    division that numberfield's squarefree test runs too, are
+    ``odd_primes``.
 
-    D must be an int fundamental discriminant with 1 < D <= 4 MAX_RADICAND,
-    else ValueError.  A fundamental D is a product of prime discriminants:
-    q* = +-q = 1 (mod 4) for each odd prime q dividing D, from the one trial
-    division that numberfield's squarefree test runs too, times a 2-part 1,
-    -4, 8 or -8; D is refused when an odd prime divides it twice or what is
-    left is no such 2-part.  So chi_D(r) is the product of the Legendre
-    symbols (r/q), a period of q read off the squares x^2 mod q, and, unless
-    the 2-part is 1, of chi_-4, chi_8 or chi_-8, the periods of 4 or 8 in
-    _TWO_PART_PERIOD.  The values are read as the numeric kernel reads
-    them, by :func:`_chain_character`, here along the one chain of stride 1
-    from r = 0, so memory is about the sum of the q, not D.
+    chi_D is the product of the characters of D's prime discriminants:
+    q* = +-q = 1 (mod 4) for each odd q, a Legendre symbol (r/q) read off
+    the squares x^2 mod q, and, unless the 2-part D / prod q* is 1, chi_-4,
+    chi_8 or chi_-8.  Each is written over one period as byte codes, 0 at
+    +1, 1 at -1 and 16 at 0, repeated to n bytes and read as one
+    little-endian int, and the ints are added: a byte of the sum is 16
+    times the factors at 0 plus the factors at -1.  No byte carries while
+    16 times the number of factors is below 256; a D <= 4 MAX_RADICAND has
+    at most 7, as a 2-part is at least 4 in size and
+    4 * 3 * 5 * 7 * 11 * 13 * 17 * 19 > 4 * 10^6.  One
+    bytes.translate maps each sum to chi_D: 0 from 16 up, else -1 at an
+    odd count of -1s and +1 at an even one.
     """
-    odd_primes = _odd_prime_factors(D) if type(D) is int and 1 < D <= 4 * MAX_RADICAND else None
-    periods = None if odd_primes is None else _periods(D, odd_primes)
-    if periods is None:
-        raise ValueError(f"D must be a fundamental discriminant in (1, {4 * MAX_RADICAND}], got {_repr(D)}")
-    return _chain_character(periods, 0, 1)[1]
-
-
-def _periods(D: int, odd_primes: list[int]) -> list[tuple[int, array]] | None:
-    """The prime-discriminant characters whose product is chi_D, given the
-    odd primes dividing D, as (L, block) pairs: the period L and the values
-    from r = 0, one byte a residue, over one period repeated to at least
-    _PERIOD_BLOCK residues; the 2-part's character comes last, and none at
-    a 2-part 1.  None when the 2-part D / prod q* is not 1 or one of
-    _TWO_PART_PERIOD, so that D is not fundamental."""
     periods = []
     two = D
     for q in odd_primes:
-        period = array("b", [-1]) * q
-        period[0] = 0
+        period = bytearray([1]) * q
+        period[0] = 16
         for x in range(1, (q + 1) // 2):
-            period[x * x % q] = 1
-        period *= -(-_PERIOD_BLOCK // q)  # in place: a block of q >= _PERIOD_BLOCK is not copied
-        periods.append((q, period))
+            period[x * x % q] = 0
+        periods.append(period)
         two //= q if q % 4 == 1 else -q
     if two != 1:
-        if two not in _TWO_PART_PERIOD:
-            return None
-        period = _TWO_PART_PERIOD[two]
-        periods.append((len(period), array("b", period) * (_PERIOD_BLOCK // len(period))))
-    return periods
-
-
-def _chain_character(periods: list[tuple[int, array]], a: int, k: int) -> tuple[int, Iterator[int]]:
-    """chi_D(a + j k) for j = 0, 1, 2, ..., read from ``periods`` (see
-    :func:`_periods`), as a sign s = +-1 and an endless iterator whose
-    values times s are those of chi_D, for k >= 1 and a >= 0 prime to k.
-
-    Each factor chi of period L is read in one of three ways.  If L divides
-    k, chi is the constant chi(a) along the chain, and goes into s.  If L is
-    prime to k, chi(a + j k) = chi(k) chi(a k^-1 + j) (mod L), as chi is
-    completely multiplicative, so chi(k) goes into s and the block is read
-    as it is from a k^-1 mod L on, through a memoryview, with no copy.  Else
-    (the 2-part of an even D, with k even) the L / gcd(L, k) values at a,
-    a + k, a + 2k, ... are sliced from the block and cycled.  The factors
-    left are multiplied lazily.
-    """
-    sign = 1
-    chars = []
-    for L, block in periods:
-        g = math.gcd(L, k)
-        if g == L:
-            sign *= block[a % L]
-            continue
-        if g == 1:
-            sign *= block[k % L]
-            head = memoryview(block)[a * pow(k, -1, L) % L :]
-            chars.append(itertools.chain(head, itertools.chain.from_iterable(itertools.repeat(block))))
-        else:
-            s = a % L  # the block holds s + k L / g residues, as k^3 <= D keeps k < 159
-            chars.append(itertools.cycle(block[s : s + k * (L // g) : k]))
-    return sign, functools.reduce(_multiply, chars)
+        periods.append(_TWO_PART_CODES[two])
+    total = sum(int.from_bytes((period * (n // len(period) + 1))[:n], "little") for period in periods)
+    return array("b", total.to_bytes(n, "little").translate(_CHARACTER_OF_SUM))
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -344,8 +294,8 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     as integers scaled by 2^wp (:func:`_two_cos_sin_pi_over`), and y_0 = 0.
     The stride k is the product of D's smallest primes p, 2 first, each
     taken while (k p)^3 <= D and D >= 30 k p (p - 2): a prime p saves
-    (D/2) phi(k)/(k p) steps and adds phi(k) (p - 2) chains, and the set-up
-    of a chain costs about as much as 15 steps.  The
+    (D/2) phi(k)/(k p) steps and adds phi(k) (p - 2) chains, and the rule
+    charges each chain 15 steps, several times what its set-up costs.  The
     Chebyshev recurrence y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1) gives
     y_2, ..., y_k, and the same recurrence in t, from t_0 = 2 and t_1 = t,
     gives t_k = 2 cos(k theta), each in k - 1 steps.  Then for each a in
@@ -356,9 +306,9 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     stepped to: (D/2) phi(k)/k + k steps in all.  At k = 1 the one chain
     is the stride-1 recurrence from y_0 and y_1.  Where chi(r) = +1,
     floor(2^(3 wp) / y_r^2), which is csc^2(r theta) scaled by 2^wp, goes
-    into an integer total ``plus``; chi(r) is read in step along each chain
-    from the product of D's prime-discriminant characters
-    (:func:`_chain_character`), so memory stays far below D.  No division
+    into an integer total ``plus``; chi(r) is read along each chain as the
+    slice chi[a::k] of one table of chi_D below D/2
+    (:func:`_character_table`), D/2 bytes.  No division
     is made where chi(r) = -1: the residues prime to D below D/2 have
     csc^2 sum exactly J_2(D)/6, with Jordan's totient
     J_2(D) = D^2 prod_(p | D) (1 - p^-2) (Moebius inversion over the
@@ -427,18 +377,17 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     for _ in range(k - 1):
         ys.append(((t * ys[-1]) >> wp) - ys[-2])
         tk, previous = ((t * tk) >> wp) - previous, tk
-    periods = _periods(D, odd_primes)
-    one = 1 << (3 * wp)
     half = (D - 1) // 2
+    chi = _character_table(D, odd_primes, half + 1)
+    one = 1 << (3 * wp)
     plus = 0
     for a in range(1, k + 1):
         if math.gcd(a, k) != 1:
             continue
         # the chain r = a, a + k, ... <= half, from y_a and y_(a-k) = -y_(k-a)
-        sign, chars = _chain_character(periods, a, k)
         previous, y = -ys[k - a], ys[a]
-        for c in itertools.islice(chars, len(range(a, half + 1, k))):
-            if c == sign:
+        for c in chi[a::k]:
+            if c == 1:
                 plus += one // (y * y)
             previous, y = y, ((tk * y) >> wp) - previous
     # the chi = -1 terms are J_2(D)/6 - plus, so 6 * the sum is 12 plus - J_2(D)

@@ -1,11 +1,11 @@
 import ast
 import functools
-import itertools
 import math
 import random
 import re
 import signal
 import tracemalloc
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +23,6 @@ from sarithdim.zeta import (
     SpecialValue,
     functional_equation_check,
     primes_up_to,
-    quadratic_character,
     zeta_F_2_numeric,
     zeta_F_minus1,
 )
@@ -67,6 +66,11 @@ def kronecker_table(D):
                 at_prime[p] = 1 if pow(D, (p - 1) // 2, p) == 1 else -1
         chi[a] = at_prime[p] * chi[a // p]
     return chi
+
+
+def character_table(D, n):
+    """The kernel's table of chi_D(r) for 0 <= r < n, from D's odd primes."""
+    return list(zeta._character_table(D, numberfield._odd_prime_factors(D), n))
 
 
 def bernoulli_route_zeta_minus1(D):
@@ -583,13 +587,12 @@ class TestEulerProduct:
 
     def test_character_table_periodic_values(self):
         # half a period, 0 <= r <= D/2
-        assert list(itertools.islice(quadratic_character(5), 3)) == [0, 1, -1]
+        assert character_table(5, 3) == [0, 1, -1]
 
     def test_character_table_is_the_kronecker_symbol(self):
         for F in real_quadratic_fields_with_disc_up_to(3000):
             D = F.discriminant
-            half = list(itertools.islice(quadratic_character(D), D // 2 + 1))
-            assert half == [kronecker_symbol(D, r) for r in range(D // 2 + 1)], D
+            assert character_table(D, D // 2 + 1) == [kronecker_symbol(D, r) for r in range(D // 2 + 1)], D
 
 
 class TestQuadraticCharacter:
@@ -603,8 +606,8 @@ class TestQuadraticCharacter:
         ],
     )
     def test_each_two_part(self, D, period):
-        # three periods, so the values wrap round the period and every block
-        assert list(itertools.islice(quadratic_character(D), 3 * D)) == 3 * period
+        # three periods, so every factor's codes are repeated past their period
+        assert character_table(D, 3 * D) == 3 * period
         assert period == [kronecker_symbol(D, r) for r in range(D)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -620,38 +623,37 @@ class TestQuadraticCharacter:
                 if is_squarefree(d):
                     break
             D = NumberField(d).discriminant
-        chi = quadratic_character(D)
-        taken = 0
-        for r in sorted(rng.sample(range(2 * D), 2000)):
-            assert next(itertools.islice(chi, r - taken, None)) == kronecker_symbol(D, r), (D, r)
-            taken = r + 1
+        chi = zeta._character_table(D, numberfield._odd_prime_factors(D), 2 * D)
+        for r in rng.sample(range(2 * D), 2000):
+            assert chi[r] == kronecker_symbol(D, r), (D, r)
 
-    def test_half_a_period_at_the_cap_in_under_a_megabyte(self):
-        # D = 3999980 = 4 * 5 * 199999: the periods take about 200 KB, where a
-        # list of D/2 values would take 16 MB
+    def test_half_a_period_at_the_cap_in_under_five_bytes_a_residue(self):
+        # D = 3999980 = 4 * 5 * 199999: the table holds one byte a residue,
+        # and building it holds the code sums as ints of as many bytes
         D = NumberField(999995).discriminant
         assert D == 3999980
+        n = (D - 1) // 2 + 1
         tracemalloc.start()
         try:
-            total = sum(itertools.islice(quadratic_character(D), 1, (D + 1) // 2))
+            chi = zeta._character_table(D, numberfield._odd_prime_factors(D), n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert total == 0  # chi_D is even and sums to 0 over a period, so over half of one
-        assert peak < 2**20, peak
+        assert len(chi) == n
+        assert sum(chi) == 0  # chi_D is even and sums to 0 over a period, so over half of one
+        assert peak < 5 * n, peak
 
-    @pytest.mark.parametrize(
-        "D",
-        [1, 9, True, 0, 3, -4, -3, 2, 4, 16, 20, 5.0, Fraction(5), "5", None, 4 * MAX_RADICAND, 4 * MAX_RADICAND + 5],
-    )
-    def test_a_D_outside_its_contract(self, D):
-        message = rf"^D must be a fundamental discriminant in \(1, 4000000\], got {re.escape(repr(D))}$"
-        with pytest.raises(ValueError, match=message):
-            quadratic_character(D)
-
-    def test_a_D_of_more_than_4300_digits(self):
-        with pytest.raises(ValueError, match=r"got <int of 16610 bits>$"):
-            quadratic_character(10**5000)
+    def test_no_byte_of_a_code_sum_carries(self):
+        # a byte sums 16 per factor at 0 and 1 per factor at -1, so it holds
+        # while 16 times the most prime-discriminant factors of a
+        # D <= 4 MAX_RADICAND is below 256; those are the odd primes q, of size
+        # q, and a 2-part of size at least 4, so the most is the longest run
+        # of 4, 3, 5, 7, 11, ... whose product is at most 4 MAX_RADICAND
+        sizes = [4, *primes_up_to(200)[1:]]
+        most = max(f for f in range(len(sizes) + 1) if math.prod(sizes[:f]) <= 4 * MAX_RADICAND)
+        assert most < len(sizes)
+        assert most >= 7  # D = 2042040 = 8 * 3 * 5 * 7 * 11 * 13 * 17
+        assert 16 * most < 256, most
 
     def test_numeric_route_computes_no_kronecker_symbol(self, monkeypatch):
         def refused(D, m):
@@ -674,10 +676,11 @@ class TestQuadraticCharacter:
             return odd_prime_factors(n)
 
         monkeypatch.setattr(zeta, "_odd_prime_factors", counted)
+        # the table takes D's odd primes from its caller's trial division and runs none itself
         for D in (5, 8, 12, 2042040, 3999980):
-            calls.clear()
-            next(quadratic_character(D))
-            assert calls == [D]
+            odd_primes = odd_prime_factors(D)
+            assert list(zeta._character_table(D, odd_primes, 30)) == [kronecker_symbol(D, r) for r in range(30)], D
+            assert calls == []
 
     def test_one_trial_division_per_numeric_call(self, monkeypatch):
         # the kernel takes chi_D's prime discriminants and J_2(D)'s primes from one list
@@ -765,6 +768,20 @@ def stride_one_kernel(F, bits):
     return zeta._rounded(total6 * libmp.pi_fixed(wp) ** 4, 36 * D * D << 5 * wp, bits)
 
 
+class SliceLog(array):
+    """A character table that logs each slice read from it, with its length."""
+
+    def __new__(cls, table):
+        self = super().__new__(cls, "b", table)
+        self.reads = []
+        return self
+
+    def __getitem__(self, index):
+        values = super().__getitem__(index)
+        self.reads.append((index, len(values)))
+        return values
+
+
 class TestChainKernel:
     """The kernel steps one chain of stride k per reduced residue mod k, so
     it never reaches an r that shares a prime with k."""
@@ -799,36 +816,31 @@ class TestChainKernel:
         D = NumberField(d).discriminant
         assert chain_stride(D) == k
         assert reads == sum(1 for r in range(1, (D - 1) // 2 + 1) if math.gcd(r, k) == 1)
-        starts = []
-        count = 0
-        chain_character = zeta._chain_character
+        tables = []
+        character_table = zeta._character_table
 
-        def counted(periods, a, k):
-            def each():
-                nonlocal count
-                for c in chars:
-                    count += 1
-                    yield c
+        def logged(D, odd_primes, n):
+            tables.append(SliceLog(character_table(D, odd_primes, n)))
+            return tables[-1]
 
-            starts.append((a, k))
-            sign, chars = chain_character(periods, a, k)
-            return sign, each()
-
-        monkeypatch.setattr(zeta, "_chain_character", counted)
+        monkeypatch.setattr(zeta, "_character_table", logged)
         zeta_F_2_numeric(NumberField(d), 64)
-        assert starts == [(a, k) for a in range(1, k + 1) if math.gcd(a, k) == 1]
-        assert count == reads
+        [table] = tables
+        assert len(table) == (D - 1) // 2 + 1
+        assert [index for index, _ in table.reads] == [slice(a, None, k) for a in range(1, k + 1) if math.gcd(a, k) == 1]
+        assert sum(count for _, count in table.reads) == reads
 
     @pytest.mark.parametrize("D", [5, 12, 105, 3405, 4620, 120120])
     def test_each_chain_reads_chi_D_along_it(self, D):
         chi = kronecker_table(D)
-        odd_primes = numberfield._odd_prime_factors(D)
-        periods = zeta._periods(D, odd_primes)
+        half = (D - 1) // 2
+        table = zeta._character_table(D, numberfield._odd_prime_factors(D), half + 1)
         k = chain_stride(D)
-        for a in range(1, k + 1):
-            if math.gcd(a, k) == 1:
-                sign, chars = zeta._chain_character(periods, a, k)
-                assert [sign * c for c in itertools.islice(chars, 3 * D // k)] == [chi[r % D] for r in range(a, a + 3 * D, k)], (D, a)
+        chains = [a for a in range(1, k + 1) if math.gcd(a, k) == 1]
+        for a in chains:
+            assert list(table[a::k]) == [chi[r] for r in range(a, half + 1, k)], (D, a)
+        # the chains cover each r <= D/2 prime to k once
+        assert sum(len(table[a::k]) for a in chains) == sum(1 for r in range(1, half + 1) if math.gcd(r, k) == 1)
 
 
 def power_route_rational_side(F, bits):
