@@ -27,10 +27,9 @@ residuosity off its own table of square roots mod p.  The sum runs
 as a fixed-point integer kernel with 2b + b.bit_length() + 8 guard bits
 for b = D.bit_length(): sin(pi r / D) is stepped by the three-term
 Chebyshev recurrence, one multiply in Python ints a step, in chains of
-stride k, where k is a product of D's smallest primes, at most D^(1/3),
-taken while they save more steps than their chains cost.  Only
-the r prime to k are stepped to, one chain per reduced residue mod k, so
-the kernel takes about (D/2) phi(k)/k + k steps.  It divides only at the
+stride k, where k is a product of D's smallest primes, at most D^(1/3).
+Only the r prime to k are stepped to, one chain per reduced residue mod
+k, so the kernel takes about (D/2) phi(k)/k + k steps.  It divides only at the
 residues where chi_D = +1: the csc^2 terms at all residues prime to D
 below D/2 sum to exactly J_2(D)/6, where J_2(D) = D^2 prod_(p | D)
 (1 - p^-2) is Jordan's totient, by Moebius inversion of
@@ -68,9 +67,9 @@ from .numberfield import NumberField, _odd_prime_factors, _repr, check_field
 ZETA_MEMO_SIZE = 256
 
 #: Largest accepted working precision of zeta_F_2_numeric and of the
-#: functional-equation check: at Q(sqrt 997) the check takes 0.04 s at 4,096
-#: bits, but at the radicand cap, Q(sqrt 999995), 3.5 s at 1,024 bits and
-#: 38 s at 4,096, nearly all in zeta_F_2_numeric's (D/2) phi(k)/k + k =
+#: functional-equation check: at Q(sqrt 997) the check takes 0.03 s at 4,096
+#: bits, but at the radicand cap, Q(sqrt 999995), 4.5 s at 1,024 bits and
+#: 43 s at 4,096, nearly all in zeta_F_2_numeric's (D/2) phi(k)/k + k =
 #: 800,006 steps (k = 10), and peaks at 26 MB RSS, 2 MB of it the table of
 #: chi_D (one run each, shared 2-CPU Xeon, Python 3.11.7).  Nothing bounds
 #: that time yet; the work budget planned in ROADMAP.md item 2 will.
@@ -293,10 +292,8 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     theta = pi/D, t = 2 cos(theta) and y_1 = sin(theta) are computed once,
     as integers scaled by 2^wp (:func:`_two_cos_sin_pi_over`), and y_0 = 0.
     The stride k is the product of D's smallest primes p, 2 first, each
-    taken while (k p)^3 <= D and D >= 30 k p (p - 2): a prime p saves
-    (D/2) phi(k)/(k p) steps and adds phi(k) (p - 2) chains, and the rule
-    charges each chain 15 steps, several times what its set-up costs.  The
-    Chebyshev recurrence y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1) gives
+    taken while (k p)^3 <= D.  The Chebyshev recurrence
+    y_(r+1) = floor(t * y_r / 2^wp) - y_(r-1) gives
     y_2, ..., y_k, and the same recurrence in t, from t_0 = 2 and t_1 = t,
     gives t_k = 2 cos(k theta), each in k - 1 steps.  Then for each a in
     [1, k] prime to k one chain visits r = a, a + k, a + 2k, ... < D/2 by
@@ -365,10 +362,10 @@ def zeta_F_2_numeric(F: NumberField, bits: int) -> Fraction:
     wp = bits + 2 * b + b.bit_length() + 8
     odd_primes = _odd_prime_factors(D)
     jordan = D * D  # J_2(D) = D^2 * prod_(p | D) (1 - p^-2)
-    k = 1  # D's smallest primes, 2 first, while their chains pay: see above
+    k = 1  # D's smallest primes, 2 first, while (k p)^3 <= D
     for p in odd_primes if D % 2 else [2, *odd_primes]:
         jordan = jordan // (p * p) * (p * p - 1)
-        if k * k * k * p * p * p <= D and 30 * k * p * (p - 2) <= D:
+        if k * k * k * p * p * p <= D:
             k *= p
     t, y = _two_cos_sin_pi_over(D, wp)
     # y_0 .. y_k and t_k = 2 cos(k theta) by the stride-1 recurrence, t_k from 2 and t

@@ -451,9 +451,10 @@ class TestZetaTwoNumeric:
     @pytest.mark.parametrize("bits", [70, 128, 192])
     def test_kernel_matches_sine_route(self, bits):
         # D = 2993 is the largest fundamental discriminant <= 3000; 40028 = 4 * 10007;
-        # D = 105, 3405 and 4620 run chains of stride 3, 15 and 6
+        # D = 105, 3405 and 4620 run chains of stride 3, 15 and 6, and
+        # D = 749, 1837 and 2353 of stride 7, 11 and 13
         fields = real_quadratic_fields_with_disc_up_to(500)
-        fields += [parse_field(f"Q(sqrt {d})") for d in (2993, 10007, 3405, 1155)]
+        fields += [parse_field(f"Q(sqrt {d})") for d in (2993, 10007, 3405, 1155, 749, 1837, 2353)]
         for F in fields:
             value = zeta_F_2_numeric(F, bits)
             reference = sine_route_zeta_F_2(F.discriminant, bits)
@@ -468,9 +469,9 @@ class TestZetaTwoNumeric:
         # reference has 64 more bits than the result, so it adds at most
         # 2^-(bits + 60).  The recurrence's error grows like D^3 log D, so the
         # largest D tested carry the most weight.
-        # D = 105 (in D <= 500), 3405 and 4620 carry the chain starts' and t_k's error
+        # D = 105 (in D <= 500), 3405, 4620, 749, 1837 and 2353 carry the chain starts' and t_k's error
         fields = real_quadratic_fields_with_disc_up_to(500)
-        fields += [parse_field(f"Q(sqrt {d})") for d in (2993, 10007, 3405, 1155)]  # D = 2993, 40028, 3405, 4620
+        fields += [parse_field(f"Q(sqrt {d})") for d in (2993, 10007, 3405, 1155, 749, 1837, 2353)]  # D = 2993, 40028, 3405, 4620
         for F in fields:
             D = F.discriminant
             exact = fraction(sine_route_zeta_F_2(D, bits + 64))
@@ -738,10 +739,10 @@ class TestCosecantSquaredIdentity:
 
 def chain_stride(D):
     """The kernel's stride k: D's smallest primes p, ascending, each taken
-    while (k p)^3 <= D and D >= 30 k p (p - 2)."""
+    while (k p)^3 <= D."""
     k = 1
     for p in range(2, D):
-        if (k * p) ** 3 > D or 30 * k * p * (p - 2) > D:
+        if (k * p) ** 3 > D:
             break
         if D % p == 0 and all(p % q for q in range(2, p)):
             k *= p
@@ -788,23 +789,27 @@ class TestChainKernel:
 
     @pytest.mark.parametrize("bits", [70, 128, 192])
     def test_bit_identical_to_the_stride_one_loop(self, bits):
-        # every D <= 500, with k = 1, 2, 3, 5 and 6, and D = 3405, 4620 and 120120, with k = 15, 6 and 30
+        # every D <= 500, with k = 1, 2, 3, 5, 6 and 7, D = 3405, 4620 and 120120, with k = 15, 6 and 30,
+        # and D = 749, 1837 and 2353, with k = 7, 11 and 13
         fields = real_quadratic_fields_with_disc_up_to(500)
-        fields += [parse_field(f"Q(sqrt {d})") for d in (3405, 1155, 30030)]
-        assert {chain_stride(F.discriminant) for F in fields} == {1, 2, 3, 5, 6, 15, 30}
+        fields += [parse_field(f"Q(sqrt {d})") for d in (3405, 1155, 30030, 749, 1837, 2353)]
+        assert {chain_stride(F.discriminant) for F in fields} == {1, 2, 3, 5, 6, 7, 11, 13, 15, 30}
         for F in fields:
             assert zeta_F_2_numeric(F, bits) == stride_one_kernel(F, bits), (F, bits)
 
     @pytest.mark.parametrize(
         "d, k, reads",
         # D = 2042040 = 8 * 3 * 5 * 7 * 11 * 13 * 17, where one chain of
-        # stride 1 would read 1,021,019; D = 2993 = 41 * 73 has 41^3 > D,
-        # and D = 57 = 3 * 19 is below 30 * 3 * (3 - 2)
+        # stride 1 would read 1,021,019; D = 2993 = 41 * 73 has 41^3 > D;
+        # D = 57 = 3 * 19, 749 = 7 * 107 and 1837 = 11 * 167 take their
+        # smallest prime p, as p^3 <= D, and not the other, as (p q)^3 > D
         [
             (5, 1, 2),
             (3, 2, 3),
             (105, 3, 35),
-            (57, 1, 28),
+            (57, 3, 19),
+            (749, 7, 321),
+            (1837, 11, 835),
             (2993, 1, 1496),
             (3405, 15, 908),
             (1155, 6, 770),
@@ -830,7 +835,7 @@ class TestChainKernel:
         assert [index for index, _ in table.reads] == [slice(a, None, k) for a in range(1, k + 1) if math.gcd(a, k) == 1]
         assert sum(count for _, count in table.reads) == reads
 
-    @pytest.mark.parametrize("D", [5, 12, 105, 3405, 4620, 120120])
+    @pytest.mark.parametrize("D", [5, 12, 105, 749, 3405, 4620, 120120])
     def test_each_chain_reads_chi_D_along_it(self, D):
         chi = kronecker_table(D)
         half = (D - 1) // 2
