@@ -21,7 +21,6 @@ two rules are :func:`check_field` and :func:`check_s_set`, and every entry
 point that takes F, or F and S, calls one of them before it reads anything.
 """
 
-import bisect
 import functools
 import re
 from collections import namedtuple
@@ -42,38 +41,38 @@ from .errors import (
 #: oracle takes (D/2) phi(k)/k + k fixed-point multiplies, for k a product
 #: of D's smallest primes, and one division where chi_D = +1, O(D), and
 #: reads chi_D from a table of D/2 bytes, while the exact Siegel sum is a
-#: sieve, about sqrt(D) * log log D (about 1.5 ms at the cap).  At the cap
-#: (D up to 4 * 10^6) ``zeta --field`` takes about 0.43 s at d = 999995
-#: (k = 10, 800,006 steps) and 0.55 s at the prime d = 999983 (k = 2,
-#: 999,985 steps), nearly all of it in the numeric oracle, and peaks at
-#: 28-29 MB RSS (median of eight runs each, shared 2-CPU Xeon, Python 3.11.7).
+#: sieve, about sqrt(D) * log log D (0.37-0.57 ms at the cap: D = 3999932,
+#: 3999980 and 3999916, median of 51 calls each).  At the cap (D up to
+#: 4 * 10^6) ``zeta --field`` takes about 0.43 s at d = 999995 (k = 10,
+#: 800,006 steps) and 0.55 s at the prime d = 999983 (k = 2, 999,985
+#: steps), nearly all of it in the numeric oracle, and peaks at 28-29 MB
+#: RSS (median of eight runs each; all on a shared 2-CPU Xeon, Python 3.11.7).
 MAX_RADICAND = 10**6
 
 #: Largest accepted rational prime below a finite place, under the bound
 #: 3.3 * 10^24 up to which :func:`is_prime` is exact.
 MAX_PRIME = 10**24
 
-#: The first 13 primes, the Miller-Rabin bases of :func:`is_prime`.
+#: The first 13 primes: :func:`is_prime` divides by each, and runs all 13
+#: as Miller-Rabin bases above the last bound of _MILLER_RABIN_SETS.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-#: psi_k for k = 1..13, the least odd composite that is a strong probable
-#: prime to each of the first k prime bases (OEIS A014233; Jaeschke 1993,
-#: Sorenson and Webster 2015): below psi_k the first k bases decide
-#: primality exactly.
-_PSI = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-    3317044064679887385961981,
+#: (bound, bases), ascending: below bound, an n prime to the 13 primes is
+#: prime exactly when it is a strong probable prime to each base.  The
+#: first two are Jaeschke's sets (G. Jaeschke, Math. Comp. 61, 1993), each
+#: bound a strong pseudoprime to its set: 4759123141 = 48781 * 97561 and
+#: 1122004669633 = 611557 * 1834669.  Then come the first k primes below
+#: psi_k, the least odd composite that is a strong probable prime to each of
+#: them (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2015).
+_MILLER_RABIN_SETS = (
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (2152302898747, _MILLER_RABIN_BASES[:5]),
+    (3474749660383, _MILLER_RABIN_BASES[:6]),
+    (341550071728321, _MILLER_RABIN_BASES[:7]),
+    (3825123056546413051, _MILLER_RABIN_BASES[:9]),
+    (318665857834031151167461, _MILLER_RABIN_BASES[:12]),
+    (3317044064679887385961981, _MILLER_RABIN_BASES),
 )
 
 _QUADRATIC_RE = re.compile(r"Q\(sqrt (-?)(\d+)\)")
@@ -92,11 +91,13 @@ def _repr(x) -> str:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24.
 
-    Trial division by the 13 bases settles every n < 43^2 and every n with a
-    base as a factor.  Any other n below psi_13 = 3317044064679887385961981
-    is prime exactly when it is a strong probable prime to the first k
-    bases, for the least k with n < psi_k; above psi_13 all 13 bases run
-    and the answer is only probable.
+    Trial division by the first 13 primes settles every n < 43^2 and every
+    n with one of them as a factor.  Any other n is tested to the bases of
+    the first row of _MILLER_RABIN_SETS whose bound is above it: Jaeschke's
+    {2, 7, 61} below 4759123141 and {2, 13, 23, 1662803} below
+    1122004669633, then the first k primes below psi_k.  Below
+    psi_13 = 3317044064679887385961981 the answer is exact; above it all
+    13 primes run as bases and the answer is only probable.
     """
     if n < 2:
         return False
@@ -107,7 +108,7 @@ def is_prime(n: int) -> bool:
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
-    for a in _MILLER_RABIN_BASES[: bisect.bisect_right(_PSI, n) + 1]:
+    for a in next((bases for bound, bases in _MILLER_RABIN_SETS if n < bound), _MILLER_RABIN_BASES):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

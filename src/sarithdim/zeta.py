@@ -10,8 +10,10 @@ always an integer divided by 60.  Its about sqrt(D)/2 values (D - b^2)/4
 are factored together by one quadratic sieve: each odd prime p <= sqrt(D/4)
 divides exactly the values whose b is a square root of D mod p, read from
 one cached table of the square roots mod p, so it is stepped to in
-arithmetic progressions rather than tried on every value.  The sum costs
-about sqrt(D) * log log D.
+arithmetic progressions rather than tried on every value.  Each value keeps
+its power of 2, 2^a, which the odd primes never touch: what is left at the
+end is 2^a times 1 or a prime P, read off its lowest set bit as
+sigma_1 = (2^(a+1) - 1)(P + 1).  The sum costs about sqrt(D) * log log D.
 zeta_F(2) = zeta(2) * L(2, chi_D) is evaluated numerically by an
 elementary cosecant sum good to any working precision,
 
@@ -48,6 +50,7 @@ a tolerance becomes a working precision, and it compares the two sides as
 integer pairs.
 """
 
+import bisect
 import functools
 import math
 from array import array
@@ -59,7 +62,7 @@ from typing import NamedTuple
 from mpmath import libmp
 
 from .errors import OutOfRange, ToleranceTooTight
-from .numberfield import NumberField, _odd_prime_factors, _repr, check_field
+from .numberfield import MAX_RADICAND, NumberField, _odd_prime_factors, _repr, check_field
 
 #: Field discriminants whose zeta_F(-1) is memoized.  One S-arithmetic computation asks
 #: for the value of one field many times; a bounded memo keeps long runs over
@@ -127,40 +130,44 @@ def _zeta_minus1(D: int) -> SpecialValue:
     :func:`zeta_F_minus1`.
 
     Over a real quadratic field the divisor sum above, by one sieve pass
-    over the values m_t = (D - b^2)/4 with b = 2t + (D mod 2) >= 0.  Each
-    m_t loses its power of 2 by its trailing zeros.  An odd prime p divides
-    m_t exactly when b^2 = D (mod p), that is b = +-r for the root
+    over the values m_t = (D - b^2)/4 with b = 2t + (D mod 2) >= 0, built
+    in one list pass.  An odd prime p divides m_t exactly when
+    b^2 = D (mod p), that is b = +-r for the root
     r = _square_roots(p)[D % p]: never when it is None, at b = 0 (mod p)
     when it is 0 (p divides D), and else at +-r, so the t it divides run
-    through t = (+-r - (D mod 2)) / 2 (mod p).  At each, the
-    full power p^a is divided out and sigma_1(p^a) multiplied in.  After
-    every p <= sqrt(D/4), what is left of m_t is 1 or a prime, which
-    contributes m_t + 1.  Every b > 0 stands for b and -b.  The value is
-    positive, and its denominator divides 60.
+    through t = (+-r - (D mod 2)) / 2 (mod p).  At each, the full power
+    p^e is divided out and sigma_1(p^e) multiplied in; the loop over
+    higher powers runs only when p divides m_t / p.  The primes are the
+    odd p <= sqrt(D/4), a slice of the module's one tuple of them.  The
+    power of 2 in m_t is left in place, so after every p what is left of
+    m_t is 2^a times 1 or a prime P above sqrt(D/4).  With low = 2^a, the
+    lowest set bit, it contributes sigma_1(2^a) = 2 low - 1 times P + 1,
+    or times 1 where nothing is left but low.  Every b > 0 stands for b
+    and -b.  The value is positive, and its denominator divides 60.
     """
     if D == 1:
         return SpecialValue(Fraction(-1, 12))
     odd = D % 2
     m = [(D - b * b) >> 2 for b in range(odd, math.isqrt(D) + 1, 2)]
-    twos = [(v & -v).bit_length() - 1 for v in m]
-    m = [v >> a for v, a in zip(m, twos)]
-    sigma = [(2 << a) - 1 for a in twos]
-    for p in primes_up_to(math.isqrt(D // 4))[1:]:
+    sigma = [1] * len(m)
+    for p in _SIEVE_PRIMES[: bisect.bisect_right(_SIEVE_PRIMES, math.isqrt(D // 4))]:
         r = _square_roots(p)[D % p]
         if r is None:
             continue
         half = (p + 1) // 2  # the inverse of 2 mod p
         for start in {(r - odd) * half % p, (-r - odd) * half % p}:
             for t in range(start, len(m), p):
-                v, power = m[t] // p, p
+                v = m[t] // p
                 term = 1 + p
-                while v % p == 0:
-                    v //= p
-                    power *= p
-                    term += power
+                if v % p == 0:
+                    power = p
+                    while v % p == 0:
+                        v //= p
+                        power *= p
+                        term += power
                 m[t] = v
                 sigma[t] *= term
-    terms = [s * (v + 1) if v > 1 else s for s, v in zip(sigma, m)]
+    terms = [s * (2 * (low := v & -v) - 1) * (v // low + (v != low)) for s, v in zip(sigma, m)]
     # b = 0, the one b without a partner -b, is t = 0 when D is even
     return SpecialValue(Fraction(2 * sum(terms) - (0 if odd else terms[0]), 60))
 
@@ -209,6 +216,12 @@ def primes_up_to(n: int) -> list[int]:
         if flags[i]:
             flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
     return [i for i, is_p in enumerate(flags) if is_p]
+
+
+#: The odd primes p <= isqrt(MAX_RADICAND), the sieve primes of
+#: :func:`_zeta_minus1`: it asks for those up to isqrt(D // 4), and D // 4
+#: is at most the radicand.
+_SIEVE_PRIMES = tuple(primes_up_to(math.isqrt(MAX_RADICAND))[1:])
 
 
 def _rounded_terms(num: int, den: int, bits: int) -> tuple[int, int]:

@@ -158,9 +158,24 @@ class TestPrimality:
         assert all(is_strong_probable_prime(n, a) for a in PRIMES_TO_100[:k])
         assert not is_prime(n)
 
+    @pytest.mark.parametrize(
+        "n, factors, bases",
+        [
+            # the bounds of Jaeschke's two sets, each fooling its own set
+            (4759123141, (48781, 97561), (2, 7, 61)),
+            (1122004669633, (611557, 1834669), (2, 13, 23, 1662803)),
+        ],
+    )
+    def test_jaeschke_pseudoprimes(self, n, factors, bases):
+        assert math.prod(factors) == n
+        assert all(is_strong_probable_prime(n, a) for a in bases)
+        assert not is_prime(n)
+
     def test_matches_all_thirteen_bases_near_thresholds(self):
         bases = PRIMES_TO_100[:13]
-        for psi in (2047, 1373653, 25326001, 3215031751, 2152302898747, 341550071728321, 10**18):
+        thresholds = (2047, 1373653, 25326001, 3215031751, 2152302898747, 341550071728321, 10**18)
+        # and around 2^30, 2^32 and the bounds of Jaeschke's two sets
+        for psi in thresholds + (2**30, 2**32, 4759123141, 1122004669633):
             for n in range(psi - 500, psi + 500):
                 expected = n in bases or (
                     all(n % a for a in bases) and all(is_strong_probable_prime(n, a) for a in bases)

@@ -224,11 +224,19 @@ def sieve_branches(D):
     if any(m % (p * p) == 0 for p in odd_primes for m in values):
         branches.add("odd square factor")
     for m in values:
-        for p in [2] + odd_primes:
+        for p in odd_primes:
             while m % p == 0:
                 m //= p
-        if m > 1:
+        # what the odd primes leave is 2^a times 1 or a prime P above sqrt(D/4)
+        low = m & -m
+        if m > low:
             branches.add("prime cofactor above sqrt(D/4)")
+        if m == low:
+            branches.add("leftover a power of 2")
+        elif low > 1:
+            branches.add("leftover 2^a P with a >= 1")
+        else:
+            branches.add("leftover an odd prime P")
     return branches
 
 
@@ -260,6 +268,9 @@ class TestZetaMinusOne:
         fields += [parse_field(f"Q(sqrt {d})") for d in (1001, 10007, 100001, 100005, 100003, 25006)]
         for F in fields:
             assert zeta_F_minus1(F).value == bernoulli_route_zeta_minus1(F.discriminant), F
+        # the fields reach every shape of what the odd primes leave of a value
+        shapes = {"leftover a power of 2", "leftover 2^a P with a >= 1", "leftover an odd prime P"}
+        assert shapes <= set().union(*(sieve_branches(F.discriminant) for F in fields))
 
 
 def test_trial_division_sigma_brute_force():
@@ -306,6 +317,9 @@ class TestSiegelSieve:
             ("2^a with a >= 3", 1001),  # (1001 - 3^2)/4 = 8 * 31
             ("odd square factor", 1001),  # (1001 - 1)/4 = 2 * 5^3
             ("prime cofactor above sqrt(D/4)", 1001),
+            ("leftover a power of 2", 1001),  # (1001 - 1)/4 = 2 * 5^3 leaves 2
+            ("leftover 2^a P with a >= 1", 1001),  # 8 * 31, and 31 > sqrt(1001/4)
+            ("leftover an odd prime P", 1005),  # (1005 - 1)/4 = 251, a prime
         ],
     )
     def test_branch(self, branch, d):
@@ -348,6 +362,13 @@ class TestSiegelSieve:
         assert table_reads == primes_up_to(math.isqrt(D // 4))[1:]
         assert len(table_reads) == 167
         assert not hasattr(zeta, "kronecker_symbol")
+
+    def test_sieve_primes_reach_the_radicand_cap(self):
+        """The sieve slices its primes from one tuple, which must hold every
+        odd prime up to isqrt(MAX_RADICAND): D // 4 is at most the radicand,
+        so a raised cap that left the tuple short would drop sieve primes."""
+        cap = math.isqrt(MAX_RADICAND)
+        assert zeta._SIEVE_PRIMES == tuple(p for p in range(3, cap + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 
     def test_square_root_tables_stay_inside_the_radicand_cap(self):
         """At the cap's largest discriminant the sieve builds one table per
